@@ -34,8 +34,8 @@ _EXPORTS = {
     "rational_family": "families", "exponential_family": "families",
     "weighted_rational_family": "families", "weighted_exponential_family": "families",
     "prior_exponential_family": "families", "family_from_name": "families",
-    "family_density": "families", "h_map": "families", "jacobian": "families",
-    "flow_jacobian": "families", "default_dual_start": "families",
+    "family_density": "families", "h_map": "families", "flow_jacobian": "families",
+    "default_dual_start": "families",
     # solver
     "SolveConfig": "solver", "SolveReport": "solver", "solve": "solver",
     "solve_tau": "solver", "lyapunov_slope": "solver",

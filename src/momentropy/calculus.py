@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PositivityError
 
-# Relative eigenvalue gap below which the divided-difference factor switches
+# Exponent gap below which the divided-difference factor switches
 # to its Taylor series; keeps f smooth through coalescing eigenvalues.
 _SERIES_CUTOFF = 1e-4
 
@@ -42,13 +42,6 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
-def hermitian_defect(matrix: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part, maximised over the batch."""
-    a = np.asarray(matrix)
-    skew = 0.5 * (a - np.conj(np.swapaxes(a, -1, -2)))
-    return float(np.max(np.sqrt(np.sum(np.abs(skew) ** 2, axis=(-2, -1)))) if a.size else 0.0)
 
 
 def as_hermitian(matrix: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
@@ -125,7 +118,7 @@ def scrambled_multiply(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
     w, u = eigh_hermitian(c)
     _check_positive(w, None)
     y = _congruence(u, delta, forward=True)
-    return hermitian_part(_congruence(u, _divided_difference_exp_at_log(w) * y, forward=False))
+    return hermitian_part(_congruence(u, _divided_difference_exp(np.log(w)) * y, forward=False))
 
 
 def scrambled_divide(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -134,7 +127,7 @@ def scrambled_divide(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
     w, u = eigh_hermitian(a)
     _check_positive(w, None)
     y = _congruence(u, delta, forward=True)
-    return hermitian_part(_congruence(u, y / _divided_difference_exp_at_log(w), forward=False))
+    return hermitian_part(_congruence(u, y / _divided_difference_exp(np.log(w)), forward=False))
 
 
 def frechet_exp(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -187,18 +180,19 @@ def _check_positive(w: np.ndarray, floor: float | None) -> None:
         )
 
 
-def _divided_difference_exp_at_log(w: np.ndarray) -> np.ndarray:
-    """Factor matrix f_ij = (w_i - w_j)/(log w_i - log w_j) for positive ``w``.
+def _divided_difference_exp(w: np.ndarray) -> np.ndarray:
+    """First divided difference of exp on exponents: f_ij = (e^w_i - e^w_j)/(w_i - w_j).
 
-    Evaluated as ``w_j * g(r)`` with ``r = w_i / w_j`` and
-    ``g(r) = (r - 1)/log r``; for ``|r - 1| < 1e-4`` the series
-    ``g(1 + x) = 1 + x/2 - x^2/12 + O(x^3)`` takes over, which covers the
-    diagonal ``f_ii = w_i`` exactly in the limit.
+    Evaluated as ``e^w_j (e^x - 1)/x`` with ``x = w_i - w_j``; for
+    ``|x| < 1e-4`` the series ``1 + x/2 + x^2/6`` takes over, which gives the
+    diagonal ``f_ii = e^w_i`` exactly.  Stays finite for strongly negative
+    exponents and overflows to inf (which the solver rejects as a step
+    failure) for exponents beyond the double range.  At ``w = log c`` this is
+    the scrambled-product factor of ``c``.
     """
-    r = w[..., :, None] / w[..., None, :]
-    x = r - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = x / np.log(r)
-    series = 1.0 + 0.5 * x - x * x / 12.0
-    g = np.where(np.abs(x) < _SERIES_CUTOFF, series, direct)
-    return w[..., None, :] * g
+    x = w[..., :, None] - w[..., None, :]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        direct = np.expm1(x) / x
+        series = 1.0 + 0.5 * x + x * x / 6.0
+        g = np.where(np.abs(x) < _SERIES_CUTOFF, series, direct)
+        return np.exp(w[..., None, :]) * g

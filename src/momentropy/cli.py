@@ -166,8 +166,8 @@ def _materialise(args):
     family = family_from_name(merged["family"], sigma=sigma)
 
     config = SolveConfig(
-        tol=float(merged.get("tol") or SolveConfig.tol),
-        t_max=float(merged.get("t_max") or SolveConfig.t_max),
+        tol=float(SolveConfig.tol if merged.get("tol") is None else merged["tol"]),
+        t_max=float(SolveConfig.t_max if merged.get("t_max") is None else merged["t_max"]),
         torus_override=bool(merged.get("torus_override") or False),
     )
     return op, moment, family, config

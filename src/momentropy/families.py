@@ -7,8 +7,12 @@ adjoint field ``A = L*(lam)``:
     rational               rho = A^{-1}                    (A > 0 nodewise)
     exponential            rho = (1/e) exp(-A)
     weighted_rational      rho = phi A^{-1} phi*           (A > 0 nodewise)
-    weighted_exponential   rho = (1/e) sigma^(1/2) exp(-A) sigma^(1/2)
+    weighted_exponential   rho = (1/e) phi exp(-A) phi*         (phi = sigma^(1/2))
     prior_exponential      rho = (1/e) exp(log sigma - A)
+
+The families come in two shapes, an inverse ``A^{-1}`` and an exponential
+``(1/e) exp(log sigma - A)`` (``log sigma = 0`` when absent), each optionally
+weighted by the congruence ``rho -> phi rho phi*``.
 
 The composite map ``h(lam) = L(rho_lam)`` sends dual variables to moment
 matrices; matching a target moment means solving ``h(lam) = R``.  The inverse
@@ -16,18 +20,9 @@ families extremise a Burg-type entropy and require ``lam`` to stay strictly
 dual-feasible; the exponential families are defined for every ``lam`` and
 extremise von Neumann / relative entropies.
 
-Jacobian orientation
---------------------
-``jacobian`` returns the conventional orientation of the derivative together
-with a sign tag: for the inverse-type families the assembled matrix
-
-    J(i,j) = <E_i, L(P L*(E_j) P*)>,   P = phi A^{-1}   (phi = I when absent)
-
-is positive definite (sign +1), while the actual Frechet derivative of
-``h_map`` is its negative; for the exponential-type families the assembled
-matrix is the derivative itself and is negative (semi)definite (sign -1).
-``flow_jacobian`` always returns the true derivative, which is what the
-continuation solver inverts.
+``flow_jacobian`` returns the true Frechet derivative of ``h_map`` in range
+coordinates, which is what the continuation solver inverts.  It is symmetric
+and negative definite on the feasible set for every family.
 """
 
 from __future__ import annotations
@@ -37,9 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import eigh_hermitian, hermitian_part, matrix_log
+from .calculus import _divided_difference_exp, eigh_hermitian, hermitian_part, matrix_log
 from .errors import DualStartNotFound, PositivityError
-from .operator import MomentOperator, DualVariable, apply_L_adjoint, dual_from_coords, _as_matrix
+from .operator import MomentOperator, DualVariable, apply_L, apply_L_adjoint, dual_from_coords, _as_matrix
 
 FAMILY_KINDS = (
     "rational",
@@ -57,15 +52,16 @@ _DEFAULT_POS_FLOOR = 1e-10
 class Family:
     """A density family; build instances through the factory functions below.
 
-    ``phi`` (N, m, m) is the spectral-factor weight of the weighted rational
-    family; ``sigma`` (N, m, m) the reference density of the weighted families
-    (with its square root and logarithm cached as needed).
+    ``phi`` (N, m, m) is the congruence weight of the weighted families: the
+    spectral factor of the weighted rational family, ``sigma^(1/2)`` for the
+    weighted exponential one.  ``sigma`` (N, m, m) is the reference density of
+    the weighted families, and ``log_sigma`` its logarithm for the prior
+    exponential family.
     """
 
     kind: str
     phi: np.ndarray | None = None
     sigma: np.ndarray | None = None
-    sqrt_sigma: np.ndarray | None = None
     log_sigma: np.ndarray | None = None
 
     @property
@@ -73,11 +69,6 @@ class Family:
         """True for the families built on A^{-1}, which need dual feasibility
         and (off discrete grids) a one-dimensional support."""
         return self.kind in _INVERSE_KINDS
-
-    @property
-    def jacobian_sign(self) -> int:
-        """Definiteness orientation of the assembled Jacobian: +1 or -1."""
-        return 1 if self.is_inverse_kind else -1
 
 
 def rational_family() -> Family:
@@ -110,7 +101,7 @@ def weighted_rational_family(phi: np.ndarray | None = None, sigma: np.ndarray | 
 def weighted_exponential_family(sigma: np.ndarray) -> Family:
     sigma = np.asarray(sigma, dtype=complex)
     _validate_field(sigma, "sigma")
-    return Family("weighted_exponential", sigma=sigma, sqrt_sigma=_sqrt_field(sigma))
+    return Family("weighted_exponential", phi=_sqrt_field(sigma), sigma=sigma)
 
 
 def prior_exponential_family(sigma: np.ndarray) -> Family:
@@ -149,24 +140,7 @@ def family_density(op: MomentOperator, lam, family: Family,
 def h_map(op: MomentOperator, lam, family: Family,
           pos_floor: float = _DEFAULT_POS_FLOOR) -> np.ndarray:
     """Moment image h(lam) = L(rho_lam), an n_left x n_right matrix."""
-    ev = _evaluate(op, lam, family, pos_floor)
-    return np.einsum(
-        "n,nab,nbc,ncd->ad", op.grid.weights, op.kernels.left, ev.density, op.kernels.right,
-        optimize=True,
-    )
-
-
-def jacobian(op: MomentOperator, lam, family: Family,
-             pos_floor: float = _DEFAULT_POS_FLOOR) -> tuple[np.ndarray, int]:
-    """Assembled d x d Jacobian in the family's conventional orientation.
-
-    Returns ``(J, sign)``; see the module docstring.  The true derivative of
-    ``h_map`` in range coordinates is ``-J`` when sign is +1 and ``J`` when
-    sign is -1.
-    """
-    ev = _evaluate(op, lam, family, pos_floor, need_jacobian=True)
-    sign = family.jacobian_sign
-    return (-ev.flow_jacobian if sign > 0 else ev.flow_jacobian), sign
+    return apply_L(op, family_density(op, lam, family, pos_floor))
 
 
 def flow_jacobian(op: MomentOperator, lam, family: Family,
@@ -197,14 +171,13 @@ def default_dual_start(op: MomentOperator, family: Family,
     except np.linalg.LinAlgError:
         coords = np.linalg.lstsq(gram, target, rcond=None)[0]
     start = dual_from_coords(op, coords)
-    field = apply_L_adjoint(op, start.matrix)
-    eigs, _ = eigh_hermitian(field)
-    floor = pos_floor * max(float(np.mean(eigs)), 0.0)
-    if not float(np.min(eigs)) > floor:
+    try:
+        _evaluate(op, start, family, pos_floor)
+    except PositivityError as exc:
         raise DualStartNotFound(
             "least-squares identity start is not strictly dual-feasible "
-            "(min eigenvalue %.3e); supply an explicit start" % float(np.min(eigs))
-        )
+            "(min eigenvalue %.3e); supply an explicit start" % exc.min_eig
+        ) from exc
     return start
 
 
@@ -221,66 +194,50 @@ class _PointEval(NamedTuple):
 
 def _evaluate(op: MomentOperator, lam, family: Family, pos_floor: float,
               need_jacobian: bool = False) -> _PointEval:
-    lam_matrix = _as_matrix(op, lam)
-    a_field = apply_L_adjoint(op, lam_matrix)
+    a_field = apply_L_adjoint(op, _as_matrix(op, lam))
     x = op.adjoint_basis
     w = op.grid.weights
+    phi = family.phi
+    phi_h = None if phi is None else np.conj(np.swapaxes(phi, -1, -2))
+    jac = None
 
     if family.is_inverse_kind:
-        eigs, u = eigh_hermitian(a_field)
-        min_eig = float(np.min(eigs))
-        mean_eig = float(np.mean(eigs))
-        floor = pos_floor * max(mean_eig, 0.0)
+        # rho = phi A^{-1} phi*, defined while A stays above the positivity floor
+        eigs_a, u = eigh_hermitian(a_field)
+        min_eig = float(np.min(eigs_a))
+        floor = pos_floor * max(float(np.mean(eigs_a)), 0.0)
         if not min_eig > floor:
-            node = int(np.argmin(np.min(eigs, axis=1)))
+            node = int(np.argmin(np.min(eigs_a, axis=1)))
             raise PositivityError(
                 "adjoint field near-singular at node %d (min eig %.3e, floor %.3e)"
                 % (node, min_eig, floor),
                 min_eig=min_eig, node=node,
             )
-        uh = np.conj(np.swapaxes(u, -1, -2))
-        inv_field = (u * (1.0 / eigs)[:, None, :]) @ uh
-        if family.phi is not None:
-            p = family.phi @ inv_field
-            density = hermitian_part(p @ np.conj(np.swapaxes(family.phi, -1, -2)))
-        else:
-            p = inv_field
-            density = hermitian_part(inv_field)
-        jac = None
+        p = (u * (1.0 / eigs_a)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+        if phi is not None:
+            p = phi @ p
+        density = hermitian_part(p if phi is None else p @ phi_h)
         if need_jacobian:
-            # true derivative: delta -> -L(P L*(delta) P*)
+            # true derivative: delta -> -L(P L*(delta) P*),  P = phi A^{-1}
             t = np.einsum("nab,jnbc,ndc->jnad", p, x, np.conj(p), optimize=True)
             jac = -np.real(np.einsum("inab,jnba,n->ij", x, t, w, optimize=True))
-        return _PointEval(density, _range_coords(x, w, density), jac, min_eig, mean_eig)
-
-    # exponential-type families
-    exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
-    ew, u = eigh_hermitian(exponent)
-    if family.log_sigma is None:
-        eigs_a = -ew
     else:
-        eigs_a, _ = eigh_hermitian(a_field)
-    uh = np.conj(np.swapaxes(u, -1, -2))
-    with np.errstate(over="ignore", under="ignore"):
-        core = (u * (np.exp(ew) / np.e)[:, None, :]) @ uh
-    if family.kind == "weighted_exponential":
-        s = family.sqrt_sigma
-        density = hermitian_part(s @ core @ s)
-    else:
-        density = hermitian_part(core)
-    jac = None
-    if need_jacobian:
-        y = np.einsum("nba,inbc,ncd->inad", np.conj(u), x, u, optimize=True)
-        factor = _divided_difference_exp(ew)
-        if family.kind == "weighted_exponential":
-            s = family.sqrt_sigma
-            z = np.einsum("nba,inbc,ncd->inad", np.conj(u), s @ x @ s, u, optimize=True)
-        else:
-            z = y
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            jac = (-1.0 / np.e) * np.real(
-                np.einsum("nab,inab,jnab,n->ij", factor, np.conj(z), y, w, optimize=True)
-            )
+        # rho = (1/e) phi exp(log sigma - A) phi*
+        exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
+        ew, u = eigh_hermitian(exponent)
+        eigs_a = -ew if family.log_sigma is None else eigh_hermitian(a_field)[0]
+        with np.errstate(over="ignore", under="ignore"):
+            core = (u * (np.exp(ew) / np.e)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+        density = hermitian_part(core if phi is None else phi @ core @ phi_h)
+        if need_jacobian:
+            # true derivative: <phi* E_i phi, -(1/e) dexp(E_j)>, in the eigenbasis
+            # of the exponent, where dexp is entrywise multiplication
+            y = np.einsum("nba,inbc,ncd->inad", np.conj(u), x, u, optimize=True)
+            z = y if phi is None else np.einsum("nba,inbc,ncd->inad", np.conj(u), phi_h @ x @ phi, u,
+                                                optimize=True)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                jac = (-1.0 / np.e) * np.real(np.einsum(
+                    "nab,inab,jnab,n->ij", _divided_difference_exp(ew), np.conj(z), y, w, optimize=True))
     return _PointEval(
         density, _range_coords(x, w, density), jac,
         float(np.min(eigs_a)), float(np.mean(eigs_a)),
@@ -290,21 +247,6 @@ def _evaluate(op: MomentOperator, lam, family: Family, pos_floor: float,
 def _range_coords(x: np.ndarray, w: np.ndarray, density: np.ndarray) -> np.ndarray:
     # <E_i, L(rho)> = <L*(E_i), rho> with quadrature weights on the density side
     return np.real(np.einsum("inab,nba,n->i", x, density, w, optimize=True))
-
-
-def _divided_difference_exp(w: np.ndarray) -> np.ndarray:
-    """First divided difference of exp on exponents: (e^a - e^b)/(a - b).
-
-    Evaluated as e^b (e^x - 1)/x with x = a - b, series below 1e-4; stays
-    finite for strongly negative exponents and overflows to inf (handled by
-    the solver's step rejection) for exponents beyond the double range.
-    """
-    x = w[..., :, None] - w[..., None, :]
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        direct = np.expm1(x) / x
-        series = 1.0 + 0.5 * x + x * x / 6.0
-        g = np.where(np.abs(x) < 1e-4, series, direct)
-        return np.exp(w[..., None, :]) * g
 
 
 def _sqrt_field(sigma: np.ndarray) -> np.ndarray:

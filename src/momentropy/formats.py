@@ -105,6 +105,8 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
             "matrix data length %d does not match %d x %d" % (len(data), rows, cols)
         )
     flat = np.array([complex(re, im) for re, im in data])
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("matrix data holds non-finite entries")
     return flat.reshape(rows, cols)
 
 
@@ -144,6 +146,8 @@ def read_density_csv(path: str, grid: SupportGrid) -> np.ndarray:
     if 2 * m * m != pair_count:
         raise ValueError("density entries do not form square matrices")
     arr = np.array(parsed)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("density file holds non-finite entries")
     if not np.allclose(arr[:, :k], grid.nodes, rtol=0.0, atol=1e-9):
         raise ValueError("density file coordinates do not match the grid")
     complex_entries = arr[:, k::2] + 1j * arr[:, k + 1::2]

@@ -11,20 +11,22 @@ When ``R`` is attainable the flow converges to the unique matching dual point;
 when it is not, the trajectory leaves every bounded set or collides with the
 boundary of the dual-feasible region, and the integrator reports which.
 
-Integration is classical Runge-Kutta 4 with step halving: a trial step is
-rejected when any stage evaluation fails (loss of dual feasibility, singular
-Jacobian, non-finite values), when V fails to decrease, when the Cholesky
-factorisation of the (orientation-corrected) Jacobian fails, or - for the
-inverse-type families - when the adjoint field's minimum eigenvalue drops
-below the positivity floor.  An accepted convergence (V below tolerance) is
-optionally polished by a few Newton steps on h(lam) = R.
-
 ``solve_tau`` integrates the equivalent fixed-interval form
 
     dlam/dtau = D(lam)^{-1} (R - R0),    tau in [0, 1],   R0 = h(lam_0),
 
 whose exact solution satisfies h(lam_tau) = R0 + tau (R - R0); the integrator
 controls the defect from that line, making the run self-validating.
+
+Both forms share one integrator, classical Runge-Kutta 4 with step halving.
+A trial step is rejected when any stage evaluation fails (an inverse-type
+adjoint field at the positivity floor, non-finite values), when the Cholesky
+factorisation of the negated Jacobian fails, or when the form's own test
+fails: V must decrease along the flow, and the defect from the line must stay
+within its budget along the fixed interval.  When the step collapses, the
+verdict message carries the reason the last trial step was rejected.  An
+accepted convergence of the flow (V below tolerance) is optionally polished by
+a few Newton steps on h(lam) = R.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,7 +70,9 @@ class SolveConfig:
 
     tol                 convergence threshold on V = ||R - h(lam)||^2
     t_max               horizon of the feedback flow
-    h0 / h_min          initial and smallest admissible RK4 step
+    h0 / h_min          initial and smallest admissible RK4 step of the flow
+                        (``solve_tau`` steps over tau in [0, 1] on its own
+                        fixed schedule)
     pos_floor           relative positivity floor for the adjoint field
     lambda_max          norm bound beyond which the run counts as unbounded
     range_residual_tol  relative residual above which R is rejected as
@@ -76,6 +81,9 @@ class SolveConfig:
     torus_override      allow inverse-type families on 2-D supports (the
                         flow is then heuristic: feasibility of the limit is
                         not guaranteed by the 1-D theory)
+
+    ``tol``, ``t_max``, ``h0`` and ``h_min`` must be finite and positive, with
+    ``h_min <= h0``; anything else raises ValueError.
     """
 
     tol: float = 1e-10
@@ -87,6 +95,14 @@ class SolveConfig:
     range_residual_tol: float = 1e-8
     newton_polish: bool = True
     torus_override: bool = False
+
+    def __post_init__(self):
+        for name in ("tol", "t_max", "h0", "h_min"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError("%s must be finite and positive, got %r" % (name, value))
+        if self.h_min > self.h0:
+            raise ValueError("h_min %r exceeds h0 %r" % (self.h_min, self.h0))
 
 
 @dataclass(frozen=True)
@@ -121,89 +137,14 @@ class _StepFailure(Exception):
     """Internal: a trial step or stage evaluation could not be completed."""
 
 
+# Everything that rejects a trial step (or ends the Newton polish).
+_REJECTIONS = (_StepFailure, PositivityError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def solve(op: MomentOperator, moment: np.ndarray, family: Family,
           config: SolveConfig | None = None, start: DualVariable | None = None) -> SolveReport:
     """Match ``moment`` within ``family`` by integrating the feedback flow."""
-    config = config or SolveConfig()
-    _check_support_dimension(op, family, config)
-
-    r_coords, residual = project_to_range(op, moment)
-    scale = max(float(np.linalg.norm(np.asarray(moment))), 1e-300)
-    if residual > config.range_residual_tol * scale:
-        return SolveReport(
-            status=STATUS_NOT_IN_RANGE,
-            lambda_hat=dual_from_coords(op, np.zeros(op.d)),
-            V_final=float("nan"), iterations=0, trace=[],
-            message="moment lies outside the operator range "
-                    "(relative residual %.3e)" % (residual / scale),
-        )
-
-    x = (start.coords.copy() if start is not None
-         else default_dual_start(op, family, config.pos_floor).coords)
-
-    ev = _eval_or_fail(op, x, family, config)
-    v = _mismatch(r_coords, ev.h_coords)
-    t = 0.0
-    h = config.h0
-    iterations = 0
-    trace = [(t, v, ev.min_eig, float(np.linalg.norm(x)))]
-    status = None
-    message = ""
-
-    while True:
-        if v <= config.tol:
-            status = STATUS_CONVERGED
-            break
-        if float(np.linalg.norm(x)) > config.lambda_max:
-            status = STATUS_DIVERGED_UNBOUNDED
-            message = "dual norm exceeded lambda_max"
-            break
-        if t >= config.t_max:
-            status = STATUS_MAX_TIME
-            message = "flow horizon t_max reached with V above tolerance"
-            break
-
-        h = min(h, config.t_max - t)
-        if h < config.h_min:
-            # remaining horizon is below temporal resolution
-            t = config.t_max
-            continue
-        accepted = False
-        while h >= config.h_min:
-            try:
-                x_new = _rk4_step(op, x, h, r_coords, family, config)
-                ev_new = _eval_or_fail(op, x_new, family, config)
-                v_new = _mismatch(r_coords, ev_new.h_coords)
-                if not math.isfinite(v_new) or v_new >= v:
-                    raise _StepFailure("V did not decrease")
-                if family.is_inverse_kind and not ev_new.min_eig > config.pos_floor * max(ev_new.mean_eig, 0.0):
-                    raise _StepFailure("adjoint field hit the positivity floor")
-            except (_StepFailure, PositivityError, np.linalg.LinAlgError, FloatingPointError):
-                h *= 0.5
-                continue
-            accepted = True
-            break
-
-        if not accepted:
-            if float(np.linalg.norm(x)) > config.lambda_max:
-                status = STATUS_DIVERGED_UNBOUNDED
-                message = "dual norm exceeded lambda_max during step collapse"
-            else:
-                status = STATUS_DIVERGED_BOUNDARY
-                message = "step collapsed below h_min with V above tolerance"
-            break
-
-        x, ev, v = x_new, ev_new, v_new
-        t += h
-        iterations += 1
-        trace.append((t, v, ev.min_eig, float(np.linalg.norm(x))))
-        h = min(2.0 * h, config.h0)
-
-    if status == STATUS_CONVERGED and config.newton_polish:
-        x, ev, v, polish_steps = _newton_polish(op, x, ev, v, r_coords, family, config)
-        iterations += polish_steps
-
-    return _finalise(op, family, config, status, x, ev, v, iterations, trace, message)
+    return _integrate(op, moment, family, config or SolveConfig(), start, _flow_form)
 
 
 def solve_tau(op: MomentOperator, moment: np.ndarray, family: Family,
@@ -215,88 +156,7 @@ def solve_tau(op: MomentOperator, moment: np.ndarray, family: Family,
     on infeasible targets the step collapses before tau reaches 1 and the run
     reports divergence.  Agrees with :func:`solve` at the fixed point.
     """
-    config = config or SolveConfig()
-    _check_support_dimension(op, family, config)
-
-    r_coords, residual = project_to_range(op, moment)
-    scale = max(float(np.linalg.norm(np.asarray(moment))), 1e-300)
-    if residual > config.range_residual_tol * scale:
-        return SolveReport(
-            status=STATUS_NOT_IN_RANGE,
-            lambda_hat=dual_from_coords(op, np.zeros(op.d)),
-            V_final=float("nan"), iterations=0, trace=[],
-            message="moment lies outside the operator range "
-                    "(relative residual %.3e)" % (residual / scale),
-        )
-
-    x = (start.coords.copy() if start is not None
-         else default_dual_start(op, family, config.pos_floor).coords)
-    ev = _eval_or_fail(op, x, family, config)
-    r0 = ev.h_coords.copy()
-    direction = r_coords - r0
-    # Budget: the defect from the exact path h(lam_tau) = R0 + tau (R - R0)
-    # may grow by at most h * budget_rate per step, so the total drift over
-    # [0, 1] stays near 1e-10 relative to the homotopy span.
-    budget_rate = 1e-10 * max(float(np.linalg.norm(direction)), 1e-3)
-
-    tau = 0.0
-    h = 0.01
-    # tau lives on [0, 1]: with the per-step defect budget above, a step
-    # forced below 1e-6 can only mean the path is pinned at the cone
-    # boundary, so there is no value in grinding further down
-    h_min = 1e-6
-    iterations = 0
-    defect = 0.0
-    trace = [(tau, _mismatch(r_coords, ev.h_coords), ev.min_eig, float(np.linalg.norm(x)))]
-    status = None
-    message = ""
-
-    while tau < 1.0:
-        if float(np.linalg.norm(x)) > config.lambda_max:
-            status = STATUS_DIVERGED_UNBOUNDED
-            message = "dual norm exceeded lambda_max before tau reached 1"
-            break
-        h = min(h, 1.0 - tau)
-        accepted = False
-        while h >= h_min:
-            try:
-                x_new = _rk4_step_tau(op, x, h, direction, family, config)
-                ev_new = _eval_or_fail(op, x_new, family, config)
-                target = r0 + (tau + h) * direction
-                defect_new = float(np.linalg.norm(ev_new.h_coords - target))
-                if not math.isfinite(defect_new) or defect_new > defect + h * budget_rate:
-                    raise _StepFailure("path defect grew by %.3e" % (defect_new - defect))
-                if family.is_inverse_kind and not ev_new.min_eig > config.pos_floor * max(ev_new.mean_eig, 0.0):
-                    raise _StepFailure("adjoint field hit the positivity floor")
-            except (_StepFailure, PositivityError, np.linalg.LinAlgError, FloatingPointError):
-                h *= 0.5
-                continue
-            accepted = True
-            break
-
-        if not accepted:
-            if float(np.linalg.norm(x)) > config.lambda_max:
-                status = STATUS_DIVERGED_UNBOUNDED
-                message = "dual norm exceeded lambda_max during step collapse"
-            else:
-                status = STATUS_DIVERGED_BOUNDARY
-                message = "tau step collapsed at tau=%.6f" % tau
-            break
-
-        x, ev, defect = x_new, ev_new, defect_new
-        tau += h
-        iterations += 1
-        trace.append((tau, _mismatch(r_coords, ev.h_coords), ev.min_eig, float(np.linalg.norm(x))))
-        h = min(2.0 * h, 0.05)
-
-    if status is None:
-        v = _mismatch(r_coords, ev.h_coords)
-        status = STATUS_CONVERGED
-    else:
-        v = _mismatch(r_coords, ev.h_coords)
-
-    return _finalise(op, family, config, status, x, ev, v, iterations, trace, message,
-                     fit_slope=False)
+    return _integrate(op, moment, family, config or SolveConfig(), start, _tau_form)
 
 
 def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
@@ -323,12 +183,145 @@ def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
 # ---------------------------------------------------------------------------
 # internals
 
-def _check_support_dimension(op: MomentOperator, family: Family, config: SolveConfig) -> None:
+class _Form(NamedTuple):
+    """What sets one integration form apart; :func:`_integrate` does the rest.
+
+    ``step(x, h)`` is the form's RK4 step.  ``judge(ev, t, h, score)`` scores
+    the trial point ``ev`` reached at time ``t`` from a point scored ``score``
+    and raises :class:`_StepFailure` to reject it.  ``done(t, score)`` is the
+    end condition, checked before each step; the run stops at ``t_end``
+    without it.  The step starts at ``h0``, doubles after each accepted step
+    up to ``h_cap``, and halves on rejection down to ``h_min``.  ``is_flow``
+    marks the feedback flow, whose converged runs get the Newton polish and
+    the slope fit.
+    """
+
+    step: Callable[[np.ndarray, float], np.ndarray]
+    judge: Callable[..., float]
+    done: Callable[[float, float], bool]
+    score: float
+    t_end: float
+    h0: float
+    h_cap: float
+    h_min: float
+    is_flow: bool
+
+
+def _flow_form(op, family, config, r_coords, ev) -> _Form:
+    # the score is V, which must decrease on every accepted step
+    def judge(ev_new, _t, _h, v):
+        v_new = _mismatch(r_coords, ev_new.h_coords)
+        if not math.isfinite(v_new) or v_new >= v:
+            raise _StepFailure("V did not decrease")
+        return v_new
+
+    return _Form(
+        step=lambda x, h: _rk4_step(op, x, h, r_coords, family, config),
+        judge=judge, done=lambda _t, v: v <= config.tol,
+        score=_mismatch(r_coords, ev.h_coords), t_end=config.t_max,
+        h0=config.h0, h_cap=config.h0, h_min=config.h_min, is_flow=True,
+    )
+
+
+def _tau_form(op, family, config, r_coords, ev) -> _Form:
+    r0 = ev.h_coords.copy()
+    direction = r_coords - r0
+    # The score is the defect from the exact path h(lam_tau) = R0 + tau (R - R0).
+    # It may grow by at most h * budget_rate per step, so the total drift over
+    # [0, 1] stays near 1e-10 relative to the homotopy span.
+    budget_rate = 1e-10 * max(float(np.linalg.norm(direction)), 1e-3)
+
+    def judge(ev_new, tau, h, defect):
+        defect_new = float(np.linalg.norm(ev_new.h_coords - (r0 + tau * direction)))
+        if not math.isfinite(defect_new) or defect_new > defect + h * budget_rate:
+            raise _StepFailure("path defect grew by %.3e" % (defect_new - defect))
+        return defect_new
+
+    # tau lives on [0, 1]: with the per-step defect budget above, a step
+    # forced below 1e-6 can only mean the path is pinned at the cone
+    # boundary, so there is no value in grinding further down
+    return _Form(
+        step=lambda x, h: _rk4_step_tau(op, x, h, direction, family, config),
+        judge=judge, done=lambda tau, _defect: tau >= 1.0,
+        score=0.0, t_end=1.0, h0=0.01, h_cap=0.05, h_min=1e-6, is_flow=False,
+    )
+
+
+def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: SolveConfig,
+               start: DualVariable | None, make_form) -> SolveReport:
+    """Adaptive RK4 with step halving, shared by both forms."""
+    if not np.all(np.isfinite(moment)):
+        raise ValueError("moment has non-finite entries")
     if family.is_inverse_kind and op.grid.dim >= 2 and not config.torus_override:
         raise ValueError(
             "inverse-type families are only covered by the convergence theory on "
             "one-dimensional or discrete supports; pass torus_override to force"
         )
+
+    r_coords, residual = project_to_range(op, moment)
+    scale = max(float(np.linalg.norm(np.asarray(moment))), 1e-300)
+    if residual > config.range_residual_tol * scale:
+        return SolveReport(
+            status=STATUS_NOT_IN_RANGE,
+            lambda_hat=dual_from_coords(op, np.zeros(op.d)),
+            V_final=float("nan"), iterations=0, trace=[],
+            message="moment lies outside the operator range "
+                    "(relative residual %.3e)" % (residual / scale),
+        )
+
+    x = (start.coords.copy() if start is not None
+         else default_dual_start(op, family, config.pos_floor).coords)
+    ev = _eval_or_fail(op, x, family, config)
+    form = make_form(op, family, config, r_coords, ev)
+    score = form.score
+    t = 0.0
+    h = form.h0
+    iterations = 0
+    trace = [(t, _mismatch(r_coords, ev.h_coords), ev.min_eig, float(np.linalg.norm(x)))]
+    message = ""
+
+    while True:
+        if form.done(t, score):
+            status = STATUS_CONVERGED
+            break
+        if float(np.linalg.norm(x)) > config.lambda_max:
+            status = STATUS_DIVERGED_UNBOUNDED
+            message = "dual norm exceeded lambda_max"
+            break
+        if form.t_end - t < form.h_min:
+            # the rest of the horizon is below temporal resolution
+            status = STATUS_MAX_TIME
+            message = "horizon t=%g reached before the end condition held" % form.t_end
+            break
+
+        h = min(h, form.t_end - t)
+        reason = ""
+        while h >= form.h_min:
+            try:
+                x_new = form.step(x, h)
+                ev_new = _eval_or_fail(op, x_new, family, config)
+                score_new = form.judge(ev_new, t + h, h, score)
+                break
+            except _REJECTIONS as exc:
+                reason = str(exc)
+                h *= 0.5
+        else:
+            status = STATUS_DIVERGED_BOUNDARY
+            message = "step collapsed below %g at t=%.6f: %s" % (form.h_min, t, reason)
+            break
+
+        x, ev, score = x_new, ev_new, score_new
+        t += h
+        iterations += 1
+        trace.append((t, _mismatch(r_coords, ev.h_coords), ev.min_eig, float(np.linalg.norm(x))))
+        h = min(2.0 * h, form.h_cap)
+
+    if status == STATUS_CONVERGED and form.is_flow and config.newton_polish:
+        x, ev, polish_steps = _newton_polish(op, x, ev, r_coords, family, config)
+        iterations += polish_steps
+
+    return _finalise(op, family, config, status, x, ev, _mismatch(r_coords, ev.h_coords),
+                     iterations, trace, message, fit_slope=form.is_flow)
 
 
 def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
@@ -336,16 +329,13 @@ def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
 
 
 def _eval_or_fail(op, coords, family, config):
+    # for the inverse-type families this raises PositivityError, naming the
+    # node, when the adjoint field drops to the positivity floor
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         ev = _evaluate(op, coords, family, config.pos_floor, need_jacobian=True)
     if not np.all(np.isfinite(ev.h_coords)) or not np.all(np.isfinite(ev.flow_jacobian)):
         raise _StepFailure("non-finite values in stage evaluation")
     return ev
-
-
-def _field_velocity(op, coords, r_coords, family, config) -> np.ndarray:
-    ev = _eval_or_fail(op, coords, family, config)
-    return _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
 
 
 def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -364,46 +354,47 @@ def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return velocity
 
 
-def _rk4_step(op, x, h, r_coords, family, config) -> np.ndarray:
-    k1 = _field_velocity(op, x, r_coords, family, config)
-    k2 = _field_velocity(op, x + 0.5 * h * k1, r_coords, family, config)
-    k3 = _field_velocity(op, x + 0.5 * h * k2, r_coords, family, config)
-    k4 = _field_velocity(op, x + h * k3, r_coords, family, config)
+def _rk4(x: np.ndarray, h: float, velocity) -> np.ndarray:
+    k1 = velocity(x)
+    k2 = velocity(x + 0.5 * h * k1)
+    k3 = velocity(x + 0.5 * h * k2)
+    k4 = velocity(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_step(op, x, h, r_coords, family, config) -> np.ndarray:
+    def velocity(coords):
+        ev = _eval_or_fail(op, coords, family, config)
+        return _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
+
+    return _rk4(x, h, velocity)
 
 
 def _rk4_step_tau(op, x, h, direction, family, config) -> np.ndarray:
-    def vel(coords):
-        ev = _eval_or_fail(op, coords, family, config)
-        return _solve_flow_system(ev.flow_jacobian, direction)
+    def velocity(coords):
+        return _solve_flow_system(_eval_or_fail(op, coords, family, config).flow_jacobian, direction)
 
-    k1 = vel(x)
-    k2 = vel(x + 0.5 * h * k1)
-    k3 = vel(x + 0.5 * h * k2)
-    k4 = vel(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(x, h, velocity)
 
 
-def _newton_polish(op, x, ev, v, r_coords, family, config):
+def _newton_polish(op, x, ev, r_coords, family, config):
+    v = _mismatch(r_coords, ev.h_coords)
     target = _POLISH_TARGET_FACTOR * max(float(np.sum(r_coords ** 2)), 1e-300)
     steps = 0
     for _ in range(_POLISH_MAX_STEPS):
         if v <= target:
             break
         try:
-            delta = _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
-            x_try = x + delta
+            x_try = x + _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
             ev_try = _eval_or_fail(op, x_try, family, config)
-            v_try = _mismatch(r_coords, ev_try.h_coords)
-            if not math.isfinite(v_try) or v_try >= v:
-                break
-            if family.is_inverse_kind and not ev_try.min_eig > config.pos_floor * max(ev_try.mean_eig, 0.0):
-                break
-        except (_StepFailure, PositivityError, np.linalg.LinAlgError):
+        except _REJECTIONS:
+            break
+        v_try = _mismatch(r_coords, ev_try.h_coords)
+        if not math.isfinite(v_try) or v_try >= v:
             break
         x, ev, v = x_try, ev_try, v_try
         steps += 1
-    return x, ev, v, steps
+    return x, ev, steps
 
 
 def _finalise(op, family, config, status, x, ev, v, iterations, trace, message,
@@ -416,10 +407,10 @@ def _finalise(op, family, config, status, x, ev, v, iterations, trace, message,
         try:
             entropy_burg = _operator.entropy(density, op.grid, "burg")
             entropy_vn = _operator.entropy(density, op.grid, "vonneumann")
-            if family.kind in ("weighted_exponential", "prior_exponential") and family.sigma is not None:
-                entropy_value = _operator.entropy(density, op.grid, "relative", sigma=family.sigma)
-            elif family.is_inverse_kind:
+            if family.is_inverse_kind:
                 entropy_value = entropy_burg
+            elif family.sigma is not None:
+                entropy_value = _operator.entropy(density, op.grid, "relative", sigma=family.sigma)
             else:
                 entropy_value = entropy_vn
         except PositivityError:

@@ -125,6 +125,30 @@ def test_config_file_merging_and_flag_priority(scalar_bundle, tmp_path):
     assert json.loads(r2.stdout)["status"] == "Converged"
 
 
+def test_zero_options_are_input_errors(scalar_bundle, tmp_path):
+    problem = str(scalar_bundle / "problem.json")
+    r = _run("solve", "--problem", problem, "--tol", "0")
+    assert r.returncode == 3
+    assert "tol" in r.stderr
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t_max": 0}))
+    r2 = _run("solve", "--problem", problem, "--config", str(config))
+    assert r2.returncode == 3
+    assert "t_max" in r2.stderr
+
+
+def test_non_finite_moment_is_an_input_error(scalar_bundle, tmp_path):
+    obj = json.loads((scalar_bundle / "problem.json").read_text())
+    obj.pop("rho_true", None)
+    obj["moment"]["data"] = [[float("nan"), 0.0]]
+    bad = tmp_path / "problem.json"
+    # json writes and reads the NaN literal, so the problem reader must refuse it
+    bad.write_text(json.dumps(obj))
+    r = _run("solve", "--problem", str(bad))
+    assert r.returncode == 3
+    assert "non-finite" in r.stderr
+
+
 def test_weighted_family_with_sigma_recovers_reference(array_bundle, tmp_path):
     out = tmp_path / "density.csv"
     r = _run("solve", "--problem", str(array_bundle / "problem.json"),

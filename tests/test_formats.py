@@ -63,6 +63,12 @@ def test_density_csv_round_trip_and_validation(tmp_path, rng):
     with pytest.raises(ValueError):
         fm.read_density_csv(tmp_path / "short.csv", grid)
 
+    cells = lines[0].split(",")
+    cells[-2] = "nan"
+    (tmp_path / "nan.csv").write_text("\n".join([",".join(cells)] + lines[1:]) + "\n")
+    with pytest.raises(ValueError):
+        fm.read_density_csv(tmp_path / "nan.csv", grid)
+
 
 def test_density_csv_writes_are_byte_stable(tmp_path, rng):
     grid = mp.build_grid("interval1d", (0.0, 1.0), panels=3, order=3)

@@ -78,6 +78,27 @@ def test_divergence_statuses_on_negative_scalar_moment(scalar_op):
         assert report.status in (STATUS_DIVERGED_UNBOUNDED, STATUS_DIVERGED_BOUNDARY)
         assert report.V_final > 1e-3
         assert report.message
+        if report.status == STATUS_DIVERGED_BOUNDARY:
+            # the verdict names why the last trial step was rejected
+            assert report.message.startswith("step collapsed below 1e-12 at t=")
+            reason = report.message.split(": ", 1)[1]
+            assert reason in ("Jacobian lost definiteness", "V did not decrease",
+                              "non-finite values in stage evaluation",
+                              "non-finite flow velocity") \
+                or reason.startswith("adjoint field near-singular at node ")
+
+
+def test_non_finite_moments_and_options_are_rejected(scalar_op):
+    for solver in (mp.solve, mp.solve_tau):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                solver(scalar_op, np.array([[bad]], dtype=complex), mp.rational_family())
+    for name in ("tol", "t_max", "h0", "h_min"):
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                mp.SolveConfig(**{name: bad})
+    with pytest.raises(ValueError):
+        mp.SolveConfig(h0=1e-13)  # below h_min: every step would collapse
 
 
 def test_time_horizon_is_honoured(array_problem):
