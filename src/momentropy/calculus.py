@@ -80,6 +80,16 @@ def eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian_part(a))
 
 
+def eigvalsh_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues alone, under the same policy as :func:`eigh_hermitian`."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if a.shape[-1] == 1:
+        return a.real[..., 0]
+    return np.linalg.eigvalsh(hermitian_part(a))
+
+
 def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     """Hermitian matrix exponential ``u diag(exp w) u*``."""
     w, u = eigh_hermitian(matrix)

@@ -32,9 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import _divided_difference_exp, eigh_hermitian, hermitian_part, matrix_log
+from .calculus import (
+    _divided_difference_exp, eigh_hermitian, eigvalsh_hermitian, hermitian_part, matrix_log,
+)
 from .errors import DualStartNotFound, PositivityError
-from .operator import MomentOperator, DualVariable, apply_L, apply_L_adjoint, dual_from_coords, _as_matrix
+from .operator import MomentOperator, DualVariable, apply_L, apply_L_adjoint, dual_from_coords
 
 FAMILY_KINDS = (
     "rational",
@@ -163,9 +165,10 @@ def default_dual_start(op: MomentOperator, family: Family,
     if not family.is_inverse_kind:
         return dual_from_coords(op, np.zeros(op.d))
     x = op.adjoint_basis
-    w = op.grid.weights
-    gram = np.real(np.einsum("inab,jnba,n->ij", x, x, w, optimize=True))
-    target = np.real(np.einsum("inaa,n->i", x, w, optimize=True))
+    w = op.grid.weights[:, None, None]
+    flat = _real_rows(x)
+    gram = flat @ _real_rows(w * x).T
+    target = flat @ (w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
     try:
         coords = np.linalg.solve(gram, target)
     except np.linalg.LinAlgError:
@@ -194,59 +197,100 @@ class _PointEval(NamedTuple):
 
 def _evaluate(op: MomentOperator, lam, family: Family, pos_floor: float,
               need_jacobian: bool = False) -> _PointEval:
-    a_field = apply_L_adjoint(op, _as_matrix(op, lam))
+    # Both shapes are rho = v f(M) v* with M = u diag(mu) u* and v = phi u:
+    # f(mu) = 1/mu on M = A, or f(mu) = e^mu / e on M = log sigma - A.  The
+    # derivative of f(M) multiplies entrywise by the divided differences of f
+    # in the eigenbasis of M, so the flow Jacobian is
+    #     J_ij = -sum_n w_n Re <v* E_i v, g (u* E_j u)>,
+    # with g_ab = f_a f_b (minus the divided difference of 1/mu) for the
+    # inverse shape and the divided difference of e^mu / e for the exponential.
     x = op.adjoint_basis
-    w = op.grid.weights
-    phi = family.phi
-    phi_h = None if phi is None else np.conj(np.swapaxes(phi, -1, -2))
-    jac = None
+    flat = _real_rows(x)
+    a_field = _adjoint_field(op, lam, flat)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if family.is_inverse_kind:
+            eigs_a, u = eigh_hermitian(a_field)
+            min_eig, mean_eig = _min_mean(eigs_a)
+            floor = pos_floor * max(mean_eig, 0.0)
+            if not min_eig > floor:
+                node = int(np.argmin(np.min(eigs_a, axis=1)))
+                raise PositivityError(
+                    "adjoint field near-singular at node %d (min eig %.3e, floor %.3e)"
+                    % (node, min_eig, floor),
+                    min_eig=min_eig, node=node,
+                )
+            f = 1.0 / eigs_a
+            if need_jacobian:
+                g = f[:, :, None] * f[:, None, :]
+        else:
+            exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
+            mu, u = eigh_hermitian(exponent)
+            min_eig, mean_eig = _min_mean(-mu if family.log_sigma is None
+                                          else eigvalsh_hermitian(a_field))
+            f = np.exp(mu) / np.e
+            if need_jacobian:
+                # at m == 1 the divided difference is f itself
+                g = f[:, :, None] if op.m == 1 else _divided_difference_exp(mu) / np.e
 
-    if family.is_inverse_kind:
-        # rho = phi A^{-1} phi*, defined while A stays above the positivity floor
-        eigs_a, u = eigh_hermitian(a_field)
-        min_eig = float(np.min(eigs_a))
-        floor = pos_floor * max(float(np.mean(eigs_a)), 0.0)
-        if not min_eig > floor:
-            node = int(np.argmin(np.min(eigs_a, axis=1)))
-            raise PositivityError(
-                "adjoint field near-singular at node %d (min eig %.3e, floor %.3e)"
-                % (node, min_eig, floor),
-                min_eig=min_eig, node=node,
-            )
-        p = (u * (1.0 / eigs_a)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
-        if phi is not None:
-            p = phi @ p
-        density = hermitian_part(p if phi is None else p @ phi_h)
+        v = u if family.phi is None else family.phi @ u
+        w = op.grid.weights[:, None, None]
+        if op.m == 1:
+            density = (f * (v.real[..., 0] ** 2 + v.imag[..., 0] ** 2))[:, :, None].astype(complex)
+        else:
+            density = hermitian_part(np.einsum("nab,nb,ncb->nac", v, f, np.conj(v)))
+        h_coords = flat @ (w * density).reshape(-1).view(float)
+
+        jac = None
         if need_jacobian:
-            # true derivative: delta -> -L(P L*(delta) P*),  P = phi A^{-1}
-            t = np.einsum("nab,jnbc,ndc->jnad", p, x, np.conj(p), optimize=True)
-            jac = -np.real(np.einsum("inab,jnba,n->ij", x, t, w, optimize=True))
-    else:
-        # rho = (1/e) phi exp(log sigma - A) phi*
-        exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
-        ew, u = eigh_hermitian(exponent)
-        eigs_a = -ew if family.log_sigma is None else eigh_hermitian(a_field)[0]
-        with np.errstate(over="ignore", under="ignore"):
-            core = (u * (np.exp(ew) / np.e)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
-        density = hermitian_part(core if phi is None else phi @ core @ phi_h)
-        if need_jacobian:
-            # true derivative: <phi* E_i phi, -(1/e) dexp(E_j)>, in the eigenbasis
-            # of the exponent, where dexp is entrywise multiplication
-            y = np.einsum("nba,inbc,ncd->inad", np.conj(u), x, u, optimize=True)
-            z = y if phi is None else np.einsum("nba,inbc,ncd->inad", np.conj(u), phi_h @ x @ phi, u,
-                                                optimize=True)
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                jac = (-1.0 / np.e) * np.real(np.einsum(
-                    "nab,inab,jnab,n->ij", _divided_difference_exp(ew), np.conj(z), y, w, optimize=True))
-    return _PointEval(
-        density, _range_coords(x, w, density), jac,
-        float(np.min(eigs_a)), float(np.mean(eigs_a)),
-    )
+            w_g = w * g
+            if family.phi is None or op.m == 1:
+                # v* E v = |phi|^2 u* E u here, so J = -Y Y^T with
+                # Y = sqrt(w g |phi|^2) u* E u, symmetric by construction
+                if family.phi is not None:
+                    w_g = w_g * np.abs(family.phi) ** 2
+                y = _real_rows(_basis_congruence(u, x, np.sqrt(w_g)))
+                jac = -(y @ y.T)
+            else:
+                z = _real_rows(_basis_congruence(v, x))
+                jac = -(z @ _real_rows(_basis_congruence(u, x, w_g)).T)
+    return _PointEval(density, h_coords, jac, min_eig, mean_eig)
 
 
-def _range_coords(x: np.ndarray, w: np.ndarray, density: np.ndarray) -> np.ndarray:
-    # <E_i, L(rho)> = <L*(E_i), rho> with quadrature weights on the density side
-    return np.real(np.einsum("inab,nba,n->i", x, density, w, optimize=True))
+def _min_mean(eigs: np.ndarray) -> tuple[float, float]:
+    return float(eigs.min()), float(eigs.sum()) / eigs.size
+
+
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    # A C-contiguous complex stack (d, N, m, m) as d real rows, real and
+    # imaginary parts interleaved, so that Re tr(X* Y) is the dot product of
+    # two rows over the flattened (node, a, b) axis; for Hermitian X it is
+    # Re tr(X Y).
+    return a.reshape(a.shape[0], -1).view(float)
+
+
+def _adjoint_field(op: MomentOperator, lam, flat: np.ndarray) -> np.ndarray:
+    if isinstance(lam, DualVariable):
+        lam = lam.coords
+    lam = np.asarray(lam)
+    if lam.ndim != 1:
+        return apply_L_adjoint(op, lam)
+    # L* is linear and its images of the range basis are cached on the operator
+    return (lam.astype(float) @ flat).view(complex).reshape(op.node_count, op.m, op.m)
+
+
+def _basis_congruence(v: np.ndarray, x: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale * (v[n]* x[i, n] v[n]) entrywise, for every basis element i, as a
+    C-contiguous (d, N, m, m) array; ``scale`` broadcasts against (N, m, m)."""
+    d, n, m, _ = x.shape
+    if m == 1:
+        return x * (scale * (v.real ** 2 + v.imag ** 2))
+    # row-major vec(v* X v) = kron(v*, v^T) vec(X): one small matrix per node,
+    # applied to all d elements at once
+    kron = np.einsum("nba,ncd->nadbc", np.conj(v), v).reshape(n, m * m, m * m)
+    out = kron @ x.reshape(d, n, m * m).transpose(1, 2, 0)
+    out = np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(d, n, m, m)
+    out *= scale
+    return out
 
 
 def _sqrt_field(sigma: np.ndarray) -> np.ndarray:

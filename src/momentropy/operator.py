@@ -103,8 +103,9 @@ class MomentOperator:
     """A support grid, kernel samples, and the induced range geometry.
 
     ``adjoint_basis`` caches the sampled adjoint images L*(E_i) of the range
-    basis elements, shape (d, N, m, m); the solver's Jacobians contract
-    against it.
+    basis elements, shape (d, N, m, m), C-contiguous so that the family
+    evaluation's flat views of it need no copy; the adjoint field and the
+    solver's Jacobians contract against it.
     """
 
     grid: SupportGrid
@@ -175,7 +176,7 @@ def build_operator(grid: SupportGrid, kernels: KernelSamples) -> MomentOperator:
             % (kernels.left.shape[0], grid.node_count)
         )
     basis = compute_range_basis(grid, kernels)
-    adj = _adjoint_of_stack(kernels, basis.elements)
+    adj = np.ascontiguousarray(_adjoint_of_stack(kernels, basis.elements))
     return MomentOperator(grid, kernels, basis, adj)
 
 

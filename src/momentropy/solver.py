@@ -19,6 +19,11 @@ whose exact solution satisfies h(lam_tau) = R0 + tau (R - R0); the integrator
 controls the defect from that line, making the run self-validating.
 
 Both forms share one integrator, classical Runge-Kutta 4 with step halving.
+The first stage of a step is the velocity at the current point, which the
+integrator already evaluated when it accepted that point; it is computed once
+per accepted point and reused by every retry from it, so a trial step costs
+four evaluations.  When that stage itself fails, no smaller step can succeed
+and the run ends at once.
 A trial step is rejected when any stage evaluation fails (an inverse-type
 adjoint field at the positivity floor, non-finite values), when the Cholesky
 factorisation of the negated Jacobian fails, or when the form's own test
@@ -186,7 +191,9 @@ def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
 class _Form(NamedTuple):
     """What sets one integration form apart; :func:`_integrate` does the rest.
 
-    ``step(x, h)`` is the form's RK4 step.  ``judge(ev, t, h, score)`` scores
+    ``velocity(ev)`` is the form's right-hand side at the evaluated point
+    ``ev``, and ``step(x, k1, h)`` its RK4 step from ``x`` whose first stage
+    ``k1`` is already known.  ``judge(ev, t, h, score)`` scores
     the trial point ``ev`` reached at time ``t`` from a point scored ``score``
     and raises :class:`_StepFailure` to reject it.  ``done(t, score)`` is the
     end condition, checked before each step; the run stops at ``t_end``
@@ -196,7 +203,8 @@ class _Form(NamedTuple):
     the slope fit.
     """
 
-    step: Callable[[np.ndarray, float], np.ndarray]
+    velocity: Callable[..., np.ndarray]
+    step: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     judge: Callable[..., float]
     done: Callable[[float, float], bool]
     score: float
@@ -216,7 +224,8 @@ def _flow_form(op, family, config, r_coords, ev) -> _Form:
         return v_new
 
     return _Form(
-        step=lambda x, h: _rk4_step(op, x, h, r_coords, family, config),
+        velocity=lambda ev_at: _flow_velocity(ev_at, r_coords),
+        step=lambda x, k1, h: _rk4_step(op, x, k1, h, r_coords, family, config),
         judge=judge, done=lambda _t, v: v <= config.tol,
         score=_mismatch(r_coords, ev.h_coords), t_end=config.t_max,
         h0=config.h0, h_cap=config.h0, h_min=config.h_min, is_flow=True,
@@ -241,7 +250,8 @@ def _tau_form(op, family, config, r_coords, ev) -> _Form:
     # forced below 1e-6 can only mean the path is pinned at the cone
     # boundary, so there is no value in grinding further down
     return _Form(
-        step=lambda x, h: _rk4_step_tau(op, x, h, direction, family, config),
+        velocity=lambda ev_at: _solve_flow_system(ev_at.flow_jacobian, direction),
+        step=lambda x, k1, h: _rk4_step_tau(op, x, k1, h, direction, family, config),
         judge=judge, done=lambda tau, _defect: tau >= 1.0,
         score=0.0, t_end=1.0, h0=0.01, h_cap=0.05, h_min=1e-6, is_flow=False,
     )
@@ -296,9 +306,16 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
 
         h = min(h, form.t_end - t)
         reason = ""
+        try:
+            # the first RK4 stage depends on x alone: take it from the
+            # evaluation in hand and reuse it for every retry from x
+            k1 = form.velocity(ev)
+        except _REJECTIONS as exc:
+            # every halving would fail the same way, so collapse at once
+            reason, h = str(exc), 0.0
         while h >= form.h_min:
             try:
-                x_new = form.step(x, h)
+                x_new = form.step(x, k1, h)
                 ev_new = _eval_or_fail(op, x_new, family, config)
                 score_new = form.judge(ev_new, t + h, h, score)
                 break
@@ -354,27 +371,29 @@ def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return velocity
 
 
-def _rk4(x: np.ndarray, h: float, velocity) -> np.ndarray:
-    k1 = velocity(x)
+def _rk4(x: np.ndarray, k1: np.ndarray, h: float, velocity) -> np.ndarray:
     k2 = velocity(x + 0.5 * h * k1)
     k3 = velocity(x + 0.5 * h * k2)
     k4 = velocity(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_step(op, x, h, r_coords, family, config) -> np.ndarray:
+def _flow_velocity(ev, r_coords: np.ndarray) -> np.ndarray:
+    return _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
+
+
+def _rk4_step(op, x, k1, h, r_coords, family, config) -> np.ndarray:
     def velocity(coords):
-        ev = _eval_or_fail(op, coords, family, config)
-        return _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
+        return _flow_velocity(_eval_or_fail(op, coords, family, config), r_coords)
 
-    return _rk4(x, h, velocity)
+    return _rk4(x, k1, h, velocity)
 
 
-def _rk4_step_tau(op, x, h, direction, family, config) -> np.ndarray:
+def _rk4_step_tau(op, x, k1, h, direction, family, config) -> np.ndarray:
     def velocity(coords):
         return _solve_flow_system(_eval_or_fail(op, coords, family, config).flow_jacobian, direction)
 
-    return _rk4(x, h, velocity)
+    return _rk4(x, k1, h, velocity)
 
 
 def _newton_polish(op, x, ev, r_coords, family, config):
@@ -385,7 +404,7 @@ def _newton_polish(op, x, ev, r_coords, family, config):
         if v <= target:
             break
         try:
-            x_try = x + _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
+            x_try = x + _flow_velocity(ev, r_coords)
             ev_try = _eval_or_fail(op, x_try, family, config)
         except _REJECTIONS:
             break

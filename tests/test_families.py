@@ -4,7 +4,9 @@ import pytest
 
 import momentropy as mp
 from momentropy import problems as pr
+from momentropy.calculus import _divided_difference_exp, eigh_hermitian, hermitian_part
 from momentropy.errors import DualStartNotFound, PositivityError
+from momentropy.families import _evaluate
 
 
 def _single_node_op(m):
@@ -178,6 +180,88 @@ def test_default_start_raises_when_identity_is_unreachable():
     op = mp.build_operator(mp.discrete_grid(2), mp.kernel_samples(left, right))
     with pytest.raises(DualStartNotFound):
         mp.default_dual_start(op, mp.rational_family())
+
+
+# ---------------------------------------------------------------------------
+# the evaluation against its einsum formulation
+
+
+def _reference_evaluate(op, lam, family, pos_floor=1e-10):
+    """Density, h coordinates, flow Jacobian, min and mean eigenvalue of L*(lam),
+    by the nodewise einsum formulas, with the field built from the dual matrix."""
+    if isinstance(lam, mp.DualVariable):
+        lam = lam.matrix
+    elif np.ndim(lam) == 1:
+        lam = op.basis.assemble(lam)
+    a_field = mp.apply_L_adjoint(op, lam)
+    x, w, phi = op.adjoint_basis, op.grid.weights, family.phi
+    phi_h = None if phi is None else np.conj(np.swapaxes(phi, -1, -2))
+    if family.is_inverse_kind:
+        eigs_a, u = eigh_hermitian(a_field)
+        floor = pos_floor * max(float(np.mean(eigs_a)), 0.0)
+        if not float(np.min(eigs_a)) > floor:
+            raise PositivityError("reference", min_eig=float(np.min(eigs_a)),
+                                  node=int(np.argmin(np.min(eigs_a, axis=1))))
+        p = (u * (1.0 / eigs_a)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+        if phi is not None:
+            p = phi @ p
+        density = hermitian_part(p if phi is None else p @ phi_h)
+        t = np.einsum("nab,jnbc,ndc->jnad", p, x, np.conj(p), optimize=True)
+        jac = -np.real(np.einsum("inab,jnba,n->ij", x, t, w, optimize=True))
+    else:
+        exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
+        ew, u = eigh_hermitian(exponent)
+        eigs_a = -ew if family.log_sigma is None else eigh_hermitian(a_field)[0]
+        core = (u * (np.exp(ew) / np.e)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+        density = hermitian_part(core if phi is None else phi @ core @ phi_h)
+        y = np.einsum("nba,inbc,ncd->inad", np.conj(u), x, u, optimize=True)
+        z = y if phi is None else np.einsum("nba,inbc,ncd->inad", np.conj(u), phi_h @ x @ phi, u,
+                                            optimize=True)
+        jac = (-1.0 / np.e) * np.real(np.einsum(
+            "nab,inab,jnab,n->ij", _divided_difference_exp(ew), np.conj(z), y, w, optimize=True))
+    h_coords = np.real(np.einsum("inab,nba,n->i", x, density, w, optimize=True))
+    return density, h_coords, jac, float(np.min(eigs_a)), float(np.mean(eigs_a))
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(5)
+    statecov = pr.state_covariance_problem(
+        pr.random_state_model(n=4, m=2, seed=0),
+        mp.build_grid("interval1d", (-np.pi, np.pi), panels=8, order=4))
+    ptrace = pr.partial_trace_problem(2, 2)
+    raw = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    ptrace_sigma = raw @ np.conj(raw).swapaxes(1, 2) + 0.5 * np.eye(4)
+    for op, sigma in ((pr.nonequispaced_array_problem(), None), (statecov, None),
+                      (ptrace, ptrace_sigma)):
+        if sigma is None:
+            sigma = pr.random_smooth_matrix_density(op.grid, op.m, seed=9)
+        for name in mp.FAMILY_KINDS:
+            yield op, mp.family_from_name(name, sigma=sigma), rng
+
+
+def test_evaluation_matches_its_einsum_formulation():
+    # m = 1 (array), 2 (state covariance) and 4 (partial trace), every family,
+    # the dual point given as coordinates, as a DualVariable and as a matrix
+    for op, family, rng in _oracle_cases():
+        label = "%s m=%d" % (family.kind, op.m)
+        if family.is_inverse_kind and op.m == 4:
+            # L*(lam) has rank 2 at both nodes for every lam, so both give up
+            lam = mp.dual_from_matrix(op, np.eye(2, dtype=complex))
+            with pytest.raises(PositivityError) as ref:
+                _reference_evaluate(op, lam, family)
+            with pytest.raises(PositivityError) as got:
+                _evaluate(op, lam, family, 1e-10, need_jacobian=True)
+            assert got.value.node == ref.value.node, label
+            continue
+        lam = _feasible_perturbed_start(op, family, rng, scale=0.3)
+        for given in (lam.coords, lam, lam.matrix):
+            want = _reference_evaluate(op, given, family)
+            got = _evaluate(op, given, family, 1e-10, need_jacobian=True)
+            assert np.array_equal(_evaluate(op, given, family, 1e-10).density, got.density)
+            for field, ref in zip(("density", "h_coords", "flow_jacobian", "min_eig", "mean_eig"),
+                                  want):
+                err = np.linalg.norm(np.asarray(getattr(got, field)) - ref)
+                assert err <= 1e-12 * np.linalg.norm(ref), (label, field, type(given))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import momentropy as mp
+from momentropy import formats as fm
 from momentropy import problems as pr
 from momentropy.errors import PositivityError
 
@@ -103,6 +104,29 @@ def test_adjoint_pairing_identity_scalar_and_matrix(rng):
             rhs = float(np.sum(op.grid.weights * np.real(
                 np.einsum("nab,nba->n", np.conj(field).swapaxes(1, 2), rho))))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_adjoint_basis_is_c_contiguous(tmp_path):
+    # the evaluation reads it through flat real views, which need no copy
+    interval = mp.build_grid("interval1d", (0.0, 1.0), panels=2, order=2)
+    ones = np.ones((interval.node_count, 1, 1), dtype=complex)
+    ptrace = pr.partial_trace_problem(2, 2)
+    ops = [
+        mp.build_operator(interval, mp.kernel_samples(ones, ones)),
+        pr.nonequispaced_array_problem(),
+        pr.grid2d_problem(2, mp.build_grid("rectangle2d", ((0.0, np.pi), (0.0, np.pi)),
+                                           panels=2, order=2)),
+        ptrace,
+        pr.state_covariance_problem(
+            pr.random_state_model(n=3, m=2, seed=2),
+            mp.build_grid("interval1d", (-np.pi, np.pi), panels=4, order=3)),
+    ]
+    moment = mp.apply_L(ptrace, np.broadcast_to(pr.bell_state(), (2, 4, 4)).copy())
+    path = tmp_path / "problem.json"
+    fm.write_problem(path, fm.problem_to_obj(ptrace.grid, fm.samples_kernels_obj(ptrace), moment))
+    ops.append(fm.load_problem(path).operator)
+    for op in ops:
+        assert op.adjoint_basis.flags.c_contiguous, op.kernels.left.shape
 
 
 def test_range_dimensions_match_counting_arguments():

@@ -4,6 +4,7 @@ import pytest
 
 import momentropy as mp
 from momentropy import problems as pr
+from momentropy import solver as solver_module
 from momentropy.solver import (
     STATUS_CONVERGED,
     STATUS_DIVERGED_BOUNDARY,
@@ -86,6 +87,48 @@ def test_divergence_statuses_on_negative_scalar_moment(scalar_op):
                               "non-finite values in stage evaluation",
                               "non-finite flow velocity") \
                 or reason.startswith("adjoint field near-singular at node ")
+
+
+def test_a_trial_step_costs_four_evaluations(scalar_op, monkeypatch):
+    # the first RK4 stage reuses the evaluation of the accepted point
+    counts = {"_evaluate": 0, "_rk4_step": 0}
+
+    def counted(name):
+        original = getattr(solver_module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(solver_module, name, counted(name))
+    report = mp.solve(scalar_op, np.array([[2.0]], dtype=complex), mp.exponential_family())
+    assert report.status == STATUS_CONVERGED
+    accepted = len(report.trace) - 1
+    polish_steps = report.iterations - accepted
+    attempts = counts["_rk4_step"]
+    assert attempts >= accepted > 0
+    assert counts["_evaluate"] <= 1 + 4 * attempts + polish_steps
+
+
+@pytest.mark.parametrize("solver, h_min", [(mp.solve, "1e-12"), (mp.solve_tau, "1e-06")])
+def test_a_failing_first_stage_ends_the_run_at_once(scalar_op, monkeypatch, solver, h_min):
+    # the first stage does not depend on the step size, so no halving can
+    # help; the verdict is the one the halving loop would have reached
+    calls = []
+
+    def refuse(flow_jac, rhs):
+        calls.append(rhs)
+        raise solver_module._StepFailure("Jacobian lost definiteness")
+
+    monkeypatch.setattr(solver_module, "_solve_flow_system", refuse)
+    report = solver(scalar_op, np.array([[2.0]], dtype=complex), mp.exponential_family())
+    assert report.status == STATUS_DIVERGED_BOUNDARY
+    assert report.message == ("step collapsed below %s at t=0.000000: Jacobian lost definiteness"
+                              % h_min)
+    assert len(calls) == 1
+    assert report.iterations == 0
 
 
 def test_non_finite_moments_and_options_are_rejected(scalar_op):
