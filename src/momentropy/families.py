@@ -36,7 +36,7 @@ from .calculus import (
     _divided_difference_exp, eigh_hermitian, eigvalsh_hermitian, hermitian_part, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
-from .operator import MomentOperator, DualVariable, apply_L, apply_L_adjoint, dual_from_coords
+from .operator import MomentOperator, DualVariable, apply_L, dual_from_coords
 
 FAMILY_KINDS = (
     "rational",
@@ -207,52 +207,51 @@ def _evaluate(op: MomentOperator, lam, family: Family, pos_floor: float,
     x = op.adjoint_basis
     flat = _real_rows(x)
     a_field = _adjoint_field(op, lam, flat)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if family.is_inverse_kind:
-            eigs_a, u = eigh_hermitian(a_field)
-            min_eig, mean_eig = _min_mean(eigs_a)
-            floor = pos_floor * max(mean_eig, 0.0)
-            if not min_eig > floor:
-                node = int(np.argmin(np.min(eigs_a, axis=1)))
-                raise PositivityError(
-                    "adjoint field near-singular at node %d (min eig %.3e, floor %.3e)"
-                    % (node, min_eig, floor),
-                    min_eig=min_eig, node=node,
-                )
-            f = 1.0 / eigs_a
-            if need_jacobian:
-                g = f[:, :, None] * f[:, None, :]
-        else:
-            exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
-            mu, u = eigh_hermitian(exponent)
-            min_eig, mean_eig = _min_mean(-mu if family.log_sigma is None
-                                          else eigvalsh_hermitian(a_field))
-            f = np.exp(mu) / np.e
-            if need_jacobian:
-                # at m == 1 the divided difference is f itself
-                g = f[:, :, None] if op.m == 1 else _divided_difference_exp(mu) / np.e
-
-        v = u if family.phi is None else family.phi @ u
-        w = op.grid.weights[:, None, None]
-        if op.m == 1:
-            density = (f * (v.real[..., 0] ** 2 + v.imag[..., 0] ** 2))[:, :, None].astype(complex)
-        else:
-            density = hermitian_part(np.einsum("nab,nb,ncb->nac", v, f, np.conj(v)))
-        h_coords = flat @ (w * density).reshape(-1).view(float)
-
-        jac = None
+    if family.is_inverse_kind:
+        eigs_a, u = eigh_hermitian(a_field)
+        min_eig, mean_eig = _min_mean(eigs_a)
+        floor = pos_floor * max(mean_eig, 0.0)
+        if not min_eig > floor:
+            node = int(np.argmin(np.min(eigs_a, axis=1)))
+            raise PositivityError(
+                "adjoint field near-singular at node %d (min eig %.3e, floor %.3e)"
+                % (node, min_eig, floor),
+                min_eig=min_eig, node=node,
+            )
+        f = 1.0 / eigs_a
         if need_jacobian:
-            w_g = w * g
-            if family.phi is None or op.m == 1:
-                # v* E v = |phi|^2 u* E u here, so J = -Y Y^T with
-                # Y = sqrt(w g |phi|^2) u* E u, symmetric by construction
-                if family.phi is not None:
-                    w_g = w_g * np.abs(family.phi) ** 2
-                y = _real_rows(_basis_congruence(u, x, np.sqrt(w_g)))
-                jac = -(y @ y.T)
-            else:
-                z = _real_rows(_basis_congruence(v, x))
-                jac = -(z @ _real_rows(_basis_congruence(u, x, w_g)).T)
+            g = f[:, :, None] * f[:, None, :]
+    else:
+        exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
+        mu, u = eigh_hermitian(exponent)
+        min_eig, mean_eig = _min_mean(-mu if family.log_sigma is None
+                                      else eigvalsh_hermitian(a_field))
+        with np.errstate(over="ignore", under="ignore"):
+            f = np.exp(mu) / np.e
+        if need_jacobian:
+            g = _divided_difference_exp(mu) / np.e
+
+    v = u if family.phi is None else family.phi @ u
+    w = op.grid.weights[:, None, None]
+    if op.m == 1:
+        density = (f * (v.real[..., 0] ** 2 + v.imag[..., 0] ** 2))[:, :, None].astype(complex)
+    else:
+        density = hermitian_part(np.einsum("nab,nb,ncb->nac", v, f, np.conj(v)))
+    h_coords = flat @ (w * density).reshape(-1).view(float)
+
+    jac = None
+    if need_jacobian:
+        w_g = w * g
+        if family.phi is None or op.m == 1:
+            # v* E v = |phi|^2 u* E u here, so J = -Y Y^T with
+            # Y = sqrt(w g |phi|^2) u* E u, symmetric by construction
+            if family.phi is not None:
+                w_g = w_g * np.abs(family.phi) ** 2
+            y = _real_rows(_basis_congruence(u, x, np.sqrt(w_g)))
+            jac = -(y @ y.T)
+        else:
+            z = _real_rows(_basis_congruence(v, x))
+            jac = -(z @ _real_rows(_basis_congruence(u, x, w_g)).T)
     return _PointEval(density, h_coords, jac, min_eig, mean_eig)
 
 
@@ -273,7 +272,8 @@ def _adjoint_field(op: MomentOperator, lam, flat: np.ndarray) -> np.ndarray:
         lam = lam.coords
     lam = np.asarray(lam)
     if lam.ndim != 1:
-        return apply_L_adjoint(op, lam)
+        # L* vanishes on the orthogonal complement of the range
+        lam = op.basis.coords_of(lam)
     # L* is linear and its images of the range basis are cached on the operator
     return (lam.astype(float) @ flat).view(complex).reshape(op.node_count, op.m, op.m)
 

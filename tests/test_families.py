@@ -254,7 +254,12 @@ def test_evaluation_matches_its_einsum_formulation():
             assert got.value.node == ref.value.node, label
             continue
         lam = _feasible_perturbed_start(op, family, rng, scale=0.3)
-        for given in (lam.coords, lam, lam.matrix):
+        # L* vanishes on the orthogonal complement of the range, so a matrix
+        # with a component there must give the same evaluation
+        noise = rng.standard_normal(lam.matrix.shape) + 1j * rng.standard_normal(lam.matrix.shape)
+        off_range = noise - op.basis.assemble(op.basis.coords_of(noise))
+        off_range *= np.linalg.norm(lam.matrix) / np.linalg.norm(off_range)
+        for given in (lam.coords, lam, lam.matrix, lam.matrix + off_range):
             want = _reference_evaluate(op, given, family)
             got = _evaluate(op, given, family, 1e-10, need_jacobian=True)
             assert np.array_equal(_evaluate(op, given, family, 1e-10).density, got.density)
