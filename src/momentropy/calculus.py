@@ -34,30 +34,32 @@ from .errors import PositivityError
 # Exponent gap below which the divided-difference factor switches
 # to its Taylor series; keeps f smooth through coalescing eigenvalues.
 _SERIES_CUTOFF = 1e-4
+# Largest relative defect ||M - M*||_F / ||M||_F accepted as Hermitian.
+_HERMITIAN_RTOL = 1e-12
+# Relative positivity floor: the smallest eigenvalue must exceed this
+# fraction of the largest eigenvalue magnitude.
+_POSITIVE_RTOL = 1e-12
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     """Return (M + M*)/2, batched over leading dimensions."""
-    a = np.asarray(matrix)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    a = _square(np.asarray(matrix))
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-def as_hermitian(matrix: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Validate that ``matrix`` is Hermitian up to ``rtol`` and symmetrise it.
+def as_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """Validate that ``matrix`` is Hermitian and symmetrise it.
 
-    The defect ||M - M*||_F must not exceed ``rtol * ||M||_F`` (per batch
+    The defect ||M - M*||_F must not exceed ``1e-12 * ||M||_F`` (per batch
     entry); otherwise the input is rejected rather than silently repaired.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    a = _square(np.asarray(matrix, dtype=complex))
     defect = np.sqrt(np.sum(np.abs(a - np.conj(np.swapaxes(a, -1, -2))) ** 2, axis=(-2, -1)))
     scale = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
-    if np.any(defect > rtol * np.maximum(scale, 1e-300)):
+    if np.any(defect > _HERMITIAN_RTOL * np.maximum(scale, 1e-300)):
         raise ValueError(
-            "matrix is not Hermitian: defect %.3e exceeds %.1e relative" % (float(np.max(defect)), rtol)
+            "matrix is not Hermitian: defect %.3e exceeds %.1e relative"
+            % (float(np.max(defect)), _HERMITIAN_RTOL)
         )
     return hermitian_part(a)
 
@@ -70,9 +72,7 @@ def eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``m == 1`` short-circuit to a scalar path, which keeps large sampled fields
     of 1x1 matrices cheap.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    a = _square(np.asarray(matrix, dtype=complex))
     if a.shape[-1] == 1:
         w = a.real[..., 0]
         u = np.ones_like(a)
@@ -82,9 +82,7 @@ def eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigvalsh_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues alone, under the same policy as :func:`eigh_hermitian`."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    a = _square(np.asarray(matrix, dtype=complex))
     if a.shape[-1] == 1:
         return a.real[..., 0]
     return np.linalg.eigvalsh(hermitian_part(a))
@@ -96,26 +94,26 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     return _rebuild(np.exp(w), u)
 
 
-def matrix_log(matrix: np.ndarray, floor: float | None = None) -> np.ndarray:
+def matrix_log(matrix: np.ndarray) -> np.ndarray:
     """Principal logarithm of a positive definite Hermitian matrix.
 
     Raises :class:`PositivityError` when any eigenvalue is at or below the
-    positivity floor (default ``1e-12 * max|eig|`` per matrix).
+    positivity floor ``1e-12 * max|eig|``.
     """
     w, u = eigh_hermitian(matrix)
-    _check_positive(w, floor)
+    _check_positive(w)
     return _rebuild(np.log(w), u)
 
 
-def assert_positive_definite(matrix: np.ndarray, floor: float | None = None) -> float:
+def assert_positive_definite(matrix: np.ndarray) -> float:
     """Check positive definiteness; return the smallest eigenvalue over the batch.
 
-    Succeeds iff min-eig strictly exceeds ``floor`` (default relative floor
-    ``1e-12 * max|eig|``); otherwise raises :class:`PositivityError` carrying
+    Succeeds iff min-eig strictly exceeds the relative floor
+    ``1e-12 * max|eig|``; otherwise raises :class:`PositivityError` carrying
     the offending eigenvalue.
     """
     w, _ = eigh_hermitian(matrix)
-    _check_positive(w, floor)
+    _check_positive(w)
     return float(np.min(w))
 
 
@@ -126,7 +124,7 @@ def scrambled_multiply(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
     is Hermitian, and positive semidefinite whenever ``delta`` is.
     """
     w, u = eigh_hermitian(c)
-    _check_positive(w, None)
+    _check_positive(w)
     y = _congruence(u, delta, forward=True)
     return hermitian_part(_congruence(u, _divided_difference_exp(np.log(w)) * y, forward=False))
 
@@ -135,7 +133,7 @@ def scrambled_divide(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Inverse scrambled product M_A^{-1}(Delta): entrywise factor
     (log a_i - log a_j)/(a_i - a_j) in the eigenbasis of ``a``."""
     w, u = eigh_hermitian(a)
-    _check_positive(w, None)
+    _check_positive(w)
     y = _congruence(u, delta, forward=True)
     return hermitian_part(_congruence(u, y / _divided_difference_exp(np.log(w)), forward=False))
 
@@ -177,12 +175,17 @@ def _congruence(u: np.ndarray, x: np.ndarray, forward: bool) -> np.ndarray:
     return u @ np.asarray(x, dtype=complex) @ uh
 
 
-def _check_positive(w: np.ndarray, floor: float | None) -> None:
+def _square(a: np.ndarray) -> np.ndarray:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
+def _check_positive(w: np.ndarray) -> None:
     if w.size == 0:
         return
     wmin = float(np.min(w))
-    if floor is None:
-        floor = 1e-12 * float(np.max(np.abs(w)))
+    floor = _POSITIVE_RTOL * float(np.max(np.abs(w)))
     if not wmin > floor:
         raise PositivityError(
             "matrix not positive definite: min eigenvalue %.6e (floor %.1e)" % (wmin, floor),

@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--problem", help="problem JSON file")
         src.add_argument("--example", choices=EXAMPLE_NAMES, help="builtin example problem")
-        p.add_argument("--family", default="exponential",
+        p.add_argument("--family", default=None,
                        choices=[k.replace("_", "-") for k in FAMILY_KINDS],
                        help="density family (default: exponential)")
         p.add_argument("--sigma", help="reference density CSV for the weighted families")
@@ -115,9 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # solve / feasibility
 
 def _cmd_solve(args) -> int:
-    op, moment, family, config = _materialise(args)
+    op, moment, family_name, family, config = _materialise(args)
     report = solve(op, moment, family, config)
-    family_name = args.family
 
     if args.report:
         formats.write_report(args.report, report, family_name)
@@ -138,18 +137,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
-    op, moment, family, config = _materialise(args)
+    op, moment, family_name, family, config = _materialise(args)
     report = solve(op, moment, family, config)
     if report.status == STATUS_NOT_IN_RANGE:
         print(f"error: {report.message}", file=sys.stderr)
         return EXIT_INPUT
     verdict = "feasible" if report.status == STATUS_CONVERGED else "not-strictly-feasible"
-    print(f"{verdict} ({args.family} family, status {report.status})")
+    print(f"{verdict} ({family_name} family, status {report.status})")
     return EXIT_OK if report.status == STATUS_CONVERGED else EXIT_DIVERGED
 
 
 def _materialise(args):
-    """Resolve problem source, family, and solver config from flags + config file."""
+    """Resolve problem source, family (name and instance), and solver config
+    from flags + config file."""
     merged = _merge_config(args)
     seed = int(merged.get("seed") or 0)
 
@@ -170,7 +170,7 @@ def _materialise(args):
         t_max=float(SolveConfig.t_max if merged.get("t_max") is None else merged["t_max"]),
         torus_override=bool(merged.get("torus_override") or False),
     )
-    return op, moment, family, config
+    return op, moment, merged["family"], family, config
 
 
 def _merge_config(args):
@@ -193,12 +193,9 @@ def _merge_config(args):
 # builtin example bundles
 
 def _cmd_example(args) -> int:
-    if args.name not in EXAMPLE_NAMES:
-        print("error: unknown example %r; valid names: %s"
-              % (args.name, ", ".join(EXAMPLE_NAMES)), file=sys.stderr)
-        return EXIT_INPUT
-    os.makedirs(args.outdir, exist_ok=True)
+    # an unknown name raises here, before any directory is created
     bundle = _example_bundle(args.name, int(args.seed))
+    os.makedirs(args.outdir, exist_ok=True)
     rho_true_name = None
     if bundle.get("rho_true") is not None:
         rho_true_name = "rho_true.csv"

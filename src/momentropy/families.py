@@ -21,8 +21,10 @@ dual-feasible; the exponential families are defined for every ``lam`` and
 extremise von Neumann / relative entropies.
 
 ``flow_jacobian`` returns the true Frechet derivative of ``h_map`` in range
-coordinates, which is what the continuation solver inverts.  It is symmetric
-and negative definite on the feasible set for every family.
+coordinates, which is what the continuation solver inverts.  It is negative
+definite on the feasible set for every family, and symmetric for the
+unweighted families and at m = 1; the weighted families' Jacobian is not
+symmetric at m > 1.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ FAMILY_KINDS = (
 )
 
 _INVERSE_KINDS = ("rational", "weighted_rational")
-_DEFAULT_POS_FLOOR = 1e-10
+# An inverse-type adjoint field must keep every nodewise eigenvalue above this
+# fraction of its mean eigenvalue.
+_POS_FLOOR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,31 +132,27 @@ def family_from_name(name: str, sigma: np.ndarray | None = None) -> Family:
     raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_KINDS}")
 
 
-def family_density(op: MomentOperator, lam, family: Family,
-                   pos_floor: float = _DEFAULT_POS_FLOOR) -> np.ndarray:
+def family_density(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """Sampled density rho_lam of the family at the dual point ``lam``.
 
     For the inverse-type families a near-singular adjoint field (any nodewise
-    eigenvalue at or below ``pos_floor`` times the field's mean eigenvalue)
-    raises :class:`PositivityError` naming the offending node.
+    eigenvalue at or below 1e-10 times the field's mean eigenvalue) raises
+    :class:`PositivityError` naming the offending node.
     """
-    return _evaluate(op, lam, family, pos_floor).density
+    return _evaluate(op, lam, family).density
 
 
-def h_map(op: MomentOperator, lam, family: Family,
-          pos_floor: float = _DEFAULT_POS_FLOOR) -> np.ndarray:
+def h_map(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """Moment image h(lam) = L(rho_lam), an n_left x n_right matrix."""
-    return apply_L(op, family_density(op, lam, family, pos_floor))
+    return apply_L(op, family_density(op, lam, family))
 
 
-def flow_jacobian(op: MomentOperator, lam, family: Family,
-                  pos_floor: float = _DEFAULT_POS_FLOOR) -> np.ndarray:
+def flow_jacobian(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """True Frechet derivative of h_map at ``lam``, in range coordinates."""
-    return _evaluate(op, lam, family, pos_floor, need_jacobian=True).flow_jacobian
+    return _evaluate(op, lam, family, need_jacobian=True).flow_jacobian
 
 
-def default_dual_start(op: MomentOperator, family: Family,
-                       pos_floor: float = _DEFAULT_POS_FLOOR) -> DualVariable:
+def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
     """Family-appropriate starting point for the continuation flow.
 
     Exponential-type families start at lam = 0 (feasible by construction).
@@ -175,7 +175,7 @@ def default_dual_start(op: MomentOperator, family: Family,
         coords = np.linalg.lstsq(gram, target, rcond=None)[0]
     start = dual_from_coords(op, coords)
     try:
-        _evaluate(op, start, family, pos_floor)
+        _evaluate(op, start, family)
     except PositivityError as exc:
         raise DualStartNotFound(
             "least-squares identity start is not strictly dual-feasible "
@@ -195,8 +195,7 @@ class _PointEval(NamedTuple):
     mean_eig: float              # mean eigenvalue of L*(lam) over the field
 
 
-def _evaluate(op: MomentOperator, lam, family: Family, pos_floor: float,
-              need_jacobian: bool = False) -> _PointEval:
+def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = False) -> _PointEval:
     # Both shapes are rho = v f(M) v* with M = u diag(mu) u* and v = phi u:
     # f(mu) = 1/mu on M = A, or f(mu) = e^mu / e on M = log sigma - A.  The
     # derivative of f(M) multiplies entrywise by the divided differences of f
@@ -210,7 +209,7 @@ def _evaluate(op: MomentOperator, lam, family: Family, pos_floor: float,
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
         min_eig, mean_eig = _min_mean(eigs_a)
-        floor = pos_floor * max(mean_eig, 0.0)
+        floor = _POS_FLOOR * max(mean_eig, 0.0)
         if not min_eig > floor:
             node = int(np.argmin(np.min(eigs_a, axis=1)))
             raise PositivityError(

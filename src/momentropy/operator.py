@@ -33,6 +33,9 @@ from .grid import SupportGrid
 
 _SYMMETRY_RTOL = 1e-12
 _RANGE_SVD_RTOL = 1e-10
+# Relative residual above which dual_from_matrix rejects a matrix as lying
+# outside the range subspace.
+_DUAL_RANGE_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,16 +154,16 @@ def dual_from_coords(op: MomentOperator, coords: np.ndarray) -> DualVariable:
     return DualVariable(coords, op.basis.assemble(coords))
 
 
-def dual_from_matrix(op: MomentOperator, matrix: np.ndarray, rtol: float = 1e-10) -> DualVariable:
+def dual_from_matrix(op: MomentOperator, matrix: np.ndarray) -> DualVariable:
     """Project a matrix onto the range subspace; reject if it sticks out.
 
     A dual variable only pairs with moments through its range component, so a
-    residual above ``rtol`` signals a malformed input rather than information
-    worth keeping.
+    relative residual above 1e-10 signals a malformed input rather than
+    information worth keeping.
     """
     coords, residual = project_to_range(op, matrix)
     scale = max(float(np.linalg.norm(matrix)), 1e-300)
-    if residual > rtol * scale:
+    if residual > _DUAL_RANGE_RTOL * scale:
         raise ValueError(
             "matrix lies outside the range subspace (relative residual %.3e)" % (residual / scale)
         )
@@ -180,13 +183,13 @@ def build_operator(grid: SupportGrid, kernels: KernelSamples) -> MomentOperator:
     return MomentOperator(grid, kernels, basis, adj)
 
 
-def compute_range_basis(grid: SupportGrid, kernels: KernelSamples, rtol: float = _RANGE_SVD_RTOL) -> RangeBasis:
+def compute_range_basis(grid: SupportGrid, kernels: KernelSamples) -> RangeBasis:
     """Orthonormal basis of span{ w_n G_left[n] H G_right[n] : H Hermitian }.
 
     One generator is formed per node per Hermitian unit of the m x m space,
     flattened into real vectors (real and imaginary parts stacked, which
     represents Re trace(X* Y) as the Euclidean dot product).  Right-singular
-    vectors with singular value above ``rtol`` times the largest are kept, so
+    vectors with singular value above 1e-10 times the largest are kept, so
     the construction is deterministic for fixed inputs.
     """
     left, right = kernels.left, kernels.right
@@ -200,7 +203,7 @@ def compute_range_basis(grid: SupportGrid, kernels: KernelSamples, rtol: float =
     _, s, vt = np.linalg.svd(real, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("kernel family generates a trivial range")
-    keep = s > rtol * s[0]
+    keep = s > _RANGE_SVD_RTOL * s[0]
     kept = vt[keep]
     elements = kept[:, : nl * nr] + 1j * kept[:, nl * nr:]
     return RangeBasis(elements.reshape(-1, nl, nr))
@@ -247,12 +250,12 @@ def project_to_range(op: MomentOperator, matrix: np.ndarray) -> tuple[np.ndarray
     return coords, residual
 
 
-def is_dual_feasible(op: MomentOperator, lam, floor: float = 0.0) -> tuple[bool, float]:
+def is_dual_feasible(op: MomentOperator, lam) -> tuple[bool, float]:
     """Whether L*(lam) is positive definite at every node; returns min eigenvalue."""
     field_ = apply_L_adjoint(op, _as_matrix(op, lam))
     w, _ = eigh_hermitian(field_)
     min_eig = float(np.min(w))
-    return min_eig > floor, min_eig
+    return min_eig > 0.0, min_eig
 
 
 def moment_functional(op: MomentOperator, moment: np.ndarray, lam) -> float:

@@ -38,6 +38,7 @@ DEFAULT_ARRAY_POSITIONS = (0.0, 1.0, 1.0 + math.sqrt(2.0))
 _DEDUP_TOL = 1e-12
 _STABILITY_MARGIN = 1e-8
 _RANK_RTOL = 1e-10
+_SMOOTH_DENSITY_FLOOR = 0.3
 _TWO_PI = 2.0 * math.pi
 
 
@@ -271,8 +272,7 @@ class StateCovarianceCheck:
     displacement_residual: float
 
 
-def validate_state_covariance(moment: np.ndarray, model: StateSpaceModel,
-                              rank_rtol: float = _RANK_RTOL) -> StateCovarianceCheck:
+def validate_state_covariance(moment: np.ndarray, model: StateSpaceModel) -> StateCovarianceCheck:
     """Check the rank condition and solve the displacement equation."""
     r = np.asarray(moment, dtype=complex)
     n, m = model.n, model.m
@@ -283,7 +283,7 @@ def validate_state_covariance(moment: np.ndarray, model: StateSpaceModel,
     block[:n, :n] = s
     block[:n, n:] = model.b
     block[n:, :n] = np.conj(model.b.T)
-    rank = _numerical_rank(block, rank_rtol)
+    rank = _numerical_rank(block)
 
     h = _solve_displacement(s, model.b)
     residual = float(np.linalg.norm(model.b @ h + np.conj(h.T) @ np.conj(model.b.T) - s))
@@ -408,11 +408,11 @@ def _spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=complex)))))
 
 
-def _numerical_rank(mat: np.ndarray, rtol: float = _RANK_RTOL) -> int:
+def _numerical_rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +478,8 @@ def bump2d_density(grid: SupportGrid, baseline: float, bumps=()) -> np.ndarray:
 
 
 def random_smooth_matrix_density(grid: SupportGrid, m: int, seed: int = 0,
-                                 modes: int = 2, floor: float = 0.3) -> np.ndarray:
-    """Smooth periodic positive matrix density C(theta) C(theta)* + floor * I.
+                                 modes: int = 2) -> np.ndarray:
+    """Smooth periodic positive matrix density C(theta) C(theta)* + 0.3 I.
 
     C is a trigonometric matrix polynomial with ``modes`` harmonics and
     pseudo-random real coefficients drawn from ``seed``; suited to circle
@@ -495,5 +495,5 @@ def random_smooth_matrix_density(grid: SupportGrid, m: int, seed: int = 0,
         amp = 0.6 / k
         c += amp * rng.standard_normal((m, m))[None, :, :] * np.cos(k * theta)[:, None, None]
         c += amp * rng.standard_normal((m, m))[None, :, :] * np.sin(k * theta)[:, None, None]
-    rho = c @ np.conj(c).swapaxes(1, 2) + float(floor) * np.eye(m, dtype=complex)[None, :, :]
+    rho = c @ np.conj(c).swapaxes(1, 2) + _SMOOTH_DENSITY_FLOOR * np.eye(m, dtype=complex)[None, :, :]
     return hermitian_part(rho)

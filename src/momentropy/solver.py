@@ -26,12 +26,12 @@ four evaluations.  When that stage itself fails, no smaller step can succeed
 and the run ends at once.
 A trial step is rejected when any stage evaluation fails (an inverse-type
 adjoint field at the positivity floor, non-finite values), when the Cholesky
-factorisation of the negated Jacobian fails, or when the form's own test
-fails: V must decrease along the flow, and the defect from the line must stay
-within its budget along the fixed interval.  When the step collapses, the
-verdict message carries the reason the last trial step was rejected.  An
-accepted convergence of the flow (V below tolerance) is optionally polished by
-a few Newton steps on h(lam) = R.
+factorisation of the symmetric part of the negated Jacobian fails, or when
+the form's own test fails: V must decrease along the flow, and the defect
+from the line must stay within its budget along the fixed interval.  When the
+step collapses, the verdict message carries the reason the last trial step
+was rejected.  An accepted convergence of the flow (V below tolerance) is
+polished by a few Newton steps on h(lam) = R.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -68,46 +68,41 @@ _SLOPE_CONVERGED_V = 1e-8
 _POLISH_TARGET_FACTOR = 1e-14
 _POLISH_MAX_STEPS = 5
 
+# Step schedule of the feedback flow: the first and largest step, and the
+# smallest before the run counts as collapsed.
+_FLOW_H0 = 0.1
+_FLOW_H_MIN = 1e-12
+# Dual norm beyond which a run counts as unbounded.
+_LAMBDA_MAX = 1e8
+# Relative residual above which R is rejected as lying outside the range.
+_RANGE_RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs; the defaults are the contract the tests pin down.
+    """Solver options; the defaults are the contract the tests pin down.
 
     tol                 convergence threshold on V = ||R - h(lam)||^2
-    t_max               horizon of the feedback flow
-    h0 / h_min          initial and smallest admissible RK4 step of the flow
-                        (``solve_tau`` steps over tau in [0, 1] on its own
-                        fixed schedule)
-    pos_floor           relative positivity floor for the adjoint field
-    lambda_max          norm bound beyond which the run counts as unbounded
-    range_residual_tol  relative residual above which R is rejected as
-                        lying outside the range subspace
-    newton_polish       polish an accepted convergence with Newton steps
+    t_max               horizon of the feedback flow (``solve_tau`` runs over
+                        tau in [0, 1] instead)
     torus_override      allow inverse-type families on 2-D supports (the
                         flow is then heuristic: feasibility of the limit is
                         not guaranteed by the 1-D theory)
 
-    ``tol``, ``t_max``, ``h0`` and ``h_min`` must be finite and positive, with
-    ``h_min <= h0``; anything else raises ValueError.
+    ``tol`` and ``t_max`` must be finite and positive; anything else raises
+    ValueError.  The step schedule, the positivity floor, the unbounded-dual
+    bound and the range tolerance are fixed by the method.
     """
 
     tol: float = 1e-10
     t_max: float = 60.0
-    h0: float = 0.1
-    h_min: float = 1e-12
-    pos_floor: float = 1e-10
-    lambda_max: float = 1e8
-    range_residual_tol: float = 1e-8
-    newton_polish: bool = True
     torus_override: bool = False
 
     def __post_init__(self):
-        for name in ("tol", "t_max", "h0", "h_min"):
+        for name in ("tol", "t_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError("%s must be finite and positive, got %r" % (name, value))
-        if self.h_min > self.h0:
-            raise ValueError("h_min %r exceeds h0 %r" % (self.h_min, self.h0))
 
 
 @dataclass(frozen=True)
@@ -225,14 +220,14 @@ def _flow_form(op, family, config, r_coords, ev) -> _Form:
 
     return _Form(
         velocity=lambda ev_at: _flow_velocity(ev_at, r_coords),
-        step=lambda x, k1, h: _rk4_step(op, x, k1, h, r_coords, family, config),
+        step=lambda x, k1, h: _rk4_step(op, x, k1, h, r_coords, family),
         judge=judge, done=lambda _t, v: v <= config.tol,
         score=_mismatch(r_coords, ev.h_coords), t_end=config.t_max,
-        h0=config.h0, h_cap=config.h0, h_min=config.h_min, is_flow=True,
+        h0=_FLOW_H0, h_cap=_FLOW_H0, h_min=_FLOW_H_MIN, is_flow=True,
     )
 
 
-def _tau_form(op, family, config, r_coords, ev) -> _Form:
+def _tau_form(op, family, _config, r_coords, ev) -> _Form:
     r0 = ev.h_coords.copy()
     direction = r_coords - r0
     # The score is the defect from the exact path h(lam_tau) = R0 + tau (R - R0).
@@ -251,7 +246,7 @@ def _tau_form(op, family, config, r_coords, ev) -> _Form:
     # boundary, so there is no value in grinding further down
     return _Form(
         velocity=lambda ev_at: _solve_flow_system(ev_at.flow_jacobian, direction),
-        step=lambda x, k1, h: _rk4_step_tau(op, x, k1, h, direction, family, config),
+        step=lambda x, k1, h: _rk4_step_tau(op, x, k1, h, direction, family),
         judge=judge, done=lambda tau, _defect: tau >= 1.0,
         score=0.0, t_end=1.0, h0=0.01, h_cap=0.05, h_min=1e-6, is_flow=False,
     )
@@ -270,7 +265,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
 
     r_coords, residual = project_to_range(op, moment)
     scale = max(float(np.linalg.norm(np.asarray(moment))), 1e-300)
-    if residual > config.range_residual_tol * scale:
+    if residual > _RANGE_RESIDUAL_TOL * scale:
         return SolveReport(
             status=STATUS_NOT_IN_RANGE,
             lambda_hat=dual_from_coords(op, np.zeros(op.d)),
@@ -280,8 +275,8 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         )
 
     x = (start.coords.copy() if start is not None
-         else default_dual_start(op, family, config.pos_floor).coords)
-    ev = _eval_or_fail(op, x, family, config)
+         else default_dual_start(op, family).coords)
+    ev = _eval_or_fail(op, x, family)
     form = make_form(op, family, config, r_coords, ev)
     score = form.score
     t = 0.0
@@ -294,7 +289,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         if form.done(t, score):
             status = STATUS_CONVERGED
             break
-        if float(np.linalg.norm(x)) > config.lambda_max:
+        if float(np.linalg.norm(x)) > _LAMBDA_MAX:
             status = STATUS_DIVERGED_UNBOUNDED
             message = "dual norm exceeded lambda_max"
             break
@@ -316,7 +311,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         while h >= form.h_min:
             try:
                 x_new = form.step(x, k1, h)
-                ev_new = _eval_or_fail(op, x_new, family, config)
+                ev_new = _eval_or_fail(op, x_new, family)
                 score_new = form.judge(ev_new, t + h, h, score)
                 break
             except _REJECTIONS as exc:
@@ -333,11 +328,11 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         trace.append((t, _mismatch(r_coords, ev.h_coords), ev.min_eig, float(np.linalg.norm(x))))
         h = min(2.0 * h, form.h_cap)
 
-    if status == STATUS_CONVERGED and form.is_flow and config.newton_polish:
-        x, ev, polish_steps = _newton_polish(op, x, ev, r_coords, family, config)
+    if status == STATUS_CONVERGED and form.is_flow:
+        x, ev, polish_steps = _newton_polish(op, x, ev, r_coords, family)
         iterations += polish_steps
 
-    return _finalise(op, family, config, status, x, ev, _mismatch(r_coords, ev.h_coords),
+    return _finalise(op, family, status, x, ev, _mismatch(r_coords, ev.h_coords),
                      iterations, trace, message, fit_slope=form.is_flow)
 
 
@@ -345,11 +340,11 @@ def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
     return float(np.sum((r_coords - h_coords) ** 2))
 
 
-def _eval_or_fail(op, coords, family, config):
+def _eval_or_fail(op, coords, family):
     # for the inverse-type families this raises PositivityError, naming the
     # node, when the adjoint field drops to the positivity floor
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        ev = _evaluate(op, coords, family, config.pos_floor, need_jacobian=True)
+        ev = _evaluate(op, coords, family, need_jacobian=True)
     if not np.all(np.isfinite(ev.h_coords)) or not np.all(np.isfinite(ev.flow_jacobian)):
         raise _StepFailure("non-finite values in stage evaluation")
     return ev
@@ -357,9 +352,10 @@ def _eval_or_fail(op, coords, family, config):
 
 def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # The true derivative of h is negative definite inside the feasible
-    # region for every family; Cholesky of its negation doubles as the
-    # boundary detector, since approaching the dual-feasible boundary (or a
-    # singular weighted field) destroys definiteness.
+    # region for every family; Cholesky of the symmetric part of its negation
+    # (the weighted families' Jacobian is not symmetric at m > 1) doubles as
+    # the boundary detector, since approaching the dual-feasible boundary (or
+    # a singular weighted field) destroys definiteness.
     sym = -0.5 * (flow_jac + flow_jac.T)
     try:
         np.linalg.cholesky(sym)
@@ -382,21 +378,21 @@ def _flow_velocity(ev, r_coords: np.ndarray) -> np.ndarray:
     return _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
 
 
-def _rk4_step(op, x, k1, h, r_coords, family, config) -> np.ndarray:
+def _rk4_step(op, x, k1, h, r_coords, family) -> np.ndarray:
     def velocity(coords):
-        return _flow_velocity(_eval_or_fail(op, coords, family, config), r_coords)
+        return _flow_velocity(_eval_or_fail(op, coords, family), r_coords)
 
     return _rk4(x, k1, h, velocity)
 
 
-def _rk4_step_tau(op, x, k1, h, direction, family, config) -> np.ndarray:
+def _rk4_step_tau(op, x, k1, h, direction, family) -> np.ndarray:
     def velocity(coords):
-        return _solve_flow_system(_eval_or_fail(op, coords, family, config).flow_jacobian, direction)
+        return _solve_flow_system(_eval_or_fail(op, coords, family).flow_jacobian, direction)
 
     return _rk4(x, k1, h, velocity)
 
 
-def _newton_polish(op, x, ev, r_coords, family, config):
+def _newton_polish(op, x, ev, r_coords, family):
     v = _mismatch(r_coords, ev.h_coords)
     target = _POLISH_TARGET_FACTOR * max(float(np.sum(r_coords ** 2)), 1e-300)
     steps = 0
@@ -405,7 +401,7 @@ def _newton_polish(op, x, ev, r_coords, family, config):
             break
         try:
             x_try = x + _flow_velocity(ev, r_coords)
-            ev_try = _eval_or_fail(op, x_try, family, config)
+            ev_try = _eval_or_fail(op, x_try, family)
         except _REJECTIONS:
             break
         v_try = _mismatch(r_coords, ev_try.h_coords)
@@ -416,7 +412,7 @@ def _newton_polish(op, x, ev, r_coords, family, config):
     return x, ev, steps
 
 
-def _finalise(op, family, config, status, x, ev, v, iterations, trace, message,
+def _finalise(op, family, status, x, ev, v, iterations, trace, message,
               fit_slope: bool = True) -> SolveReport:
     lam = dual_from_coords(op, x)
     density = None

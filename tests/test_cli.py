@@ -69,7 +69,8 @@ def test_report_goes_to_stdout_without_a_path(scalar_bundle):
 def test_unknown_example_name_is_an_input_error(tmp_path):
     r = _run("example", "no-such-example", str(tmp_path / "x"))
     assert r.returncode == 3
-    assert r.stderr.strip()
+    assert r.stderr.startswith("error: unknown example 'no-such-example'; valid names: ")
+    assert not (tmp_path / "x").exists()
 
 
 def test_usage_errors_show_usage_text(scalar_bundle):
@@ -123,6 +124,15 @@ def test_config_file_merging_and_flag_priority(scalar_bundle, tmp_path):
               "--family", "rational", "--config", str(config), "--t-max", "60")
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["status"] == "Converged"
+    # the config file's family is used unless --family is given
+    config.write_text(json.dumps({"family": "rational"}))
+    r3 = _run("solve", "--problem", str(scalar_bundle / "problem.json"), "--config", str(config))
+    assert r3.returncode == 0, r3.stderr
+    assert json.loads(r3.stdout)["family"] == "rational"
+    r4 = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
+              "--family", "exponential", "--config", str(config))
+    assert r4.returncode == 0, r4.stderr
+    assert json.loads(r4.stdout)["family"] == "exponential"
 
 
 def test_zero_options_are_input_errors(scalar_bundle, tmp_path):

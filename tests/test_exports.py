@@ -1,8 +1,11 @@
 """Names other code reaches by path: the package's exports and the benchmark's tracer targets."""
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 import momentropy
+from momentropy import problems
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -26,3 +29,22 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
             except (ImportError, AttributeError):
                 unresolved.append(path)
     assert unresolved == []
+
+
+def test_solve_config_holds_only_the_policy_options():
+    # the step schedule, floors and bounds are fixed by the method
+    names = [f.name for f in dataclasses.fields(momentropy.SolveConfig)]
+    assert names == ["tol", "t_max", "torus_override"]
+
+
+def test_no_function_takes_a_tolerance_or_floor_parameter():
+    functions = [getattr(momentropy, name) for name in momentropy.__all__]
+    functions += [obj for _name, obj in inspect.getmembers(problems, inspect.isfunction)
+                  if obj.__module__ == problems.__name__]
+    offending = []
+    for fn in functions:
+        if inspect.isfunction(fn):
+            params = set(inspect.signature(fn).parameters)
+            offending += ["%s(%s)" % (fn.__name__, p)
+                          for p in sorted(params & {"pos_floor", "floor", "rtol", "rank_rtol"})]
+    assert offending == []

@@ -186,7 +186,7 @@ def test_default_start_raises_when_identity_is_unreachable():
 # the evaluation against its einsum formulation
 
 
-def _reference_evaluate(op, lam, family, pos_floor=1e-10):
+def _reference_evaluate(op, lam, family):
     """Density, h coordinates, flow Jacobian, min and mean eigenvalue of L*(lam),
     by the nodewise einsum formulas, with the field built from the dual matrix."""
     if isinstance(lam, mp.DualVariable):
@@ -198,7 +198,7 @@ def _reference_evaluate(op, lam, family, pos_floor=1e-10):
     phi_h = None if phi is None else np.conj(np.swapaxes(phi, -1, -2))
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
-        floor = pos_floor * max(float(np.mean(eigs_a)), 0.0)
+        floor = 1e-10 * max(float(np.mean(eigs_a)), 0.0)
         if not float(np.min(eigs_a)) > floor:
             raise PositivityError("reference", min_eig=float(np.min(eigs_a)),
                                   node=int(np.argmin(np.min(eigs_a, axis=1))))
@@ -250,7 +250,7 @@ def test_evaluation_matches_its_einsum_formulation():
             with pytest.raises(PositivityError) as ref:
                 _reference_evaluate(op, lam, family)
             with pytest.raises(PositivityError) as got:
-                _evaluate(op, lam, family, 1e-10, need_jacobian=True)
+                _evaluate(op, lam, family, need_jacobian=True)
             assert got.value.node == ref.value.node, label
             continue
         lam = _feasible_perturbed_start(op, family, rng, scale=0.3)
@@ -261,8 +261,8 @@ def test_evaluation_matches_its_einsum_formulation():
         off_range *= np.linalg.norm(lam.matrix) / np.linalg.norm(off_range)
         for given in (lam.coords, lam, lam.matrix, lam.matrix + off_range):
             want = _reference_evaluate(op, given, family)
-            got = _evaluate(op, given, family, 1e-10, need_jacobian=True)
-            assert np.array_equal(_evaluate(op, given, family, 1e-10).density, got.density)
+            got = _evaluate(op, given, family, need_jacobian=True)
+            assert np.array_equal(_evaluate(op, given, family).density, got.density)
             for field, ref in zip(("density", "h_coords", "flow_jacobian", "min_eig", "mean_eig"),
                                   want):
                 err = np.linalg.norm(np.asarray(getattr(got, field)) - ref)
