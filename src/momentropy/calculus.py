@@ -5,7 +5,9 @@ vectorised over the leading dimensions, so a field of matrices sampled on a
 grid can be processed in one call.  Every spectral function funnels through a
 single eigendecomposition routine (:func:`eigh_hermitian`) which symmetrises
 its input first; this gives the whole package one consistent policy for
-numerical noise.
+numerical noise.  Every positive-definiteness test in the package compares
+eigenvalues with its floor through :func:`_check_positive`, which names the
+node of a field that fails.
 
 The two central operations are the order-scrambled product
 
@@ -98,7 +100,7 @@ def matrix_log(matrix: np.ndarray) -> np.ndarray:
     """Principal logarithm of a positive definite Hermitian matrix.
 
     Raises :class:`PositivityError` when any eigenvalue is at or below the
-    positivity floor ``1e-12 * max|eig|``.
+    positivity floor ``1e-12 * max|eig|``, naming the node on a field.
     """
     w, u = eigh_hermitian(matrix)
     _check_positive(w)
@@ -110,11 +112,9 @@ def assert_positive_definite(matrix: np.ndarray) -> float:
 
     Succeeds iff min-eig strictly exceeds the relative floor
     ``1e-12 * max|eig|``; otherwise raises :class:`PositivityError` carrying
-    the offending eigenvalue.
+    the offending eigenvalue (and node, on a field).
     """
-    w, _ = eigh_hermitian(matrix)
-    _check_positive(w)
-    return float(np.min(w))
+    return _check_positive(eigvalsh_hermitian(matrix))
 
 
 def scrambled_multiply(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -181,16 +181,28 @@ def _square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_positive(w: np.ndarray) -> None:
+def _check_positive(w: np.ndarray, floor: float | None = None,
+                    label: str = "matrix not positive definite") -> float:
+    """Smallest eigenvalue in ``w``; raise :class:`PositivityError` unless it
+    exceeds ``floor`` (default ``1e-12 * max|w|``).
+
+    ``w`` holds the eigenvalues of one matrix, shape (m,), or of a field,
+    shape (N, m); for a field the error names the node with the smallest
+    eigenvalue.  The package's only positive-definiteness test.
+    """
     if w.size == 0:
-        return
-    wmin = float(np.min(w))
-    floor = _POSITIVE_RTOL * float(np.max(np.abs(w)))
+        return np.inf  # no eigenvalues, nothing to fail
+    wmin = float(w.min())
+    if floor is None:
+        floor = _POSITIVE_RTOL * float(np.max(np.abs(w)))
     if not wmin > floor:
+        node = None if w.ndim == 1 else int(np.argmin(w)) // w.shape[-1]
+        where = "" if node is None else " at node %d" % node
         raise PositivityError(
-            "matrix not positive definite: min eigenvalue %.6e (floor %.1e)" % (wmin, floor),
-            min_eig=wmin,
+            "%s%s (min eig %.3e, floor %.3e)" % (label, where, wmin, floor),
+            min_eig=wmin, node=node,
         )
+    return wmin
 
 
 def _divided_difference_exp(w: np.ndarray) -> np.ndarray:

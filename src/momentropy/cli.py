@@ -7,7 +7,8 @@ Subcommands:
     feasibility  probe whether the target moment is strictly attainable
     example      write a builtin problem bundle into a directory
 
-Exit codes: 0 converged / feasible; 2 divergence verdicts; 3 input errors.
+Exit codes: 0 converged / feasible; 2 divergence verdicts; 3 input errors,
+usage errors included.
 Outputs are byte-deterministic for identical inputs and seed; to keep that
 true across BLAS thread settings, this module pins the numerical libraries
 to one thread before they load.
@@ -73,8 +74,17 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3, since 2 is the divergence verdict.
+    Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentropy",
         description="moment matching through entropy-extremal density families",
     )

@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import (
-    _divided_difference_exp, eigh_hermitian, eigvalsh_hermitian, hermitian_part, matrix_log,
+    _check_positive, _divided_difference_exp, eigh_hermitian, eigvalsh_hermitian,
+    hermitian_part, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
 from .operator import MomentOperator, DualVariable, apply_L, dual_from_coords
@@ -208,15 +209,9 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     a_field = _adjoint_field(op, lam, flat)
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
-        min_eig, mean_eig = _min_mean(eigs_a)
-        floor = _POS_FLOOR * max(mean_eig, 0.0)
-        if not min_eig > floor:
-            node = int(np.argmin(np.min(eigs_a, axis=1)))
-            raise PositivityError(
-                "adjoint field near-singular at node %d (min eig %.3e, floor %.3e)"
-                % (node, min_eig, floor),
-                min_eig=min_eig, node=node,
-            )
+        mean_eig = float(eigs_a.sum()) / eigs_a.size
+        min_eig = _check_positive(eigs_a, _POS_FLOOR * max(mean_eig, 0.0),
+                                  "adjoint field near-singular")
         f = 1.0 / eigs_a
         if need_jacobian:
             g = f[:, :, None] * f[:, None, :]
@@ -294,11 +289,7 @@ def _basis_congruence(v: np.ndarray, x: np.ndarray, scale=1.0) -> np.ndarray:
 
 def _sqrt_field(sigma: np.ndarray) -> np.ndarray:
     w, u = eigh_hermitian(sigma)
-    if not float(np.min(w)) > 0.0:
-        raise PositivityError(
-            "sigma must be positive definite at every node (min eig %.3e)" % float(np.min(w)),
-            min_eig=float(np.min(w)),
-        )
+    _check_positive(w, 0.0, "sigma not positive definite")
     return (u * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
 
 

@@ -170,7 +170,6 @@ class LoadedProblem:
 
     operator: MomentOperator
     moment: np.ndarray
-    raw: dict
     rho_true_path: str | None = None
 
 
@@ -239,7 +238,7 @@ def load_problem(path: str) -> LoadedProblem:
     if rho_true is not None:
         # relative references live next to the problem file itself
         rho_true = Path(path).parent / rho_true
-    return LoadedProblem(op, moment, raw, rho_true)
+    return LoadedProblem(op, moment, rho_true)
 
 
 def _build_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:

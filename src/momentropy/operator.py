@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import eigh_hermitian, hermitian_part, matrix_log, trace_inner
-from .errors import PositivityError
+from .calculus import _check_positive, eigh_hermitian, hermitian_part, matrix_log, trace_inner
 from .grid import SupportGrid
 
-_SYMMETRY_RTOL = 1e-12
 _RANGE_SVD_RTOL = 1e-10
 # Relative residual above which dual_from_matrix rejects a matrix as lying
 # outside the range subspace.
@@ -40,16 +38,10 @@ _DUAL_RANGE_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class KernelSamples:
-    """Kernel samples: left (N, n_left, m), right (N, m, n_right), complex.
-
-    ``symmetric`` records whether ``right == left*`` node by node (verified at
-    construction to 1e-12 relative); symmetric kernels guarantee Hermitian
-    moment matrices and a Hermitian range.
-    """
+    """Kernel samples: left (N, n_left, m), right (N, m, n_right), complex."""
 
     left: np.ndarray
     right: np.ndarray
-    symmetric: bool
 
 
 def kernel_samples(left: np.ndarray, right: np.ndarray) -> KernelSamples:
@@ -65,12 +57,7 @@ def kernel_samples(left: np.ndarray, right: np.ndarray) -> KernelSamples:
             "kernel inner dimensions disagree: left is %s, right is %s"
             % (left.shape, right.shape)
         )
-    adj = np.conj(np.swapaxes(left, -1, -2))
-    scale = float(np.max(np.abs(left))) if left.size else 0.0
-    symmetric = bool(
-        right.shape == adj.shape and float(np.max(np.abs(right - adj))) <= _SYMMETRY_RTOL * max(scale, 1e-300)
-    )
-    return KernelSamples(left, right, symmetric)
+    return KernelSamples(left, right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +130,6 @@ class DualVariable:
 
     coords: np.ndarray
     matrix: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
 
 
 def dual_from_coords(op: MomentOperator, coords: np.ndarray) -> DualVariable:
@@ -276,19 +259,14 @@ def entropy(density: np.ndarray, grid: SupportGrid, kind: str, sigma: np.ndarray
     kind = "relative":    int trace (rho log rho - rho log sigma), sigma > 0
 
     Integrals are the grid's weighted sums; every node must be strictly
-    positive definite (PositivityError identifies the first offender).
+    positive definite (PositivityError names the node with the smallest
+    eigenvalue).
     """
     rho = np.asarray(density, dtype=complex)
     if rho.ndim != 3 or rho.shape[0] != grid.node_count:
         raise ValueError("density must have shape (node_count, m, m)")
     w, _ = eigh_hermitian(rho)
-    bad = np.where(np.min(w, axis=1) <= 0.0)[0]
-    if bad.size:
-        node = int(bad[0])
-        raise PositivityError(
-            "density not positive definite at node %d (min eig %.3e)" % (node, float(np.min(w[node]))),
-            min_eig=float(np.min(w[node])), node=node,
-        )
+    _check_positive(w, 0.0, "density not positive definite")
     weights = grid.weights
     if kind == "burg":
         return float(-np.sum(weights * np.sum(np.log(w), axis=1)))

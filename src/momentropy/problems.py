@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import hermitian_part
-from .errors import PositivityError
+from .calculus import _check_positive, eigvalsh_hermitian, hermitian_part
 from .grid import SupportGrid, build_grid, discrete_grid
 from .operator import MomentOperator, build_operator, kernel_samples
 
@@ -39,6 +38,8 @@ _DEDUP_TOL = 1e-12
 _STABILITY_MARGIN = 1e-8
 _RANK_RTOL = 1e-10
 _SMOOTH_DENSITY_FLOOR = 0.3
+_SMOOTH_DENSITY_MODES = 2
+_MODEL_SPECTRAL_RADIUS = 0.45
 _TWO_PI = 2.0 * math.pi
 
 
@@ -109,7 +110,7 @@ def array_necessary_matrix(values: dict, positions=DEFAULT_ARRAY_POSITIONS,
     """
     m = np.conj(array_moment_matrix(values, positions, wavenumber))
     r0 = float(np.real(_lookup_index(values, 0.0)))
-    min_eig = float(np.min(np.linalg.eigvalsh(hermitian_part(m))))
+    min_eig = float(np.min(eigvalsh_hermitian(m)))
     return m, min_eig >= -1e-12 * r0
 
 
@@ -367,12 +368,8 @@ def feedback_spectral_factor(model: StateSpaceModel, grid: SupportGrid,
     goh = np.conj(g_o).swapaxes(1, 2)
     adj = gh @ lam[None, :, :] @ g
     adj_o = goh @ lam[None, :, :] @ g_o
-    eigs = np.linalg.eigvalsh(hermitian_part(adj_o))
-    if float(np.min(eigs)) <= 0.0:
-        raise PositivityError(
-            "closed-loop adjoint field is singular: lam is not dual-feasible",
-            min_eig=float(np.min(eigs)),
-        )
+    _check_positive(eigvalsh_hermitian(adj_o), 0.0,
+                    "lam not dual-feasible: closed-loop adjoint field singular")
     lhs = phi @ np.linalg.inv(adj) @ np.conj(phi).swapaxes(1, 2)
     rhs = np.linalg.inv(adj_o)
     num = np.linalg.norm(lhs - rhs, axis=(1, 2))
@@ -380,27 +377,23 @@ def feedback_spectral_factor(model: StateSpaceModel, grid: SupportGrid,
     return g_o, float(np.max(num / den))
 
 
-def random_state_model(n: int = 4, m: int = 2, seed: int = 0,
-                       spectral_radius: float = 0.45,
-                       with_feedback: bool = True) -> StateSpaceModel:
+def random_state_model(n: int = 4, m: int = 2, seed: int = 0) -> StateSpaceModel:
     """Deterministic pseudo-random stable controllable model (real-valued).
 
-    A is rescaled to the requested spectral radius; C_o, when requested, is a
-    small random feedback shrunk geometrically until the loop is stable.
+    A is rescaled to spectral radius 0.45; C_o is a small random feedback
+    shrunk geometrically until the loop is stable.
     """
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
-    a *= spectral_radius / max(_spectral_radius(a), 1e-12)
+    a *= _MODEL_SPECTRAL_RADIUS / max(_spectral_radius(a), 1e-12)
     b = rng.standard_normal((n, m))
-    c_o = None
-    if with_feedback:
-        c_o = 0.2 * rng.standard_normal((m, n))
-        for _ in range(40):
-            if _spectral_radius(a - b @ c_o) < 1.0 - 10.0 * _STABILITY_MARGIN:
-                break
-            c_o *= 0.5
-        else:
-            c_o = np.zeros((m, n))
+    c_o = 0.2 * rng.standard_normal((m, n))
+    for _ in range(40):
+        if _spectral_radius(a - b @ c_o) < 1.0 - 10.0 * _STABILITY_MARGIN:
+            break
+        c_o *= 0.5
+    else:
+        c_o = np.zeros((m, n))
     return state_space_model(a, b, c_o)
 
 
@@ -429,7 +422,8 @@ def bump_mixture_density(grid: SupportGrid, baseline: float,
 
     ``bumps`` holds (center, width, height) triples; ``steps`` holds
     (left_edge, right_edge, height, edge_width) quadruples realised with tanh
-    edges.  The caller is responsible for keeping the result positive.
+    edges.  A profile that is not positive raises :class:`PositivityError`
+    naming the node with the smallest value.
     """
     if grid.dim != 1:
         raise ValueError("bump_mixture_density is for one-dimensional grids")
@@ -439,9 +433,7 @@ def bump_mixture_density(grid: SupportGrid, baseline: float,
         rho = rho + height * np.exp(-(((theta - center) / width) ** 2))
     for lo, hi, height, edge in steps:
         rho = rho + 0.5 * height * (np.tanh((theta - lo) / edge) - np.tanh((theta - hi) / edge))
-    if np.any(rho <= 0.0):
-        raise PositivityError("bump mixture is not positive everywhere",
-                              min_eig=float(np.min(rho)))
+    _check_positive(rho[:, None], 0.0, "bump mixture not positive")
     return rho[:, None, None].astype(complex)
 
 
@@ -471,17 +463,14 @@ def bump2d_density(grid: SupportGrid, baseline: float, bumps=()) -> np.ndarray:
     rho = np.full_like(t1, float(baseline))
     for c1, c2, w1, w2, height in bumps:
         rho = rho + height * np.exp(-(((t1 - c1) / w1) ** 2) - (((t2 - c2) / w2) ** 2))
-    if np.any(rho <= 0.0):
-        raise PositivityError("2-D bump mixture is not positive everywhere",
-                              min_eig=float(np.min(rho)))
+    _check_positive(rho[:, None], 0.0, "2-D bump mixture not positive")
     return rho[:, None, None].astype(complex)
 
 
-def random_smooth_matrix_density(grid: SupportGrid, m: int, seed: int = 0,
-                                 modes: int = 2) -> np.ndarray:
+def random_smooth_matrix_density(grid: SupportGrid, m: int, seed: int = 0) -> np.ndarray:
     """Smooth periodic positive matrix density C(theta) C(theta)* + 0.3 I.
 
-    C is a trigonometric matrix polynomial with ``modes`` harmonics and
+    C is a trigonometric matrix polynomial with two harmonics and
     pseudo-random real coefficients drawn from ``seed``; suited to circle
     grids where a periodic ground truth is wanted.
     """
@@ -491,7 +480,7 @@ def random_smooth_matrix_density(grid: SupportGrid, m: int, seed: int = 0,
     theta = grid.nodes[:, 0]
     c = np.zeros((grid.node_count, m, m), dtype=complex)
     c += rng.standard_normal((m, m))[None, :, :]
-    for k in range(1, int(modes) + 1):
+    for k in range(1, _SMOOTH_DENSITY_MODES + 1):
         amp = 0.6 / k
         c += amp * rng.standard_normal((m, m))[None, :, :] * np.cos(k * theta)[:, None, None]
         c += amp * rng.standard_normal((m, m))[None, :, :] * np.sin(k * theta)[:, None, None]

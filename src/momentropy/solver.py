@@ -289,9 +289,10 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         if form.done(t, score):
             status = STATUS_CONVERGED
             break
-        if float(np.linalg.norm(x)) > _LAMBDA_MAX:
+        lam_norm = float(np.linalg.norm(x))
+        if lam_norm > _LAMBDA_MAX:
             status = STATUS_DIVERGED_UNBOUNDED
-            message = "dual norm exceeded lambda_max"
+            message = "dual norm %.3e exceeded %g at t=%.6f" % (lam_norm, _LAMBDA_MAX, t)
             break
         if form.t_end - t < form.h_min:
             # the rest of the horizon is below temporal resolution

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 import momentropy as mp
+from momentropy import problems as pr
 from momentropy.errors import PositivityError
 
 _C = np.array([[2.0, 0.3 + 0.4j], [0.3 - 0.4j, 1.0]])
@@ -190,6 +191,49 @@ def test_assert_positive_definite_reports_minimum_eigenvalue():
     with pytest.raises(PositivityError) as err:
         mp.assert_positive_definite(np.diag([1.0, -2.0]).astype(complex))
     assert err.value.min_eig == pytest.approx(-2.0)
+
+
+def test_every_positivity_error_on_a_field_names_its_node():
+    # one check serves the package: on a field it names the node with the
+    # smallest eigenvalue (node 7 here, though node 3 fails first)
+    grid = mp.build_grid("interval1d", (0.0, np.pi), panels=4, order=3)
+    field = np.broadcast_to(np.eye(2, dtype=complex), (grid.node_count, 2, 2)).copy()
+    field[3] = np.diag([1.0, -0.1])
+    field[7] = np.diag([-0.5, 1.0])
+    calls = {
+        "matrix_log": lambda: mp.matrix_log(field),
+        "assert_positive_definite": lambda: mp.assert_positive_definite(field),
+        "entropy": lambda: mp.entropy(field, grid, "burg"),
+        "sqrt_field": lambda: mp.weighted_exponential_family(field),
+    }
+    for label, call in calls.items():
+        with pytest.raises(PositivityError) as err:
+            call()
+        assert err.value.node == 7, label
+        assert err.value.min_eig == -0.5, label
+        assert " at node 7 (min eig -5.000e-01, floor " in str(err.value), label
+
+    # a single matrix has no node
+    with pytest.raises(PositivityError) as err:
+        mp.matrix_log(field[7])
+    assert err.value.node is None
+    assert str(err.value) == "matrix not positive definite (min eig -5.000e-01, floor 1.000e-12)"
+
+    # a scalar profile is checked as a field of 1 x 1 matrices
+    with pytest.raises(PositivityError) as err:
+        pr.bump_mixture_density(grid, 1.0, bumps=((grid.nodes[5, 0], 0.05, -3.0),))
+    assert err.value.node == 5
+    assert err.value.min_eig == pytest.approx(-2.0)
+
+    model = pr.random_state_model(n=4, m=2, seed=0)
+    circle = mp.build_grid("interval1d", (-np.pi, np.pi), panels=8, order=4)
+    g_o, _residual = pr.feedback_spectral_factor(model, circle, np.eye(4, dtype=complex))
+    lam = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    eigs = np.linalg.eigvalsh(np.conj(g_o).swapaxes(1, 2) @ lam @ g_o)
+    with pytest.raises(PositivityError) as err:
+        pr.feedback_spectral_factor(model, circle, lam)
+    assert err.value.node == int(np.argmin(np.min(eigs, axis=1)))
+    assert err.value.min_eig == pytest.approx(float(np.min(eigs)), rel=1e-12)
 
 
 def test_hermitian_part_and_trace_inner(rng):

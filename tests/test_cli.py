@@ -74,12 +74,17 @@ def test_unknown_example_name_is_an_input_error(tmp_path):
 
 
 def test_usage_errors_show_usage_text(scalar_bundle):
+    # usage errors are input errors (3), never the divergence verdict (2)
     r = _run("solve")  # no problem source at all
-    assert r.returncode == 2
+    assert r.returncode == 3
     assert "usage" in r.stderr.lower()
     r2 = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
               "--example", "scalar-demo")  # mutually exclusive
-    assert r2.returncode == 2
+    assert r2.returncode == 3
+    r3 = _run("solve", "--example", "scalar-demo", "--tol", "abc")
+    assert r3.returncode == 3
+    assert "usage" in r3.stderr.lower()
+    assert _run("solve", "--help").returncode == 0
 
 
 def test_infeasible_moment_exits_with_divergence_code(scalar_bundle, tmp_path):

@@ -46,5 +46,6 @@ def test_no_function_takes_a_tolerance_or_floor_parameter():
         if inspect.isfunction(fn):
             params = set(inspect.signature(fn).parameters)
             offending += ["%s(%s)" % (fn.__name__, p)
-                          for p in sorted(params & {"pos_floor", "floor", "rtol", "rank_rtol"})]
+                          for p in sorted(params & {"pos_floor", "floor", "rtol", "rank_rtol",
+                                             "modes", "spectral_radius", "with_feedback"})]
     assert offending == []

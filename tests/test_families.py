@@ -237,6 +237,14 @@ def _oracle_cases():
             sigma = pr.random_smooth_matrix_density(op.grid, op.m, seed=9)
         for name in mp.FAMILY_KINDS:
             yield op, mp.family_from_name(name, sigma=sigma), rng
+    # an outer factor that is not Hermitian: rho = phi A^-1 phi*, which differs
+    # from the sigma^(1/2) weighting of the same sigma = phi phi* at m > 1
+    noise = rng.standard_normal((statecov.node_count, 2, 2)) \
+        + 1j * rng.standard_normal((statecov.node_count, 2, 2))
+    phi = np.triu(noise, 1) + np.eye(2) * (1.0 + rng.random((statecov.node_count, 1, 1)))
+    family = mp.weighted_rational_family(phi=phi)
+    assert np.array_equal(family.sigma, phi @ np.conj(phi).swapaxes(1, 2))
+    yield statecov, family, rng
 
 
 def test_evaluation_matches_its_einsum_formulation():

@@ -87,6 +87,11 @@ def test_divergence_statuses_on_negative_scalar_moment(scalar_op):
                               "non-finite values in stage evaluation",
                               "non-finite flow velocity") \
                 or reason.startswith("adjoint field near-singular at node ")
+        else:
+            # the verdict names the norm, the bound and the time
+            t, _v, _min_eig, lam_norm = report.trace[-1]
+            assert report.message == "dual norm %.3e exceeded 1e+08 at t=%.6f" % (lam_norm, t)
+            assert lam_norm > 1e8
 
 
 def test_a_trial_step_costs_four_evaluations(scalar_op, monkeypatch):
@@ -140,6 +145,16 @@ def test_non_finite_moments_and_options_are_rejected(scalar_op):
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 mp.SolveConfig(**{name: bad})
+
+
+def test_relative_entropy_is_reported_for_the_sigma_families(array_problem):
+    op, _rho, moment = array_problem
+    sigma = pr.bump_mixture_density(op.grid, 1.0, bumps=((1.5, 0.4, 0.6),))
+    for factory in (mp.weighted_exponential_family, mp.prior_exponential_family):
+        report = mp.solve(op, moment, factory(sigma))
+        assert report.status == STATUS_CONVERGED
+        assert report.entropy_value == mp.entropy(report.density, op.grid, "relative",
+                                                  sigma=sigma)
 
 
 def test_time_horizon_is_honoured(array_problem):
