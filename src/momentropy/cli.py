@@ -25,31 +25,18 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import json
-import math
 import sys
-
-import numpy as np
 
 from . import formats
 from .errors import DualStartNotFound, PositivityError
 from .families import FAMILY_KINDS, family_from_name
-from .grid import build_grid
-from .operator import apply_L, build_operator, kernel_samples
-from .problems import (
-    bell_state,
-    bump2d_density,
-    constant_density,
-    grid2d_problem,
-    nonequispaced_array_problem,
-    partial_trace_problem,
-    random_smooth_matrix_density,
-    random_state_model,
-    state_covariance_problem,
-    two_bump_demo_density,
-)
 from .solver import STATUS_CONVERGED, STATUS_NOT_IN_RANGE, SolveConfig, solve
 
-EXAMPLE_NAMES = ("nonequispaced-array", "grid2d", "bell", "statecov", "scalar-demo")
+# Unused here; bound only because bench/tracing.py wraps these names in this module.
+from .problems import (build_operator, grid2d_problem, nonequispaced_array_problem,  # noqa: F401
+                       partial_trace_problem, state_covariance_problem)
+
+EXAMPLE_NAMES = tuple(formats.EXAMPLES)
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
@@ -125,9 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # solve / feasibility
 
 def _cmd_solve(args) -> int:
-    op, moment, family_name, family, config = _materialise(args)
-    report = solve(op, moment, family, config)
-
+    op, family_name, report = _run_solver(args)
     if args.report:
         formats.write_report(args.report, report, family_name)
     else:
@@ -147,8 +132,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
-    op, moment, family_name, family, config = _materialise(args)
-    report = solve(op, moment, family, config)
+    _op, family_name, report = _run_solver(args)
     if report.status == STATUS_NOT_IN_RANGE:
         print(f"error: {report.message}", file=sys.stderr)
         return EXIT_INPUT
@@ -157,37 +141,41 @@ def _cmd_feasibility(args) -> int:
     return EXIT_OK if report.status == STATUS_CONVERGED else EXIT_DIVERGED
 
 
-def _materialise(args):
-    """Resolve problem source, family (name and instance), and solver config
-    from flags + config file."""
+def _run_solver(args):
+    """Solve the problem the flags and config file name; returns the operator,
+    the family name and the report."""
     merged = _merge_config(args)
-    seed = int(merged.get("seed") or 0)
-
     if merged.get("problem"):
         loaded = formats.load_problem(merged["problem"])
         op, moment = loaded.operator, loaded.moment
     else:
-        bundle = _example_bundle(merged["example"], seed)
-        op, moment = bundle["operator"], bundle["moment"]
+        op, _kernels, moment, _rho_true = formats.example_problem(
+            merged["example"], int(merged.get("seed") or 0))
 
     sigma = None
     if merged.get("sigma"):
         sigma = formats.read_density_csv(merged["sigma"], op.grid)
     family = family_from_name(merged["family"], sigma=sigma)
 
+    torus_override = merged.get("torus_override", False)
+    if not isinstance(torus_override, bool):
+        raise ValueError("torus_override must be true or false, not %r" % (torus_override,))
     config = SolveConfig(
         tol=float(SolveConfig.tol if merged.get("tol") is None else merged["tol"]),
         t_max=float(SolveConfig.t_max if merged.get("t_max") is None else merged["t_max"]),
-        torus_override=bool(merged.get("torus_override") or False),
+        torus_override=torus_override,
     )
-    return op, moment, merged["family"], family, config
+    return op, merged["family"], solve(op, moment, family, config)
 
 
 def _merge_config(args):
     merged = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            merged.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("a config file holds a JSON object")
+        merged.update(config)
     for key in ("problem", "example", "family", "sigma", "tol", "t_max",
                 "torus_override", "seed"):
         val = getattr(args, key.replace("-", "_"), None)
@@ -204,64 +192,14 @@ def _merge_config(args):
 
 def _cmd_example(args) -> int:
     # an unknown name raises here, before any directory is created
-    bundle = _example_bundle(args.name, int(args.seed))
+    op, kernels, moment, rho_true = formats.example_problem(args.name, int(args.seed))
     os.makedirs(args.outdir, exist_ok=True)
-    rho_true_name = None
-    if bundle.get("rho_true") is not None:
-        rho_true_name = "rho_true.csv"
-        formats.write_density_csv(
-            os.path.join(args.outdir, rho_true_name),
-            bundle["rho_true"], bundle["operator"].grid,
-        )
-    obj = formats.problem_to_obj(
-        bundle["operator"].grid, bundle["kernels_obj"], bundle["moment"],
-        rho_true=rho_true_name,
-    )
+    formats.write_density_csv(os.path.join(args.outdir, "rho_true.csv"), rho_true, op.grid)
     path = os.path.join(args.outdir, "problem.json")
-    formats.write_problem(path, obj)
+    formats.write_problem(path, formats.problem_to_obj(op.grid, kernels, moment,
+                                                       rho_true="rho_true.csv"))
     print(path)
     return EXIT_OK
-
-
-def _example_bundle(name: str, seed: int) -> dict:
-    if name == "scalar-demo":
-        grid = build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
-        eye = np.ones((grid.node_count, 1, 1), dtype=complex)
-        op = build_operator(grid, kernel_samples(eye, eye))
-        rho = constant_density(grid, 1, 2.0)
-        return {"operator": op, "moment": apply_L(op, rho), "rho_true": rho,
-                "kernels_obj": {"mode": "builtin", "name": "identity", "m": 1}}
-    if name == "nonequispaced-array":
-        op = nonequispaced_array_problem()
-        rho = two_bump_demo_density(op.grid)
-        return {"operator": op, "moment": apply_L(op, rho), "rho_true": rho,
-                "kernels_obj": {"mode": "builtin", "name": "nonequispaced-array",
-                                "positions": [0.0, 1.0, 1.0 + math.sqrt(2.0)],
-                                "wavenumber": 1.0}}
-    if name == "grid2d":
-        grid = build_grid("rectangle2d", ((0.0, math.pi), (0.0, math.pi)), panels=12, order=4)
-        op = grid2d_problem(2, grid)
-        rho = bump2d_density(grid, 0.4, bumps=((1.1, 0.9, 0.5, 0.6, 1.3),
-                                               (2.3, 2.2, 0.7, 0.5, 0.9)))
-        return {"operator": op, "moment": apply_L(op, rho), "rho_true": rho,
-                "kernels_obj": {"mode": "builtin", "name": "grid2d", "n": 2}}
-    if name == "bell":
-        op = partial_trace_problem(2, 2)
-        rho = np.broadcast_to(bell_state(), (2, 4, 4)).copy()
-        return {"operator": op, "moment": apply_L(op, rho), "rho_true": rho,
-                "kernels_obj": {"mode": "builtin", "name": "partial-trace",
-                                "dim_keep": 2, "dim_trace": 2}}
-    if name == "statecov":
-        model = random_state_model(n=4, m=2, seed=seed)
-        op = state_covariance_problem(model)
-        rho = random_smooth_matrix_density(op.grid, 2, seed=seed + 1)
-        return {"operator": op, "moment": apply_L(op, rho), "rho_true": rho,
-                "kernels_obj": {"mode": "builtin", "name": "statecov",
-                                "A": formats.matrix_to_obj(model.a),
-                                "B": formats.matrix_to_obj(model.b),
-                                "C_o": formats.matrix_to_obj(model.c_o)
-                                       if model.c_o is not None else None}}
-    raise ValueError("unknown example %r; valid names: %s" % (name, ", ".join(EXAMPLE_NAMES)))
 
 
 if __name__ == "__main__":

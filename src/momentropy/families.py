@@ -39,7 +39,7 @@ from .calculus import (
     hermitian_part, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
-from .operator import MomentOperator, DualVariable, apply_L, dual_from_coords
+from .operator import _DUAL_FLOOR_RTOL, MomentOperator, DualVariable, apply_L, dual_from_coords
 
 FAMILY_KINDS = (
     "rational",
@@ -50,9 +50,6 @@ FAMILY_KINDS = (
 )
 
 _INVERSE_KINDS = ("rational", "weighted_rational")
-# An inverse-type adjoint field must keep every nodewise eigenvalue above this
-# fraction of its mean eigenvalue.
-_POS_FLOOR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +207,7 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
         mean_eig = float(eigs_a.sum()) / eigs_a.size
-        min_eig = _check_positive(eigs_a, _POS_FLOOR * max(mean_eig, 0.0),
+        min_eig = _check_positive(eigs_a, _DUAL_FLOOR_RTOL * max(mean_eig, 0.0),
                                   "adjoint field near-singular")
         f = 1.0 / eigs_a
         if need_jacobian:

@@ -15,6 +15,9 @@ Trace CSV:        header t,V,min_eig,lambda_norm then one row per step
 Report JSON:      status / lambda / V_final / entropy / fitted_V_slope /
                   iterations, plus diagnostic entries documented in
                   :class:`momentropy.solver.SolveReport`
+
+Built-in examples (:data:`EXAMPLES`) are builtin kernels objects read by the
+same code as problem files, so an example and its problem file agree.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ import numpy as np
 
 from .calculus import as_hermitian
 from .grid import SupportGrid, build_grid, discrete_grid
-from .operator import MomentOperator, build_operator, kernel_samples
+from .operator import MomentOperator, apply_L, build_operator, kernel_samples
 from . import problems as _problems
-
-_BUILTIN_KERNELS = ("nonequispaced-array", "grid2d", "partial-trace", "statecov", "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +98,12 @@ def matrix_to_obj(matrix: np.ndarray) -> dict:
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("malformed matrix object: needs rows/cols/data") from exc
-    if len(data) != rows * cols:
-        raise ValueError(
-            "matrix data length %d does not match %d x %d" % (len(data), rows, cols)
-        )
-    flat = np.array([complex(re, im) for re, im in data])
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        flat = np.array([complex(re, im) for re, im in obj["data"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("malformed matrix object: needs rows/cols and [re, im] data") from exc
+    if flat.size != rows * cols:
+        raise ValueError("matrix data length %d does not match %d x %d" % (flat.size, rows, cols))
     if not np.all(np.isfinite(flat)):
         raise ValueError("matrix data holds non-finite entries")
     return flat.reshape(rows, cols)
@@ -189,15 +188,10 @@ def grid_from_obj(obj: dict) -> SupportGrid:
     kind = obj.get("kind")
     if kind == "discrete":
         return discrete_grid(int(obj["count"]))
-    if kind == "interval1d":
-        lo, hi = obj["bounds"]
-        return build_grid("interval1d", (float(lo), float(hi)),
-                          panels=int(obj.get("panels", 32)), order=int(obj.get("order", 5)))
-    if kind == "rectangle2d":
-        (a, b), (c, d) = obj["bounds"]
-        return build_grid("rectangle2d", ((float(a), float(b)), (float(c), float(d))),
-                          panels=int(obj.get("panels", 32)), order=int(obj.get("order", 5)))
-    raise ValueError(f"unknown grid kind {kind!r}")
+    if kind not in ("interval1d", "rectangle2d"):
+        raise ValueError(f"unknown grid kind {kind!r}")
+    return build_grid(kind, obj["bounds"],
+                      panels=int(obj.get("panels", 32)), order=int(obj.get("order", 5)))
 
 
 def problem_to_obj(grid: SupportGrid, kernels_obj: dict, moment: np.ndarray,
@@ -223,9 +217,11 @@ def write_problem(path: str, obj: dict) -> None:
 def load_problem(path: str) -> LoadedProblem:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("a problem file holds a JSON object")
     for key in ("grid", "kernels", "moment"):
-        if key not in raw:
-            raise ValueError(f"problem file is missing the {key!r} entry")
+        if not isinstance(raw.get(key), dict):
+            raise ValueError(f"problem file needs a {key!r} object")
     grid = grid_from_obj(raw["grid"])
     op = _build_kernels(grid, raw["kernels"])
     moment = matrix_from_obj(raw["moment"])
@@ -250,30 +246,101 @@ def _build_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
     if mode != "builtin":
         raise ValueError(f"kernel mode must be 'samples' or 'builtin', not {mode!r}")
     name = obj.get("name")
-    if name == "nonequispaced-array":
-        return _problems.nonequispaced_array_problem(
-            positions=obj.get("positions", _problems.DEFAULT_ARRAY_POSITIONS),
-            wavenumber=float(obj.get("wavenumber", 1.0)), grid=grid,
+    if name not in _KERNEL_BUILDERS:
+        raise ValueError(
+            f"unknown builtin kernel {name!r}; expected one of {tuple(_KERNEL_BUILDERS)}"
         )
-    if name == "grid2d":
-        return _problems.grid2d_problem(int(obj["n"]), grid=grid)
-    if name == "partial-trace":
-        op = _problems.partial_trace_problem(int(obj["dim_keep"]), int(obj["dim_trace"]))
-        if op.node_count != grid.node_count:
-            raise ValueError("discrete grid count disagrees with the traced dimension")
-        return op
-    if name == "statecov":
-        c_o = matrix_from_obj(obj["C_o"]) if obj.get("C_o") is not None else None
-        model = _problems.state_space_model(
-            matrix_from_obj(obj["A"]), matrix_from_obj(obj["B"]), c_o
-        )
-        return _problems.state_covariance_problem(model, grid=grid)
-    if name == "identity":
-        m = int(obj.get("m", 1))
-        eye = np.broadcast_to(np.eye(m, dtype=complex), (grid.node_count, m, m)).copy()
-        return build_operator(grid, kernel_samples(eye, eye))
-    raise ValueError(f"unknown builtin kernel {name!r}; expected one of {_BUILTIN_KERNELS}")
+    op = _KERNEL_BUILDERS[name](grid, obj)
+    if op.node_count != grid.node_count:  # partial-trace builds its own discrete grid
+        raise ValueError("discrete grid count disagrees with the traced dimension")
+    return op
 
+
+def _statecov_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
+    c_o = matrix_from_obj(obj["C_o"]) if obj.get("C_o") is not None else None
+    model = _problems.state_space_model(matrix_from_obj(obj["A"]), matrix_from_obj(obj["B"]), c_o)
+    return _problems.state_covariance_problem(model, grid=grid)
+
+
+def _identity_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
+    m = int(obj.get("m", 1))
+    eye = np.broadcast_to(np.eye(m, dtype=complex), (grid.node_count, m, m))
+    return build_operator(grid, kernel_samples(eye, eye))
+
+
+# Builtin kernels objects by name, each read into an operator on the problem's
+# grid.  Constructors are looked up on the problems module at call time, so
+# that rebinding them there reaches every caller.
+_KERNEL_BUILDERS = {
+    "nonequispaced-array": lambda grid, obj: _problems.nonequispaced_array_problem(
+        positions=obj.get("positions", _problems.DEFAULT_ARRAY_POSITIONS),
+        wavenumber=float(obj.get("wavenumber", 1.0)), grid=grid),
+    "grid2d": lambda grid, obj: _problems.grid2d_problem(int(obj["n"]), grid=grid),
+    "partial-trace": lambda grid, obj: _problems.partial_trace_problem(
+        int(obj["dim_keep"]), int(obj["dim_trace"])),
+    "statecov": _statecov_kernels,
+    "identity": _identity_kernels,
+}
+
+
+# ---------------------------------------------------------------------------
+# built-in examples: functions of the seed returning (grid, kernels object,
+# true density)
+
+def _array_example(seed: int):
+    grid = build_grid("interval1d", (0.0, math.pi), panels=32, order=5)
+    kernels = {"mode": "builtin", "name": "nonequispaced-array",
+               "positions": list(_problems.DEFAULT_ARRAY_POSITIONS), "wavenumber": 1.0}
+    return grid, kernels, _problems.two_bump_demo_density(grid)
+
+
+def _grid2d_example(seed: int):
+    grid = build_grid("rectangle2d", ((0.0, math.pi), (0.0, math.pi)), panels=12, order=4)
+    rho = _problems.bump2d_density(grid, 0.4, bumps=((1.1, 0.9, 0.5, 0.6, 1.3),
+                                                    (2.3, 2.2, 0.7, 0.5, 0.9)))
+    return grid, {"mode": "builtin", "name": "grid2d", "n": 2}, rho
+
+
+def _bell_example(seed: int):
+    kernels = {"mode": "builtin", "name": "partial-trace", "dim_keep": 2, "dim_trace": 2}
+    return discrete_grid(2), kernels, np.broadcast_to(_problems.bell_state(), (2, 4, 4))
+
+
+def _statecov_example(seed: int):
+    model = _problems.random_state_model(n=4, m=2, seed=seed)
+    grid = build_grid("interval1d", (-math.pi, math.pi), panels=32, order=5)
+    kernels = {"mode": "builtin", "name": "statecov", "A": matrix_to_obj(model.a),
+               "B": matrix_to_obj(model.b), "C_o": matrix_to_obj(model.c_o)}
+    return grid, kernels, _problems.random_smooth_matrix_density(grid, 2, seed=seed + 1)
+
+
+def _scalar_demo_example(seed: int):
+    grid = build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
+    rho = _problems.constant_density(grid, 1, 2.0)
+    return grid, {"mode": "builtin", "name": "identity", "m": 1}, rho
+
+
+EXAMPLES = {
+    "nonequispaced-array": _array_example,
+    "grid2d": _grid2d_example,
+    "bell": _bell_example,
+    "statecov": _statecov_example,
+    "scalar-demo": _scalar_demo_example,
+}
+
+
+def example_problem(name: str, seed: int = 0):
+    """Built-in example as (operator, kernels object, moment, true density),
+    the operator read from the kernels object like a problem file's."""
+    if name not in EXAMPLES:
+        raise ValueError("unknown example %r; valid names: %s" % (name, ", ".join(EXAMPLES)))
+    grid, kernels, rho_true = EXAMPLES[name](seed)
+    op = _build_kernels(grid, kernels)
+    return op, kernels, apply_L(op, rho_true), rho_true
+
+
+# ---------------------------------------------------------------------------
+# reports
 
 def report_to_obj(report, family_name: str) -> dict:
     """Report JSON object; None and non-finite entries serialise as null."""

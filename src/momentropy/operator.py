@@ -31,6 +31,9 @@ from .calculus import _check_positive, eigh_hermitian, hermitian_part, matrix_lo
 from .grid import SupportGrid
 
 _RANGE_SVD_RTOL = 1e-10
+# L*(lam) is dual-feasible when every nodewise eigenvalue exceeds this fraction
+# of the field's mean eigenvalue; the inverse families refuse any other point.
+_DUAL_FLOOR_RTOL = 1e-10
 # Relative residual above which dual_from_matrix rejects a matrix as lying
 # outside the range subspace.
 _DUAL_RANGE_RTOL = 1e-10
@@ -234,11 +237,10 @@ def project_to_range(op: MomentOperator, matrix: np.ndarray) -> tuple[np.ndarray
 
 
 def is_dual_feasible(op: MomentOperator, lam) -> tuple[bool, float]:
-    """Whether L*(lam) is positive definite at every node; returns min eigenvalue."""
-    field_ = apply_L_adjoint(op, _as_matrix(op, lam))
-    w, _ = eigh_hermitian(field_)
+    """Whether L*(lam) clears the inverse families' floor at every node; returns min eigenvalue."""
+    w, _ = eigh_hermitian(apply_L_adjoint(op, _as_matrix(op, lam)))
     min_eig = float(np.min(w))
-    return min_eig > 0.0, min_eig
+    return min_eig > _DUAL_FLOOR_RTOL * max(float(w.sum()) / w.size, 0.0), min_eig
 
 
 def moment_functional(op: MomentOperator, moment: np.ndarray, lam) -> float:
@@ -265,13 +267,7 @@ def entropy(density: np.ndarray, grid: SupportGrid, kind: str, sigma: np.ndarray
     rho = np.asarray(density, dtype=complex)
     if rho.ndim != 3 or rho.shape[0] != grid.node_count:
         raise ValueError("density must have shape (node_count, m, m)")
-    w, _ = eigh_hermitian(rho)
-    _check_positive(w, 0.0, "density not positive definite")
-    weights = grid.weights
-    if kind == "burg":
-        return float(-np.sum(weights * np.sum(np.log(w), axis=1)))
-    if kind == "vonneumann":
-        return float(np.sum(weights * np.sum(w * np.log(w), axis=1)))
+    log_sigma = None
     if kind == "relative":
         if sigma is None:
             raise ValueError("relative entropy needs the reference density sigma")
@@ -279,10 +275,23 @@ def entropy(density: np.ndarray, grid: SupportGrid, kind: str, sigma: np.ndarray
         if sigma.shape != rho.shape:
             raise ValueError("sigma must match the density's shape")
         log_sigma = matrix_log(sigma)
-        own = np.sum(weights * np.sum(w * np.log(w), axis=1))
-        cross = np.sum(weights * np.real(np.einsum("nab,nba->n", rho, log_sigma)))
-        return float(own - cross)
-    raise ValueError(f"unknown entropy kind {kind!r}")
+    values = dict(zip(("burg", "vonneumann", "relative"), _entropies(rho, grid, log_sigma)))
+    if kind not in values:
+        raise ValueError(f"unknown entropy kind {kind!r}")
+    return values[kind]
+
+
+def _entropies(rho: np.ndarray, grid: SupportGrid, log_sigma: np.ndarray | None = None):
+    """Burg, von Neumann and (given log sigma) relative entropy from one eigendecomposition."""
+    w, _ = eigh_hermitian(rho)
+    _check_positive(w, 0.0, "density not positive definite")
+    log_w = np.log(w)
+    burg = float(-np.sum(grid.weights * np.sum(log_w, axis=1)))
+    own = np.sum(grid.weights * np.sum(w * log_w, axis=1))
+    if log_sigma is None:
+        return burg, float(own), None
+    cross = np.sum(grid.weights * np.real(np.einsum("nab,nba->n", rho, log_sigma)))
+    return burg, float(own), float(own - cross)
 
 
 # ---------------------------------------------------------------------------

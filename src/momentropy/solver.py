@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .calculus import matrix_log
 from .errors import PositivityError
 from .families import Family, _evaluate, default_dual_start
 from .operator import (
@@ -255,6 +256,9 @@ def _tau_form(op, family, _config, r_coords, ev) -> _Form:
 def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: SolveConfig,
                start: DualVariable | None, make_form) -> SolveReport:
     """Adaptive RK4 with step halving, shared by both forms."""
+    # the range projection sums in memory order: one layout makes equal
+    # moments give equal bits, whether computed or read from a file
+    moment = np.ascontiguousarray(moment, dtype=complex)
     if not np.all(np.isfinite(moment)):
         raise ValueError("moment has non-finite entries")
     if family.is_inverse_kind and op.grid.dim >= 2 and not config.torus_override:
@@ -264,7 +268,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         )
 
     r_coords, residual = project_to_range(op, moment)
-    scale = max(float(np.linalg.norm(np.asarray(moment))), 1e-300)
+    scale = max(float(np.linalg.norm(moment)), 1e-300)
     if residual > _RANGE_RESIDUAL_TOL * scale:
         return SolveReport(
             status=STATUS_NOT_IN_RANGE,
@@ -421,14 +425,16 @@ def _finalise(op, family, status, x, ev, v, iterations, trace, message,
     if status == STATUS_CONVERGED:
         density = ev.density
         try:
-            entropy_burg = _operator.entropy(density, op.grid, "burg")
-            entropy_vn = _operator.entropy(density, op.grid, "vonneumann")
+            # the relative entropy is reported for the exponential sigma families
+            log_sigma = family.log_sigma
+            if log_sigma is None and family.sigma is not None and not family.is_inverse_kind:
+                log_sigma = matrix_log(family.sigma)
+            entropy_burg, entropy_vn, entropy_rel = _operator._entropies(
+                density, op.grid, log_sigma)
             if family.is_inverse_kind:
                 entropy_value = entropy_burg
-            elif family.sigma is not None:
-                entropy_value = _operator.entropy(density, op.grid, "relative", sigma=family.sigma)
             else:
-                entropy_value = entropy_vn
+                entropy_value = entropy_vn if log_sigma is None else entropy_rel
         except PositivityError:
             pass  # converged density with a marginal node: leave entropies unset
         pairing = inner(lam.matrix, op.basis.assemble(ev.h_coords))

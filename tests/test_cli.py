@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import momentropy as mp
+from momentropy import cli
 from momentropy import formats as fm
 
 
@@ -150,6 +151,20 @@ def test_zero_options_are_input_errors(scalar_bundle, tmp_path):
     r2 = _run("solve", "--problem", problem, "--config", str(config))
     assert r2.returncode == 3
     assert "t_max" in r2.stderr
+    # a config file holds an object, and torus_override a boolean
+    config.write_text(json.dumps([{"t_max": 1.0}]))
+    r3 = _run("solve", "--problem", problem, "--config", str(config))
+    assert r3.returncode == 3
+    assert "config" in r3.stderr and "Traceback" not in r3.stderr
+    config.write_text(json.dumps({"torus_override": "false"}))
+    r4 = _run("solve", "--example", "grid2d", "--family", "rational", "--config", str(config))
+    assert r4.returncode == 3
+    assert "torus_override" in r4.stderr
+    # a real false keeps the override off, so the 2-D inverse family is refused
+    config.write_text(json.dumps({"torus_override": False}))
+    r5 = _run("solve", "--example", "grid2d", "--family", "rational", "--config", str(config))
+    assert r5.returncode == 3
+    assert "pass torus_override to force" in r5.stderr
 
 
 def test_non_finite_moment_is_an_input_error(scalar_bundle, tmp_path):
@@ -162,6 +177,15 @@ def test_non_finite_moment_is_an_input_error(scalar_bundle, tmp_path):
     r = _run("solve", "--problem", str(bad))
     assert r.returncode == 3
     assert "non-finite" in r.stderr
+    # a malformed structure is an input error too, never a traceback
+    good = json.loads((scalar_bundle / "problem.json").read_text())
+    bad_moment = {"rows": 1, "cols": 1, "data": [1]}
+    for key, value in (("grid", []), ("kernels", []), ("moment", bad_moment)):
+        obj = dict(good, **{key: value})
+        bad.write_text(json.dumps(obj))
+        r = _run("solve", "--problem", str(bad))
+        assert r.returncode == 3, (key, r.stderr)
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
 def test_weighted_family_with_sigma_recovers_reference(array_bundle, tmp_path):
@@ -204,3 +228,16 @@ def test_statecov_example_seed_controls_the_instance(tmp_path):
     p1 = (d1 / "problem.json").read_bytes()
     assert p1 == (d2 / "problem.json").read_bytes()
     assert p1 != (d3 / "problem.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", cli.EXAMPLE_NAMES)
+def test_every_example_round_trips_through_its_problem_file(name, tmp_path):
+    # an example and the problem file it writes describe the same operator,
+    # so solving either gives the same report bytes
+    seed = "3"
+    direct, loaded = tmp_path / "direct.json", tmp_path / "loaded.json"
+    assert cli.main(["solve", "--example", name, "--seed", seed, "--report", str(direct)]) == 0
+    assert cli.main(["example", name, str(tmp_path / "bundle"), "--seed", seed]) == 0
+    assert cli.main(["solve", "--problem", str(tmp_path / "bundle" / "problem.json"),
+                     "--report", str(loaded)]) == 0
+    assert direct.read_bytes() == loaded.read_bytes()

@@ -168,3 +168,16 @@ def test_problem_loader_rejects_unknown_builtin(tmp_path):
     fm.write_problem(path, obj)
     with pytest.raises(ValueError):
         fm.load_problem(path)
+    # a problem file, its grid, kernels and moment are JSON objects, and
+    # matrix data holds [re, im] pairs
+    good = fm.problem_to_obj(grid, {"mode": "builtin", "name": "identity", "m": 1},
+                             np.eye(1, dtype=complex))
+    bad_data = dict(good["moment"], data=[1])
+    for bad in ([good], dict(good, grid=[]), dict(good, kernels=[]),
+                dict(good, moment=[]), dict(good, moment=bad_data)):
+        fm.write_problem(path, bad)
+        with pytest.raises(ValueError):
+            fm.load_problem(path)
+    for data in ([1], [[1.0]], [["x", 0.0]], [[1.0, 0.0, 2.0]], 5):
+        with pytest.raises(ValueError):
+            fm.matrix_from_obj({"rows": 1, "cols": 1, "data": data})

@@ -219,6 +219,20 @@ def test_dual_feasibility_checks_adjoint_field(array_problem):
     assert not bad and min_eig_bad < 0.0
 
 
+def test_dual_feasibility_uses_the_inverse_family_floor():
+    # right kernels 1 and 1e-12 at lam = 1: the adjoint field is positive but
+    # its small eigenvalue lies below 1e-10 times the mean, where the inverse
+    # families refuse the point, so the feasibility test refuses it too
+    grid = mp.discrete_grid(2)
+    left = np.ones((2, 1, 1), dtype=complex)
+    right = np.array([1.0, 1e-12], dtype=complex).reshape(2, 1, 1)
+    op = mp.build_operator(grid, mp.kernel_samples(left, right))
+    lam = np.ones((1, 1), dtype=complex)
+    assert mp.is_dual_feasible(op, lam) == (False, 1e-12)
+    with pytest.raises(PositivityError):
+        mp.family_density(op, lam, mp.rational_family())
+
+
 # ---------------------------------------------------------------------------
 # entropy integrals
 

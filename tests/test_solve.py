@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import momentropy as mp
+from momentropy import calculus
+from momentropy import operator as operator_module
 from momentropy import problems as pr
 from momentropy import solver as solver_module
 from momentropy.solver import (
@@ -155,6 +157,30 @@ def test_relative_entropy_is_reported_for_the_sigma_families(array_problem):
         assert report.status == STATUS_CONVERGED
         assert report.entropy_value == mp.entropy(report.density, op.grid, "relative",
                                                   sigma=sigma)
+
+
+def test_finalise_decomposes_the_density_once(array_problem, monkeypatch):
+    # the Burg, von Neumann and relative entropies share one eigendecomposition
+    # of the converged density, and the prior family's log sigma is reused
+    op, _rho, _moment = array_problem
+    sigma = pr.bump_mixture_density(op.grid, 1.0, bumps=((1.5, 0.4, 0.6),))
+    family = mp.prior_exponential_family(sigma)
+    lam = mp.default_dual_start(op, family)
+    ev = solver_module._evaluate(op, lam, family)
+    calls = []
+
+    def counted(original):
+        def wrapper(matrix):
+            calls.append(np.array_equal(matrix, ev.density))
+            return original(matrix)
+        return wrapper
+
+    for module in (calculus, operator_module):
+        monkeypatch.setattr(module, "eigh_hermitian", counted(module.eigh_hermitian))
+    report = solver_module._finalise(op, family, STATUS_CONVERGED, lam.coords, ev, 0.0, 0,
+                                     [], "", fit_slope=False)
+    assert calls.count(True) == 1
+    assert report.entropy_value == mp.entropy(ev.density, op.grid, "relative", sigma=sigma)
 
 
 def test_time_horizon_is_honoured(array_problem):
