@@ -157,15 +157,19 @@ def _run_solver(args):
         sigma = formats.read_density_csv(merged["sigma"], op.grid)
     family = family_from_name(merged["family"], sigma=sigma)
 
-    torus_override = merged.get("torus_override", False)
-    if not isinstance(torus_override, bool):
-        raise ValueError("torus_override must be true or false, not %r" % (torus_override,))
     config = SolveConfig(
         tol=float(SolveConfig.tol if merged.get("tol") is None else merged["tol"]),
         t_max=float(SolveConfig.t_max if merged.get("t_max") is None else merged["t_max"]),
-        torus_override=torus_override,
+        torus_override=bool(merged.get("torus_override")),
     )
     return op, merged["family"], solve(op, moment, family, config)
+
+
+# JSON type of each config-file value; the parser types the flags
+_CONFIG_TYPES = {"problem": (str, "a string"), "example": (str, "a string"),
+                 "family": (str, "a string"), "sigma": (str, "a string"),
+                 "tol": ((int, float), "a number"), "t_max": ((int, float), "a number"),
+                 "seed": (int, "an integer"), "torus_override": (bool, "true or false")}
 
 
 def _merge_config(args):
@@ -175,6 +179,12 @@ def _merge_config(args):
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("a config file holds a JSON object")
+        for key, value in config.items():
+            types, name = _CONFIG_TYPES.get(key, (object, ""))
+            # JSON true and false are Python ints too
+            if value is not None and (not isinstance(value, types)
+                                      or isinstance(value, bool) and types is not bool):
+                raise ValueError("config %s must be %s, not %r" % (key, name, value))
         merged.update(config)
     for key in ("problem", "example", "family", "sigma", "tol", "t_max",
                 "torus_override", "seed"):

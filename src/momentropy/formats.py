@@ -187,11 +187,26 @@ def grid_to_obj(grid: SupportGrid) -> dict:
 def grid_from_obj(obj: dict) -> SupportGrid:
     kind = obj.get("kind")
     if kind == "discrete":
-        return discrete_grid(int(obj["count"]))
+        return discrete_grid(_value(obj, "count", int))
     if kind not in ("interval1d", "rectangle2d"):
         raise ValueError(f"unknown grid kind {kind!r}")
-    return build_grid(kind, obj["bounds"],
-                      panels=int(obj.get("panels", 32)), order=int(obj.get("order", 5)))
+    shape = (2,) if kind == "interval1d" else (2, 2)
+    bounds = _value(obj, "bounds", lambda v: np.asarray(v, dtype=float))
+    if bounds.shape != shape:
+        raise ValueError(f"{kind} bounds have shape {shape}, not {bounds.shape}")
+    return build_grid(kind, bounds.tolist(),
+                      panels=_value(obj, "panels", int, 32), order=_value(obj, "order", int, 5))
+
+
+def _value(obj: dict, key: str, convert, default=None):
+    """``convert(obj[key])``, or ``default`` when one is given and the key is
+    absent; a value ``convert`` refuses is a ValueError naming the key."""
+    if default is not None and key not in obj:
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {key!r} in problem file: {exc}") from exc
 
 
 def problem_to_obj(grid: SupportGrid, kernels_obj: dict, moment: np.ndarray,
@@ -240,13 +255,14 @@ def load_problem(path: str) -> LoadedProblem:
 def _build_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
     mode = obj.get("mode")
     if mode == "samples":
-        left = np.stack([matrix_from_obj(o) for o in obj["left"]])
-        right = np.stack([matrix_from_obj(o) for o in obj["right"]])
-        return build_operator(grid, kernel_samples(left, right))
+        def stacked(objs):
+            return np.stack([matrix_from_obj(o) for o in objs])
+        return build_operator(grid, kernel_samples(_value(obj, "left", stacked),
+                                                   _value(obj, "right", stacked)))
     if mode != "builtin":
         raise ValueError(f"kernel mode must be 'samples' or 'builtin', not {mode!r}")
     name = obj.get("name")
-    if name not in _KERNEL_BUILDERS:
+    if not isinstance(name, str) or name not in _KERNEL_BUILDERS:
         raise ValueError(
             f"unknown builtin kernel {name!r}; expected one of {tuple(_KERNEL_BUILDERS)}"
         )
@@ -263,7 +279,7 @@ def _statecov_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
 
 
 def _identity_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
-    m = int(obj.get("m", 1))
+    m = _value(obj, "m", int, 1)
     eye = np.broadcast_to(np.eye(m, dtype=complex), (grid.node_count, m, m))
     return build_operator(grid, kernel_samples(eye, eye))
 
@@ -273,11 +289,12 @@ def _identity_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
 # that rebinding them there reaches every caller.
 _KERNEL_BUILDERS = {
     "nonequispaced-array": lambda grid, obj: _problems.nonequispaced_array_problem(
-        positions=obj.get("positions", _problems.DEFAULT_ARRAY_POSITIONS),
-        wavenumber=float(obj.get("wavenumber", 1.0)), grid=grid),
-    "grid2d": lambda grid, obj: _problems.grid2d_problem(int(obj["n"]), grid=grid),
+        positions=_value(obj, "positions", lambda v: np.asarray(v, dtype=float),
+                         _problems.DEFAULT_ARRAY_POSITIONS),
+        wavenumber=_value(obj, "wavenumber", float, 1.0), grid=grid),
+    "grid2d": lambda grid, obj: _problems.grid2d_problem(_value(obj, "n", int), grid=grid),
     "partial-trace": lambda grid, obj: _problems.partial_trace_problem(
-        int(obj["dim_keep"]), int(obj["dim_trace"])),
+        _value(obj, "dim_keep", int), _value(obj, "dim_trace", int)),
     "statecov": _statecov_kernels,
     "identity": _identity_kernels,
 }

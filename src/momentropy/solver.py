@@ -1,37 +1,38 @@
 """Homotopy continuation for moment matching.
 
 Matching a target moment ``R`` within a density family means solving
-``h(lam) = R`` for the dual variable.  The solver integrates the feedback flow
+``h(lam) = R`` for the dual variable.  From a start ``lam_0`` with moment
+``R0 = h(lam_0)`` the solver follows the homotopy path
+
+    h(lam(s)) = R + s (R0 - R),        s from 1 down to 0,
+
+which it reaches on two clocks.  ``solve`` runs the feedback flow
 
     dlam/dt = D(lam)^{-1} (R - h(lam)),        D = Frechet derivative of h,
 
-under which the mismatch functional V(lam) = ||R - h(lam)||^2 decays exactly
-as dV/dt = -2 V along the continuous flow, so log V against t has slope -2.
-When ``R`` is attainable the flow converges to the unique matching dual point;
-when it is not, the trajectory leaves every bounded set or collides with the
-boundary of the dual-feasible region, and the integrator reports which.
+whose exact trajectory is the path at s = e^{-t}: the mismatch functional
+V(lam) = ||R - h(lam)||^2 decays as dV/dt = -2 V, so log V against t has
+slope -2.  ``solve_tau`` runs the fixed-interval form
 
-``solve_tau`` integrates the equivalent fixed-interval form
+    dlam/dtau = D(lam)^{-1} (R - R0),    tau in [0, 1],
 
-    dlam/dtau = D(lam)^{-1} (R - R0),    tau in [0, 1],   R0 = h(lam_0),
+which is the path at s = 1 - tau.  When ``R`` is attainable the path ends at
+the unique matching dual point; when it is not, it leaves every bounded set or
+collides with the boundary of the dual-feasible region, and the solver
+reports which.
 
-whose exact solution satisfies h(lam_tau) = R0 + tau (R - R0); the integrator
-controls the defect from that line, making the run self-validating.
-
-Both forms share one integrator, classical Runge-Kutta 4 with step halving.
-The first stage of a step is the velocity at the current point, which the
-integrator already evaluated when it accepted that point; it is computed once
-per accepted point and reused by every retry from it, so a trial step costs
-four evaluations.  When that stage itself fails, no smaller step can succeed
-and the run ends at once.
-A trial step is rejected when any stage evaluation fails (an inverse-type
-adjoint field at the positivity floor, non-finite values), when the Cholesky
-factorisation of the symmetric part of the negated Jacobian fails, or when
-the form's own test fails: V must decrease along the flow, and the defect
-from the line must stay within its budget along the fixed interval.  When the
-step collapses, the verdict message carries the reason the last trial step
-was rejected.  An accepted convergence of the flow (V below tolerance) is
-polished by a few Newton steps on h(lam) = R.
+Both clocks share one path follower, so every accepted point lies on the
+path.  A trial step from t to t + dt is Newton's method on
+h(lam) = R + s(t + dt) (R0 - R).  Its first iterate uses the Jacobian held at
+the accepted point, solved once and reused by every retry (when that solve
+fails, no smaller step can succeed and the run ends at once); each further
+iterate costs one evaluation, at most four per step.  A step is rejected when
+an evaluation fails (an inverse-type adjoint field at the positivity floor,
+non-finite values), when the Cholesky factorisation of the symmetric part of
+the negated Jacobian fails, or when the corrector stops contracting or misses
+the path; it then halves, and a step met within three iterations doubles up
+to the clock's cap.  A collapsed step's verdict message carries the reason
+for the last rejection.  A converged flow ends with one corrector step onto R.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,13 +66,18 @@ STATUS_MAX_TIME = "MaxTimeExceeded"
 _SLOPE_V_FLOOR = 1e-13
 _SLOPE_MIN_POINTS = 10
 _SLOPE_CONVERGED_V = 1e-8
-_POLISH_TARGET_FACTOR = 1e-14
-_POLISH_MAX_STEPS = 5
 
-# Step schedule of the feedback flow: the first and largest step, and the
-# smallest before the run counts as collapsed.
-_FLOW_H0 = 0.1
-_FLOW_H_MIN = 1e-12
+# Step schedule of each clock: the first step, the largest, and the smallest
+# before the run counts as collapsed.  tau lives on [0, 1], where a step
+# forced below 1e-6 can only mean the path is pinned at the cone boundary.
+_FLOW_STEPS = (0.1, 1.0, 1e-12)
+_TAU_STEPS = (0.01, 0.25, 1e-6)
+# Corrector: iterations per trial step, the largest iteration count after
+# which the step still doubles, and the distance from the path, relative to
+# max(||R0 - R||, ||R||), at which a point counts as on it.
+_CORRECTOR_ITERATIONS = 4
+_DOUBLING_ITERATIONS = 3
+_ON_PATH_RTOL = 1e-10
 # Dual norm beyond which a run counts as unbounded.
 _LAMBDA_MAX = 1e8
 # Relative residual above which R is rejected as lying outside the range.
@@ -91,8 +96,9 @@ class SolveConfig:
                         not guaranteed by the 1-D theory)
 
     ``tol`` and ``t_max`` must be finite and positive; anything else raises
-    ValueError.  The step schedule, the positivity floor, the unbounded-dual
-    bound and the range tolerance are fixed by the method.
+    ValueError.  The step schedule, the corrector tolerance, the positivity
+    floor, the unbounded-dual bound and the range tolerance are fixed by the
+    method.
     """
 
     tol: float = 1e-10
@@ -135,29 +141,29 @@ class SolveReport:
 
 
 class _StepFailure(Exception):
-    """Internal: a trial step or stage evaluation could not be completed."""
+    """Internal: a trial step or an evaluation could not be completed."""
 
 
-# Everything that rejects a trial step (or ends the Newton polish).
+# Everything that rejects a trial step (or the final corrector step onto R).
 _REJECTIONS = (_StepFailure, PositivityError, np.linalg.LinAlgError, FloatingPointError)
 
 
 def solve(op: MomentOperator, moment: np.ndarray, family: Family,
           config: SolveConfig | None = None, start: DualVariable | None = None) -> SolveReport:
-    """Match ``moment`` within ``family`` by integrating the feedback flow."""
-    return _integrate(op, moment, family, config or SolveConfig(), start, _flow_form)
+    """Match ``moment`` within ``family`` by following the feedback flow."""
+    return _integrate(op, moment, family, config or SolveConfig(), start, is_flow=True)
 
 
 def solve_tau(op: MomentOperator, moment: np.ndarray, family: Family,
               config: SolveConfig | None = None, start: DualVariable | None = None) -> SolveReport:
-    """Integrate the fixed-interval form over tau in [0, 1].
+    """Follow the fixed-interval form over tau in [0, 1].
 
-    The step size adapts to hold the defect ||h(lam) - (R0 + tau (R - R0))||
-    at the integration tolerance, so a successful run certifies its own path;
-    on infeasible targets the step collapses before tau reaches 1 and the run
+    Every accepted point meets the line h(lam) = R0 + tau (R - R0) within
+    the corrector tolerance, so a successful run certifies its own path; on
+    infeasible targets the step collapses before tau reaches 1 and the run
     reports divergence.  Agrees with :func:`solve` at the fixed point.
     """
-    return _integrate(op, moment, family, config or SolveConfig(), start, _tau_form)
+    return _integrate(op, moment, family, config or SolveConfig(), start, is_flow=False)
 
 
 def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
@@ -184,78 +190,9 @@ def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
 # ---------------------------------------------------------------------------
 # internals
 
-class _Form(NamedTuple):
-    """What sets one integration form apart; :func:`_integrate` does the rest.
-
-    ``velocity(ev)`` is the form's right-hand side at the evaluated point
-    ``ev``, and ``step(x, k1, h)`` its RK4 step from ``x`` whose first stage
-    ``k1`` is already known.  ``judge(ev, t, h, score)`` scores
-    the trial point ``ev`` reached at time ``t`` from a point scored ``score``
-    and raises :class:`_StepFailure` to reject it.  ``done(t, score)`` is the
-    end condition, checked before each step; the run stops at ``t_end``
-    without it.  The step starts at ``h0``, doubles after each accepted step
-    up to ``h_cap``, and halves on rejection down to ``h_min``.  ``is_flow``
-    marks the feedback flow, whose converged runs get the Newton polish and
-    the slope fit.
-    """
-
-    velocity: Callable[..., np.ndarray]
-    step: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    judge: Callable[..., float]
-    done: Callable[[float, float], bool]
-    score: float
-    t_end: float
-    h0: float
-    h_cap: float
-    h_min: float
-    is_flow: bool
-
-
-def _flow_form(op, family, config, r_coords, ev) -> _Form:
-    # the score is V, which must decrease on every accepted step
-    def judge(ev_new, _t, _h, v):
-        v_new = _mismatch(r_coords, ev_new.h_coords)
-        if not math.isfinite(v_new) or v_new >= v:
-            raise _StepFailure("V did not decrease")
-        return v_new
-
-    return _Form(
-        velocity=lambda ev_at: _flow_velocity(ev_at, r_coords),
-        step=lambda x, k1, h: _rk4_step(op, x, k1, h, r_coords, family),
-        judge=judge, done=lambda _t, v: v <= config.tol,
-        score=_mismatch(r_coords, ev.h_coords), t_end=config.t_max,
-        h0=_FLOW_H0, h_cap=_FLOW_H0, h_min=_FLOW_H_MIN, is_flow=True,
-    )
-
-
-def _tau_form(op, family, _config, r_coords, ev) -> _Form:
-    r0 = ev.h_coords.copy()
-    direction = r_coords - r0
-    # The score is the defect from the exact path h(lam_tau) = R0 + tau (R - R0).
-    # It may grow by at most h * budget_rate per step, so the total drift over
-    # [0, 1] stays near 1e-10 relative to the homotopy span.
-    budget_rate = 1e-10 * max(float(np.linalg.norm(direction)), 1e-3)
-
-    def judge(ev_new, tau, h, defect):
-        defect_new = float(np.linalg.norm(ev_new.h_coords - (r0 + tau * direction)))
-        if not math.isfinite(defect_new) or defect_new > defect + h * budget_rate:
-            raise _StepFailure("path defect grew by %.3e" % (defect_new - defect))
-        return defect_new
-
-    # tau lives on [0, 1]: with the per-step defect budget above, a step
-    # forced below 1e-6 can only mean the path is pinned at the cone
-    # boundary, so there is no value in grinding further down
-    return _Form(
-        velocity=lambda ev_at: _solve_flow_system(ev_at.flow_jacobian, direction),
-        step=lambda x, k1, h: _rk4_step_tau(op, x, k1, h, direction, family),
-        judge=judge, done=lambda tau, _defect: tau >= 1.0,
-        score=0.0, t_end=1.0, h0=0.01, h_cap=0.05, h_min=1e-6, is_flow=False,
-    )
-
-
 def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: SolveConfig,
-               start: DualVariable | None, make_form) -> SolveReport:
-    """Adaptive RK4 with step halving, shared by both forms."""
+               start: DualVariable | None, is_flow: bool) -> SolveReport:
+    """Path following on the flow clock s = e^{-t} or the interval clock s = 1 - tau."""
     # the range projection sums in memory order: one layout makes equal
     # moments give equal bits, whether computed or read from a file
     moment = np.ascontiguousarray(moment, dtype=complex)
@@ -281,16 +218,22 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     x = (start.coords.copy() if start is not None
          else default_dual_start(op, family).coords)
     ev = _eval_or_fail(op, x, family)
-    form = make_form(op, family, config, r_coords, ev)
-    score = form.score
+    span = ev.h_coords - r_coords
+    on_path_tol = _ON_PATH_RTOL * max(float(np.linalg.norm(span)), float(np.linalg.norm(r_coords)))
+    if is_flow:
+        clock, t_end, (dt, dt_cap, dt_min) = (lambda t: math.exp(-t)), config.t_max, _FLOW_STEPS
+        trial_step = _rk4_step
+    else:
+        clock, t_end, (dt, dt_cap, dt_min) = (lambda t: 1.0 - t), 1.0, _TAU_STEPS
+        trial_step = _rk4_step_tau
     t = 0.0
-    h = form.h0
+    v = _mismatch(r_coords, ev.h_coords)
     iterations = 0
-    trace = [(t, _mismatch(r_coords, ev.h_coords), ev.min_eig, float(np.linalg.norm(x)))]
+    trace = [(t, v, ev.min_eig, float(np.linalg.norm(x)))]
     message = ""
 
     while True:
-        if form.done(t, score):
+        if (v <= config.tol) if is_flow else (t == t_end):
             status = STATUS_CONVERGED
             break
         lam_norm = float(np.linalg.norm(x))
@@ -298,47 +241,61 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             status = STATUS_DIVERGED_UNBOUNDED
             message = "dual norm %.3e exceeded %g at t=%.6f" % (lam_norm, _LAMBDA_MAX, t)
             break
-        if form.t_end - t < form.h_min:
+        if t_end - t < dt_min:
             # the rest of the horizon is below temporal resolution
             status = STATUS_MAX_TIME
-            message = "horizon t=%g reached before the end condition held" % form.t_end
+            message = "horizon t=%g reached before the end condition held" % t_end
             break
 
-        h = min(h, form.t_end - t)
         reason = ""
+        s = clock(t)
         try:
-            # the first RK4 stage depends on x alone: take it from the
-            # evaluation in hand and reuse it for every retry from x
-            k1 = form.velocity(ev)
+            # one solve per accepted point, reused by every retry from it: the
+            # path tangent and the Newton step back onto the point's own target
+            held = _solve_flow_system(ev.flow_jacobian,
+                                      np.column_stack([span, r_coords + s * span - ev.h_coords]))
         except _REJECTIONS as exc:
             # every halving would fail the same way, so collapse at once
-            reason, h = str(exc), 0.0
-        while h >= form.h_min:
+            reason, dt = str(exc), 0.0
+        while dt >= dt_min:
+            # land on the horizon rather than short of it by round-off
+            t_new = t + dt if t_end - (t + dt) >= dt_min else t_end
+            s_new = clock(t_new)
             try:
-                x_new = form.step(x, k1, h)
-                ev_new = _eval_or_fail(op, x_new, family)
-                score_new = form.judge(ev_new, t + h, h, score)
+                x_new, ev_new, used = trial_step(op, family, x, held @ (s_new - s, 1.0),
+                                                 r_coords + s_new * span, on_path_tol)
                 break
             except _REJECTIONS as exc:
                 reason = str(exc)
-                h *= 0.5
+                dt *= 0.5
         else:
             status = STATUS_DIVERGED_BOUNDARY
-            message = "step collapsed below %g at t=%.6f: %s" % (form.h_min, t, reason)
+            message = "step collapsed below %g at t=%.6f: %s" % (dt_min, t, reason)
             break
 
-        x, ev, score = x_new, ev_new, score_new
-        t += h
+        dt = t_new - t
+        x, ev, t = x_new, ev_new, t_new
+        v = _mismatch(r_coords, ev.h_coords)
         iterations += 1
-        trace.append((t, _mismatch(r_coords, ev.h_coords), ev.min_eig, float(np.linalg.norm(x))))
-        h = min(2.0 * h, form.h_cap)
+        trace.append((t, v, ev.min_eig, float(np.linalg.norm(x))))
+        if used <= _DOUBLING_ITERATIONS:
+            dt = min(2.0 * dt, dt_cap)
 
-    if status == STATUS_CONVERGED and form.is_flow:
-        x, ev, polish_steps = _newton_polish(op, x, ev, r_coords, family)
-        iterations += polish_steps
+    if status == STATUS_CONVERGED and is_flow:
+        # one corrector step onto R itself, kept when it lowers V
+        try:
+            x_new, ev_new, _used = _corrector(
+                op, family, x, _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords),
+                r_coords, on_path_tol)
+        except _REJECTIONS:
+            pass
+        else:
+            if _mismatch(r_coords, ev_new.h_coords) < v:
+                x, ev = x_new, ev_new
+                iterations += 1
 
     return _finalise(op, family, status, x, ev, _mismatch(r_coords, ev.h_coords),
-                     iterations, trace, message, fit_slope=form.is_flow)
+                     iterations, trace, message, fit_slope=is_flow)
 
 
 def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
@@ -351,7 +308,7 @@ def _eval_or_fail(op, coords, family):
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         ev = _evaluate(op, coords, family, need_jacobian=True)
     if not np.all(np.isfinite(ev.h_coords)) or not np.all(np.isfinite(ev.flow_jacobian)):
-        raise _StepFailure("non-finite values in stage evaluation")
+        raise _StepFailure("non-finite values in evaluation")
     return ev
 
 
@@ -366,55 +323,36 @@ def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
         raise _StepFailure("Jacobian lost definiteness") from exc
-    velocity = np.linalg.solve(flow_jac, rhs)
-    if not np.all(np.isfinite(velocity)):
-        raise _StepFailure("non-finite flow velocity")
-    return velocity
+    step = np.linalg.solve(flow_jac, rhs)
+    if not np.all(np.isfinite(step)):
+        raise _StepFailure("non-finite Newton step")
+    return step
 
 
-def _rk4(x: np.ndarray, k1: np.ndarray, h: float, velocity) -> np.ndarray:
-    k2 = velocity(x + 0.5 * h * k1)
-    k3 = velocity(x + 0.5 * h * k2)
-    k4 = velocity(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+@np.errstate(over="ignore")  # a far-off iterate's norms may overflow; it is rejected
+def _corrector(op, family, x, step, target, on_path_tol):
+    """Newton on h(lam) = target from ``x`` whose first step is ``step``.
+
+    Returns the point met within ``on_path_tol``, its evaluation and the
+    iteration count; raises one of ``_REJECTIONS`` when the iteration fails.
+    """
+    for used in range(1, _CORRECTOR_ITERATIONS + 1):
+        x = x + step
+        ev = _eval_or_fail(op, x, family)
+        defect = target - ev.h_coords
+        if float(np.linalg.norm(defect)) <= on_path_tol:
+            return x, ev, used
+        if used < _CORRECTOR_ITERATIONS:
+            next_step = _solve_flow_system(ev.flow_jacobian, defect)
+            if np.linalg.norm(next_step) > 0.5 * np.linalg.norm(step):
+                raise _StepFailure("corrector stopped contracting")
+            step = next_step
+    raise _StepFailure("corrector missed the path after %d iterations" % _CORRECTOR_ITERATIONS)
 
 
-def _flow_velocity(ev, r_coords: np.ndarray) -> np.ndarray:
-    return _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords)
-
-
-def _rk4_step(op, x, k1, h, r_coords, family) -> np.ndarray:
-    def velocity(coords):
-        return _flow_velocity(_eval_or_fail(op, coords, family), r_coords)
-
-    return _rk4(x, k1, h, velocity)
-
-
-def _rk4_step_tau(op, x, k1, h, direction, family) -> np.ndarray:
-    def velocity(coords):
-        return _solve_flow_system(_eval_or_fail(op, coords, family).flow_jacobian, direction)
-
-    return _rk4(x, k1, h, velocity)
-
-
-def _newton_polish(op, x, ev, r_coords, family):
-    v = _mismatch(r_coords, ev.h_coords)
-    target = _POLISH_TARGET_FACTOR * max(float(np.sum(r_coords ** 2)), 1e-300)
-    steps = 0
-    for _ in range(_POLISH_MAX_STEPS):
-        if v <= target:
-            break
-        try:
-            x_try = x + _flow_velocity(ev, r_coords)
-            ev_try = _eval_or_fail(op, x_try, family)
-        except _REJECTIONS:
-            break
-        v_try = _mismatch(r_coords, ev_try.h_coords)
-        if not math.isfinite(v_try) or v_try >= v:
-            break
-        x, ev, v = x_try, ev_try, v_try
-        steps += 1
-    return x, ev, steps
+# bench/tracing.py counts trial steps by wrapping these two names, so each
+# clock calls the one corrector through its own name
+_rk4_step = _rk4_step_tau = _corrector
 
 
 def _finalise(op, family, status, x, ev, v, iterations, trace, message,

@@ -165,6 +165,12 @@ def test_zero_options_are_input_errors(scalar_bundle, tmp_path):
     r5 = _run("solve", "--example", "grid2d", "--family", "rational", "--config", str(config))
     assert r5.returncode == 3
     assert "pass torus_override to force" in r5.stderr
+    # every config value has its JSON type
+    for key, value in (("tol", [1]), ("seed", [1]), ("family", 5)):
+        config.write_text(json.dumps({key: value}))
+        r6 = _run("solve", "--example", "scalar-demo", "--config", str(config))
+        assert r6.returncode == 3, (key, r6.stderr)
+        assert key in r6.stderr and "Traceback" not in r6.stderr
 
 
 def test_non_finite_moment_is_an_input_error(scalar_bundle, tmp_path):

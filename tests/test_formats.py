@@ -181,3 +181,14 @@ def test_problem_loader_rejects_unknown_builtin(tmp_path):
     for data in ([1], [[1.0]], [["x", 0.0]], [[1.0, 0.0, 2.0]], 5):
         with pytest.raises(ValueError):
             fm.matrix_from_obj({"rows": 1, "cols": 1, "data": data})
+    # a grid or kernels value of the wrong JSON type is a ValueError too
+    samples = {"mode": "samples", "left": 5, "right": 5}
+    for section, patch, match in (("grid", {"bounds": 5}, "bounds"),
+                                  ("grid", {"panels": [3]}, "panels"),
+                                  ("grid", {"kind": [3]}, "grid kind"),
+                                  ("kernels", {"m": [1]}, "'m'"),
+                                  ("kernels", {"name": [1]}, "builtin kernel"),
+                                  ("kernels", samples, "left")):
+        fm.write_problem(path, dict(good, **{section: dict(good[section], **patch)}))
+        with pytest.raises(ValueError, match=match):
+            fm.load_problem(path)

@@ -85,9 +85,10 @@ def test_divergence_statuses_on_negative_scalar_moment(scalar_op):
             # the verdict names why the last trial step was rejected
             assert report.message.startswith("step collapsed below 1e-12 at t=")
             reason = report.message.split(": ", 1)[1]
-            assert reason in ("Jacobian lost definiteness", "V did not decrease",
-                              "non-finite values in stage evaluation",
-                              "non-finite flow velocity") \
+            assert reason in ("Jacobian lost definiteness", "corrector stopped contracting",
+                              "corrector missed the path after 4 iterations",
+                              "non-finite values in evaluation",
+                              "non-finite Newton step") \
                 or reason.startswith("adjoint field near-singular at node ")
         else:
             # the verdict names the norm, the bound and the time
@@ -96,27 +97,52 @@ def test_divergence_statuses_on_negative_scalar_moment(scalar_op):
             assert lam_norm > 1e8
 
 
-def test_a_trial_step_costs_four_evaluations(scalar_op, monkeypatch):
-    # the first RK4 stage reuses the evaluation of the accepted point
-    counts = {"_evaluate": 0, "_rk4_step": 0}
+@pytest.mark.parametrize("solver, traced, other", [
+    (mp.solve, "_rk4_step", "_rk4_step_tau"), (mp.solve_tau, "_rk4_step_tau", "_rk4_step")])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_each_form_stays_within_its_evaluation_budget(array_problem, monkeypatch,
+                                                      solver, traced, other, name):
+    # every trial step goes through its clock's traced name once and costs
+    # at most four evaluations; a whole array solve costs at most 150
+    op, _rho, moment = array_problem
+    evaluations, per_step = [], []
+    original_evaluate = solver_module._evaluate
+    original_step = getattr(solver_module, traced)
 
-    def counted(name):
-        original = getattr(solver_module, name)
+    def counted_evaluate(*args, **kwargs):
+        evaluations.append(1)
+        return original_evaluate(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counted_step(*args, **kwargs):
+        before = len(evaluations)
+        try:
+            return original_step(*args, **kwargs)
+        finally:
+            per_step.append(len(evaluations) - before)
 
-    for name in counts:
-        monkeypatch.setattr(solver_module, name, counted(name))
-    report = mp.solve(scalar_op, np.array([[2.0]], dtype=complex), mp.exponential_family())
+    def never(*args, **kwargs):
+        raise AssertionError("%s called from %s" % (other, solver.__name__))
+
+    monkeypatch.setattr(solver_module, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(solver_module, traced, counted_step)
+    monkeypatch.setattr(solver_module, other, never)
+    report = solver(op, moment, mp.family_from_name(name))
     assert report.status == STATUS_CONVERGED
-    accepted = len(report.trace) - 1
-    polish_steps = report.iterations - accepted
-    attempts = counts["_rk4_step"]
-    assert attempts >= accepted > 0
-    assert counts["_evaluate"] <= 1 + 4 * attempts + polish_steps
+    assert len(per_step) >= len(report.trace) - 1 > 0
+    assert all(1 <= n <= 4 for n in per_step)
+    assert len(evaluations) <= 150
+
+
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_solve_converges_on_a_scaled_array_target(array_problem, name):
+    # a target 1e8 times the array moment stretches the path over eight
+    # decades; the flow must still meet it
+    op, _rho, moment = array_problem
+    scaled = 1e8 * moment
+    report = mp.solve(op, scaled, mp.family_from_name(name))
+    assert report.status == STATUS_CONVERGED
+    resid = np.linalg.norm(mp.apply_L(op, report.density) - scaled) / np.linalg.norm(scaled)
+    assert resid <= 1e-6
 
 
 @pytest.mark.parametrize("solver, h_min", [(mp.solve, "1e-12"), (mp.solve_tau, "1e-06")])
@@ -195,6 +221,15 @@ def test_fixed_interval_form_matches_the_flow_form(scalar_op, array_problem):
     report = mp.solve_tau(scalar_op, np.array([[2.0]], dtype=complex), mp.rational_family())
     assert report.status == STATUS_CONVERGED
     assert report.lambda_hat.matrix[0, 0].real == pytest.approx(0.5, abs=1e-9)
+    # tau lands exactly on 1, whatever round-off the step sum carries
+    for value in (2.0, 3.0):
+        for name in ("rational", "exponential"):
+            target = np.array([[value]], dtype=complex)
+            flow = mp.solve(scalar_op, target, mp.family_from_name(name))
+            fixed = mp.solve_tau(scalar_op, target, mp.family_from_name(name))
+            assert fixed.status == STATUS_CONVERGED, (value, name)
+            assert fixed.trace[-1][0] == 1.0
+            assert np.max(np.abs(fixed.density - flow.density)) <= 1e-9 * value
 
     op, _rho, moment = array_problem
     flow = mp.solve(op, moment, mp.rational_family())
