@@ -86,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="density family (default: exponential)")
         p.add_argument("--sigma", help="reference density CSV for the weighted families")
         p.add_argument("--config", help="JSON config file mirroring the flags (flags win)")
-        p.add_argument("--tol", type=float, default=None, help="convergence threshold on V")
+        p.add_argument("--tol", type=float, default=None,
+                       help="relative convergence threshold: the flow lands on R once "
+                            "V would reach tol * ||R||^2 (default 1e-10)")
         p.add_argument("--t-max", type=float, default=None, help="flow horizon")
         p.add_argument("--torus-override", action="store_true", default=None,
                        help="allow inverse-type families on 2-D supports")
@@ -166,10 +168,9 @@ def _run_solver(args):
 
 
 # JSON type of each config-file value; the parser types the flags
-_CONFIG_TYPES = {"problem": (str, "a string"), "example": (str, "a string"),
-                 "family": (str, "a string"), "sigma": (str, "a string"),
-                 "tol": ((int, float), "a number"), "t_max": ((int, float), "a number"),
-                 "seed": (int, "an integer"), "torus_override": (bool, "true or false")}
+_CONFIG_TYPES = {"problem": "a string", "example": "a string", "family": "a string",
+                 "sigma": "a string", "tol": "a number", "t_max": "a number",
+                 "seed": "an integer", "torus_override": "true or false"}
 
 
 def _merge_config(args):
@@ -180,11 +181,8 @@ def _merge_config(args):
         if not isinstance(config, dict):
             raise ValueError("a config file holds a JSON object")
         for key, value in config.items():
-            types, name = _CONFIG_TYPES.get(key, (object, ""))
-            # JSON true and false are Python ints too
-            if value is not None and (not isinstance(value, types)
-                                      or isinstance(value, bool) and types is not bool):
-                raise ValueError("config %s must be %s, not %r" % (key, name, value))
+            if value is not None and key in _CONFIG_TYPES:
+                formats.json_typed(value, _CONFIG_TYPES[key], "config " + key)
         merged.update(config)
     for key in ("problem", "example", "family", "sigma", "tol", "t_max",
                 "torus_override", "seed"):

@@ -190,7 +190,6 @@ class _PointEval(NamedTuple):
     h_coords: np.ndarray         # (d,) range coordinates of L(density)
     flow_jacobian: np.ndarray | None  # (d, d) true derivative, when requested
     min_eig: float               # min eigenvalue of L*(lam) over the field
-    mean_eig: float              # mean eigenvalue of L*(lam) over the field
 
 
 def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = False) -> _PointEval:
@@ -215,8 +214,8 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     else:
         exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
         mu, u = eigh_hermitian(exponent)
-        min_eig, mean_eig = _min_mean(-mu if family.log_sigma is None
-                                      else eigvalsh_hermitian(a_field))
+        min_eig = float(-mu.max() if family.log_sigma is None
+                        else eigvalsh_hermitian(a_field).min())
         with np.errstate(over="ignore", under="ignore"):
             f = np.exp(mu) / np.e
         if need_jacobian:
@@ -243,11 +242,7 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
         else:
             z = _real_rows(_basis_congruence(v, x))
             jac = -(z @ _real_rows(_basis_congruence(u, x, w_g)).T)
-    return _PointEval(density, h_coords, jac, min_eig, mean_eig)
-
-
-def _min_mean(eigs: np.ndarray) -> tuple[float, float]:
-    return float(eigs.min()), float(eigs.sum()) / eigs.size
+    return _PointEval(density, h_coords, jac, min_eig)
 
 
 def _real_rows(a: np.ndarray) -> np.ndarray:

@@ -98,10 +98,10 @@ def matrix_to_obj(matrix: np.ndarray) -> dict:
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
         flat = np.array([complex(re, im) for re, im in obj["data"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed matrix object: needs rows/cols and [re, im] data") from exc
+    rows, cols = _value(obj, "rows", "an integer"), _value(obj, "cols", "an integer")
     if flat.size != rows * cols:
         raise ValueError("matrix data length %d does not match %d x %d" % (flat.size, rows, cols))
     if not np.all(np.isfinite(flat)):
@@ -187,26 +187,44 @@ def grid_to_obj(grid: SupportGrid) -> dict:
 def grid_from_obj(obj: dict) -> SupportGrid:
     kind = obj.get("kind")
     if kind == "discrete":
-        return discrete_grid(_value(obj, "count", int))
+        return discrete_grid(_value(obj, "count", "an integer"))
     if kind not in ("interval1d", "rectangle2d"):
         raise ValueError(f"unknown grid kind {kind!r}")
     shape = (2,) if kind == "interval1d" else (2, 2)
-    bounds = _value(obj, "bounds", lambda v: np.asarray(v, dtype=float))
+    bounds = _numbers(obj, "bounds")
     if bounds.shape != shape:
         raise ValueError(f"{kind} bounds have shape {shape}, not {bounds.shape}")
-    return build_grid(kind, bounds.tolist(),
-                      panels=_value(obj, "panels", int, 32), order=_value(obj, "order", int, 5))
+    return build_grid(kind, bounds.tolist(), panels=_value(obj, "panels", "an integer", 32),
+                      order=_value(obj, "order", "an integer", 5))
 
 
-def _value(obj: dict, key: str, convert, default=None):
-    """``convert(obj[key])``, or ``default`` when one is given and the key is
-    absent; a value ``convert`` refuses is a ValueError naming the key."""
+# JSON types of problem-file and config values, by the words an error gives them
+_JSON_TYPES = {"an integer": int, "a number": (int, float), "a string": str,
+               "true or false": bool, "a list": list}
+
+
+def json_typed(value, kind: str, what: str):
+    """``value`` if its JSON type is ``kind``, else a ValueError naming ``what``."""
+    expected = _JSON_TYPES[kind]
+    # JSON true and false load as bool, which Python counts as an int too
+    if not isinstance(value, expected) or isinstance(value, bool) and expected is not bool:
+        raise ValueError(f"{what} must be {kind}, not {value!r}")
+    return value
+
+
+def _value(obj: dict, key: str, kind: str, default=None):
+    """``obj[key]`` of JSON type ``kind``, or ``default`` if given and the key is absent."""
     if default is not None and key not in obj:
         return default
-    try:
-        return convert(obj[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad {key!r} in problem file: {exc}") from exc
+    return json_typed(obj.get(key), kind, f"{key!r} in problem file")
+
+
+def _numbers(obj: dict, key: str, default=None) -> np.ndarray:
+    """``obj[key]``, nested JSON lists of numbers, as a float array."""
+    entries = np.asarray(_value(obj, key, "a list", default), dtype=object)
+    for entry in entries.flat:  # a ragged list leaves lists here
+        json_typed(entry, "a number", f"{key!r} entry in problem file")
+    return entries.astype(float)
 
 
 def problem_to_obj(grid: SupportGrid, kernels_obj: dict, moment: np.ndarray,
@@ -248,7 +266,7 @@ def load_problem(path: str) -> LoadedProblem:
     rho_true = raw.get("rho_true")
     if rho_true is not None:
         # relative references live next to the problem file itself
-        rho_true = Path(path).parent / rho_true
+        rho_true = Path(path).parent / _value(raw, "rho_true", "a string")
     return LoadedProblem(op, moment, rho_true)
 
 
@@ -257,8 +275,8 @@ def _build_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
     if mode == "samples":
         def stacked(objs):
             return np.stack([matrix_from_obj(o) for o in objs])
-        return build_operator(grid, kernel_samples(_value(obj, "left", stacked),
-                                                   _value(obj, "right", stacked)))
+        return build_operator(grid, kernel_samples(stacked(_value(obj, "left", "a list")),
+                                                   stacked(_value(obj, "right", "a list"))))
     if mode != "builtin":
         raise ValueError(f"kernel mode must be 'samples' or 'builtin', not {mode!r}")
     name = obj.get("name")
@@ -279,7 +297,7 @@ def _statecov_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
 
 
 def _identity_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
-    m = _value(obj, "m", int, 1)
+    m = _value(obj, "m", "an integer", 1)
     eye = np.broadcast_to(np.eye(m, dtype=complex), (grid.node_count, m, m))
     return build_operator(grid, kernel_samples(eye, eye))
 
@@ -289,12 +307,11 @@ def _identity_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
 # that rebinding them there reaches every caller.
 _KERNEL_BUILDERS = {
     "nonequispaced-array": lambda grid, obj: _problems.nonequispaced_array_problem(
-        positions=_value(obj, "positions", lambda v: np.asarray(v, dtype=float),
-                         _problems.DEFAULT_ARRAY_POSITIONS),
-        wavenumber=_value(obj, "wavenumber", float, 1.0), grid=grid),
-    "grid2d": lambda grid, obj: _problems.grid2d_problem(_value(obj, "n", int), grid=grid),
+        positions=_numbers(obj, "positions", _problems.DEFAULT_ARRAY_POSITIONS),
+        wavenumber=float(_value(obj, "wavenumber", "a number", 1.0)), grid=grid),
+    "grid2d": lambda grid, obj: _problems.grid2d_problem(_value(obj, "n", "an integer"), grid=grid),
     "partial-trace": lambda grid, obj: _problems.partial_trace_problem(
-        _value(obj, "dim_keep", int), _value(obj, "dim_trace", int)),
+        _value(obj, "dim_keep", "an integer"), _value(obj, "dim_trace", "an integer")),
     "statecov": _statecov_kernels,
     "identity": _identity_kernels,
 }
@@ -367,7 +384,7 @@ def report_to_obj(report, family_name: str) -> dict:
         "V_final": _nullable(report.V_final),
         "entropy": _nullable(report.entropy_value),
         "fitted_V_slope": _nullable(report.fitted_V_slope),
-        "iterations": report.iterations,
+        "iterations": max(len(report.trace) - 1, 0),  # accepted steps
         "family": family_name,
         "entropy_burg": _nullable(report.entropy_burg),
         "entropy_vonneumann": _nullable(report.entropy_vonneumann),

@@ -32,7 +32,10 @@ non-finite values), when the Cholesky factorisation of the symmetric part of
 the negated Jacobian fails, or when the corrector stops contracting or misses
 the path; it then halves, and a step met within three iterations doubles up
 to the clock's cap.  A collapsed step's verdict message carries the reason
-for the last rejection.  A converged flow ends with one corrector step onto R.
+for the last rejection.  Both clocks end on R itself: tau lands on 1, and the
+flow clock reads s = 0 at the time its V would reach ``tol * ||R||^2``, so
+each run's last step is a corrector step onto R, and a run converges only by
+meeting it (or by starting within that threshold).
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -88,7 +91,8 @@ _RANGE_RESIDUAL_TOL = 1e-8
 class SolveConfig:
     """Solver options; the defaults are the contract the tests pin down.
 
-    tol                 convergence threshold on V = ||R - h(lam)||^2
+    tol                 relative convergence threshold: the flow lands on R
+                        once V = ||R - h(lam)||^2 would fall to tol * ||R||^2
     t_max               horizon of the feedback flow (``solve_tau`` runs over
                         tau in [0, 1] instead)
     torus_override      allow inverse-type families on 2-D supports (the
@@ -116,8 +120,9 @@ class SolveConfig:
 class SolveReport:
     """Outcome of a continuation run.
 
-    ``trace`` rows are (t, V, min_eig, lambda_norm) per accepted step, with
-    min_eig the smallest nodewise eigenvalue of L*(lam).  ``entropy_value``
+    ``trace`` rows are (t, V, min_eig, lambda_norm) for the start and each
+    accepted step, so a run took ``len(trace) - 1`` steps, with min_eig the
+    smallest nodewise eigenvalue of L*(lam).  ``entropy_value``
     is the family's canonical objective at the solution (Burg-type for the
     inverse families, von Neumann for exponential, relative to sigma for the
     sigma-weighted families); ``entropy_burg`` / ``entropy_vonneumann`` and
@@ -129,7 +134,6 @@ class SolveReport:
     status: str
     lambda_hat: DualVariable
     V_final: float
-    iterations: int
     trace: list[tuple[float, float, float, float]] = field(repr=False)
     density: np.ndarray | None = field(default=None, repr=False)
     entropy_value: float | None = None
@@ -144,7 +148,7 @@ class _StepFailure(Exception):
     """Internal: a trial step or an evaluation could not be completed."""
 
 
-# Everything that rejects a trial step (or the final corrector step onto R).
+# Everything that rejects a trial step.
 _REJECTIONS = (_StepFailure, PositivityError, np.linalg.LinAlgError, FloatingPointError)
 
 
@@ -169,13 +173,15 @@ def solve_tau(op: MomentOperator, moment: np.ndarray, family: Family,
 def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
     """Least-squares slope of log V against t over the decaying trace.
 
-    Uses points with V above the numerical floor 1e-13; requires at least 10
-    such points and an actually converged tail (smallest V at most 1e-8), and
-    raises ValueError otherwise.  Close to -2 for the exact feedback flow.
+    Uses points with V above the numerical floor, 1e-13 of the trace's
+    largest V (which leaves out the flow's landing on R); requires at least
+    10 such points and an actually converged tail (smallest V at most 1e-8),
+    and raises ValueError otherwise.  Close to -2 for the exact feedback flow.
     """
-    pts = [(row[0], row[1]) for row in trace if row[1] > _SLOPE_V_FLOOR and math.isfinite(row[1])]
+    floor = _SLOPE_V_FLOOR * max((row[1] for row in trace if math.isfinite(row[1])), default=0.0)
+    pts = [(row[0], row[1]) for row in trace if row[1] > floor and math.isfinite(row[1])]
     if len(pts) < _SLOPE_MIN_POINTS:
-        raise ValueError("need at least %d trace points with V above %.0e"
+        raise ValueError("need at least %d trace points with V above %.0e of the largest"
                          % (_SLOPE_MIN_POINTS, _SLOPE_V_FLOOR))
     v_min = min(row[1] for row in trace)
     if v_min > _SLOPE_CONVERGED_V:
@@ -210,7 +216,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         return SolveReport(
             status=STATUS_NOT_IN_RANGE,
             lambda_hat=dual_from_coords(op, np.zeros(op.d)),
-            V_final=float("nan"), iterations=0, trace=[],
+            V_final=float("nan"), trace=[],
             message="moment lies outside the operator range "
                     "(relative residual %.3e)" % (residual / scale),
         )
@@ -220,35 +226,34 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     ev = _eval_or_fail(op, x, family)
     span = ev.h_coords - r_coords
     on_path_tol = _ON_PATH_RTOL * max(float(np.linalg.norm(span)), float(np.linalg.norm(r_coords)))
+    t = 0.0
+    v = _mismatch(r_coords, ev.h_coords)
     if is_flow:
-        clock, t_end, (dt, dt_cap, dt_min) = (lambda t: math.exp(-t)), config.t_max, _FLOW_STEPS
+        # V = e^{-2t} V(0) on the path, so V meets tol ||R||^2 at t_land; the
+        # clock reads s = 0 there, and the step that reaches it lands on R
+        v_land = config.tol * float(np.sum(r_coords ** 2))
+        t_land = 0.5 * math.log(max(v / v_land, 1.0)) if v_land > 0.0 else math.inf
+        clock, t_end, (dt, dt_cap, dt_min) = ((lambda t: 0.0 if t == t_land else math.exp(-t)),
+                                              min(t_land, config.t_max), _FLOW_STEPS)
         trial_step = _rk4_step
     else:
         clock, t_end, (dt, dt_cap, dt_min) = (lambda t: 1.0 - t), 1.0, _TAU_STEPS
         trial_step = _rk4_step_tau
-    t = 0.0
-    v = _mismatch(r_coords, ev.h_coords)
-    iterations = 0
-    trace = [(t, v, ev.min_eig, float(np.linalg.norm(x)))]
+    lam_norm = math.hypot(*x)  # scaled inside, so a far-off point's norm stays finite
+    trace = [(t, v, ev.min_eig, lam_norm)]
     message = ""
 
     while True:
-        if (v <= config.tol) if is_flow else (t == t_end):
-            status = STATUS_CONVERGED
+        s = clock(t)
+        if t == t_end:  # both clocks read s = 0 on R; only the flow can stop short, at t_max
+            status = STATUS_CONVERGED if s == 0.0 else STATUS_MAX_TIME
+            message = "" if s == 0.0 else "horizon t=%g reached before landing on R" % t_end
             break
-        lam_norm = float(np.linalg.norm(x))
         if lam_norm > _LAMBDA_MAX:
             status = STATUS_DIVERGED_UNBOUNDED
             message = "dual norm %.3e exceeded %g at t=%.6f" % (lam_norm, _LAMBDA_MAX, t)
             break
-        if t_end - t < dt_min:
-            # the rest of the horizon is below temporal resolution
-            status = STATUS_MAX_TIME
-            message = "horizon t=%g reached before the end condition held" % t_end
-            break
 
-        reason = ""
-        s = clock(t)
         try:
             # one solve per accepted point, reused by every retry from it: the
             # path tangent and the Newton step back onto the point's own target
@@ -258,7 +263,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             # every halving would fail the same way, so collapse at once
             reason, dt = str(exc), 0.0
         while dt >= dt_min:
-            # land on the horizon rather than short of it by round-off
+            # land on the end rather than short of it by round-off
             t_new = t + dt if t_end - (t + dt) >= dt_min else t_end
             s_new = clock(t_new)
             try:
@@ -276,26 +281,12 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         dt = t_new - t
         x, ev, t = x_new, ev_new, t_new
         v = _mismatch(r_coords, ev.h_coords)
-        iterations += 1
-        trace.append((t, v, ev.min_eig, float(np.linalg.norm(x))))
+        lam_norm = math.hypot(*x)
+        trace.append((t, v, ev.min_eig, lam_norm))
         if used <= _DOUBLING_ITERATIONS:
             dt = min(2.0 * dt, dt_cap)
 
-    if status == STATUS_CONVERGED and is_flow:
-        # one corrector step onto R itself, kept when it lowers V
-        try:
-            x_new, ev_new, _used = _corrector(
-                op, family, x, _solve_flow_system(ev.flow_jacobian, r_coords - ev.h_coords),
-                r_coords, on_path_tol)
-        except _REJECTIONS:
-            pass
-        else:
-            if _mismatch(r_coords, ev_new.h_coords) < v:
-                x, ev = x_new, ev_new
-                iterations += 1
-
-    return _finalise(op, family, status, x, ev, _mismatch(r_coords, ev.h_coords),
-                     iterations, trace, message, fit_slope=is_flow)
+    return _finalise(op, family, status, x, ev, v, trace, message, fit_slope=is_flow)
 
 
 def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
@@ -355,7 +346,7 @@ def _corrector(op, family, x, step, target, on_path_tol):
 _rk4_step = _rk4_step_tau = _corrector
 
 
-def _finalise(op, family, status, x, ev, v, iterations, trace, message,
+def _finalise(op, family, status, x, ev, v, trace, message,
               fit_slope: bool = True) -> SolveReport:
     lam = dual_from_coords(op, x)
     density = None
@@ -383,7 +374,7 @@ def _finalise(op, family, status, x, ev, v, iterations, trace, message,
         except ValueError:
             slope = None
     return SolveReport(
-        status=status, lambda_hat=lam, V_final=v, iterations=iterations, trace=trace,
+        status=status, lambda_hat=lam, V_final=v, trace=trace,
         density=density, entropy_value=entropy_value, entropy_burg=entropy_burg,
         entropy_vonneumann=entropy_vn, pairing_value=pairing,
         fitted_V_slope=slope, message=message,

@@ -102,6 +102,23 @@ def test_infeasible_moment_exits_with_divergence_code(scalar_bundle, tmp_path):
         assert report["status"].startswith("Diverged")
 
 
+def test_a_far_off_divergence_writes_a_finite_trace(scalar_bundle, tmp_path):
+    # the exponential flow on a small negative target accepts points whose
+    # dual norm squared overflows a double; the verdict and the trace stay finite
+    obj = json.loads((scalar_bundle / "problem.json").read_text())
+    obj["moment"]["data"] = [[-1e-3, 0.0]]
+    obj.pop("rho_true", None)
+    bad = tmp_path / "problem.json"
+    bad.write_text(fm.dumps_canonical(obj))
+    trace = tmp_path / "trace.csv"
+    r = _run("solve", "--problem", str(bad), "--family", "exponential",
+             "--report", str(tmp_path / "report.json"), "--trace-out", str(trace))
+    assert r.returncode == 2, r.stderr
+    assert "Warning" not in r.stderr and "inf" not in r.stderr
+    rows = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.isfinite(rows)) and rows[-1, 3] > 1e100
+
+
 def test_feasibility_subcommand_verdicts(scalar_bundle, tmp_path):
     r = _run("feasibility", "--problem", str(scalar_bundle / "problem.json"),
              "--family", "rational")

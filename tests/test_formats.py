@@ -178,9 +178,13 @@ def test_problem_loader_rejects_unknown_builtin(tmp_path):
         fm.write_problem(path, bad)
         with pytest.raises(ValueError):
             fm.load_problem(path)
-    for data in ([1], [[1.0]], [["x", 0.0]], [[1.0, 0.0, 2.0]], 5):
+    for data in ([1], [[1.0]], [["x", 0.0]], [[1.0, 0.0, 2.0]], 5, [[1.0], [0.0, 1.0]]):
         with pytest.raises(ValueError):
             fm.matrix_from_obj({"rows": 1, "cols": 1, "data": data})
+    # rows and cols are JSON integers, not numbers that int() would accept
+    for rows, cols in ((1.0, 1), (1, "1"), (True, 1), (1, None)):
+        with pytest.raises(ValueError, match="'rows'|'cols'"):
+            fm.matrix_from_obj({"rows": rows, "cols": cols, "data": [[1.0, 0.0]]})
     # a grid or kernels value of the wrong JSON type is a ValueError too
     samples = {"mode": "samples", "left": 5, "right": 5}
     for section, patch, match in (("grid", {"bounds": 5}, "bounds"),
@@ -188,7 +192,21 @@ def test_problem_loader_rejects_unknown_builtin(tmp_path):
                                   ("grid", {"kind": [3]}, "grid kind"),
                                   ("kernels", {"m": [1]}, "'m'"),
                                   ("kernels", {"name": [1]}, "builtin kernel"),
-                                  ("kernels", samples, "left")):
-        fm.write_problem(path, dict(good, **{section: dict(good[section], **patch)}))
+                                  ("kernels", samples, "left"),
+                                  ("grid", {"panels": True}, "panels"),
+                                  ("grid", {"panels": "3"}, "panels"),
+                                  ("grid", {"order": 4.0}, "order"),
+                                  ("grid", {"bounds": [0.0, "1"]}, "bounds"),
+                                  ("grid", {"bounds": [[0.0, 1.0], 1.0]}, "bounds"),
+                                  ("grid", {"kind": "discrete", "count": 2.9}, "count"),
+                                  ("grid", {"kind": "discrete", "count": True}, "count"),
+                                  ("kernels", {"m": 1.0}, "'m'"),
+                                  ("moment", {"rows": 1.0}, "rows"),
+                                  ("moment", {"cols": "1"}, "cols")):
+        # json.dumps keeps 4.0 a JSON float, where the canonical writer gives 4
+        path.write_text(json.dumps(dict(good, **{section: dict(good[section], **patch)})))
         with pytest.raises(ValueError, match=match):
             fm.load_problem(path)
+    fm.write_problem(path, dict(good, rho_true=5))
+    with pytest.raises(ValueError, match="rho_true"):
+        fm.load_problem(path)

@@ -1,4 +1,6 @@
 """Continuation solver: convergence, divergence classification, diagnostics."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,8 @@ def test_solve_converges_on_a_scaled_array_target(array_problem, name):
     assert report.status == STATUS_CONVERGED
     resid = np.linalg.norm(mp.apply_L(op, report.density) - scaled) / np.linalg.norm(scaled)
     assert resid <= 1e-6
+    # the landing on R sits below the slope fit's floor and leaves the decay rate alone
+    assert -2.2 <= report.fitted_V_slope <= -1.8
 
 
 @pytest.mark.parametrize("solver, h_min", [(mp.solve, "1e-12"), (mp.solve_tau, "1e-06")])
@@ -161,7 +165,7 @@ def test_a_failing_first_stage_ends_the_run_at_once(scalar_op, monkeypatch, solv
     assert report.message == ("step collapsed below %s at t=0.000000: Jacobian lost definiteness"
                               % h_min)
     assert len(calls) == 1
-    assert report.iterations == 0
+    assert len(report.trace) == 1
 
 
 def test_non_finite_moments_and_options_are_rejected(scalar_op):
@@ -203,7 +207,7 @@ def test_finalise_decomposes_the_density_once(array_problem, monkeypatch):
 
     for module in (calculus, operator_module):
         monkeypatch.setattr(module, "eigh_hermitian", counted(module.eigh_hermitian))
-    report = solver_module._finalise(op, family, STATUS_CONVERGED, lam.coords, ev, 0.0, 0,
+    report = solver_module._finalise(op, family, STATUS_CONVERGED, lam.coords, ev, 0.0,
                                      [], "", fit_slope=False)
     assert calls.count(True) == 1
     assert report.entropy_value == mp.entropy(ev.density, op.grid, "relative", sigma=sigma)
@@ -265,11 +269,45 @@ def test_reported_slope_tracks_the_design_decay_rate(scalar_op):
     assert -2.2 <= report.fitted_V_slope <= -1.8
 
 
-def test_newton_polish_tightens_an_accepted_solution(scalar_op):
+def test_the_last_trace_row_is_the_landing_on_the_target(scalar_op):
     report = mp.solve(scalar_op, np.array([[2.0]], dtype=complex), mp.rational_family())
-    # the trace ends at the flow's last accepted point, before the polish
-    assert report.status == STATUS_CONVERGED and report.trace[-1][1] <= 1e-10
-    assert report.V_final <= 1e-13
+    # the flow's last step is a corrector step onto R itself, not a polish after it
+    assert report.status == STATUS_CONVERGED
+    assert report.V_final == report.trace[-1][1] <= 1e-13
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_negative_and_zero_scalar_targets_never_converge(scalar_op, solver, name):
+    # the magnitudes of the benchmark's infeasible targets; a flow that stops
+    # at an absolute V would call the smallest of them matched
+    for value in (-1e-7, -1e-3, -1e1, -1e5):
+        report = solver(scalar_op, np.array([[value]], dtype=complex), mp.family_from_name(name))
+        assert report.status in (STATUS_DIVERGED_UNBOUNDED, STATUS_DIVERGED_BOUNDARY), value
+    report = solver(scalar_op, np.zeros((1, 1), dtype=complex), mp.family_from_name(name))
+    assert report.status != STATUS_CONVERGED
+
+
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_a_small_positive_target_converges_with_a_relative_residual(scalar_op, name):
+    target = np.array([[1e-7]], dtype=complex)
+    report = mp.solve(scalar_op, target, mp.family_from_name(name))
+    assert report.status == STATUS_CONVERGED
+    resid = np.linalg.norm(mp.apply_L(scalar_op, report.density) - target) / 1e-7
+    assert resid <= 1e-6
+
+
+def test_a_far_off_point_raises_no_overflow_warning(scalar_op):
+    # the exponential flow on R = -1e-3 accepts a point with dual norm near
+    # 5e218, whose square overflows a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = mp.solve(scalar_op, np.array([[-1e-3]], dtype=complex),
+                          mp.exponential_family())
+    assert report.status == STATUS_DIVERGED_UNBOUNDED
+    lam_norm = report.trace[-1][3]
+    assert np.isfinite(lam_norm) and lam_norm > 1e200
+    assert "inf" not in report.message
 
 
 def test_trace_time_is_increasing_and_consistent(array_problem):
@@ -277,8 +315,7 @@ def test_trace_time_is_increasing_and_consistent(array_problem):
     report = mp.solve(op, moment, mp.rational_family())
     ts = [row[0] for row in report.trace]
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    assert report.V_final <= report.trace[-1][1] + 1e-15
-    assert report.iterations >= len(report.trace) - 1
+    assert report.V_final == report.trace[-1][1]
 
 
 def test_explicit_starts_reach_the_same_solution(array_problem, rng):
