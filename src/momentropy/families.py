@@ -35,11 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import (
-    _check_positive, _divided_difference_exp, eigh_hermitian, eigvalsh_hermitian,
-    hermitian_part, matrix_log,
+    _check_positive, _divided_difference_exp, _rebuild, eigh_hermitian, eigvalsh_hermitian,
+    matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
-from .operator import _DUAL_FLOOR_RTOL, MomentOperator, DualVariable, apply_L, dual_from_coords
+from .operator import _check_dual_floor, MomentOperator, DualVariable, apply_L, dual_from_coords
 
 FAMILY_KINDS = (
     "rational",
@@ -173,7 +173,7 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
         coords = np.linalg.lstsq(gram, target, rcond=None)[0]
     start = dual_from_coords(op, coords)
     try:
-        _evaluate(op, start, family)
+        _check_dual_floor(eigvalsh_hermitian(_adjoint_field(op, start, flat)))
     except PositivityError as exc:
         raise DualStartNotFound(
             "least-squares identity start is not strictly dual-feasible "
@@ -205,9 +205,7 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     a_field = _adjoint_field(op, lam, flat)
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
-        mean_eig = float(eigs_a.sum()) / eigs_a.size
-        min_eig = _check_positive(eigs_a, _DUAL_FLOOR_RTOL * max(mean_eig, 0.0),
-                                  "adjoint field near-singular")
+        min_eig = _check_dual_floor(eigs_a)
         f = 1.0 / eigs_a
         if need_jacobian:
             g = f[:, :, None] * f[:, None, :]
@@ -226,7 +224,7 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     if op.m == 1:
         density = (f * (v.real[..., 0] ** 2 + v.imag[..., 0] ** 2))[:, :, None].astype(complex)
     else:
-        density = hermitian_part(np.einsum("nab,nb,ncb->nac", v, f, np.conj(v)))
+        density = _rebuild(f, v)
     h_coords = flat @ (w * density).reshape(-1).view(float)
 
     jac = None
@@ -282,7 +280,7 @@ def _basis_congruence(v: np.ndarray, x: np.ndarray, scale=1.0) -> np.ndarray:
 def _sqrt_field(sigma: np.ndarray) -> np.ndarray:
     w, u = eigh_hermitian(sigma)
     _check_positive(w, 0.0, "sigma not positive definite")
-    return (u * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    return _rebuild(np.sqrt(w), u)
 
 
 def _validate_field(field: np.ndarray, name: str) -> None:

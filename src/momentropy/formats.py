@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,38 +114,28 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
 # density and trace CSV
 
 def write_density_csv(path: str, density: np.ndarray, grid: SupportGrid) -> None:
-    rho = np.asarray(density, dtype=complex)
+    rho = np.ascontiguousarray(density, dtype=complex)
     if rho.ndim != 3 or rho.shape[0] != grid.node_count:
         raise ValueError("density must have shape (node_count, m, m)")
-    lines = []
-    for i in range(grid.node_count):
-        cells = [format_float(c) for c in grid.nodes[i]]
-        for v in rho[i].ravel():
-            cells.append(format_float(float(v.real)))
-            cells.append(format_float(float(v.imag)))
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    # re/im pairs in row-major order are the complex entries' float view
+    _write_table(path, np.hstack([grid.nodes, rho.reshape(grid.node_count, -1).view(float)]))
 
 
 def read_density_csv(path: str, grid: SupportGrid) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if len(rows) != grid.node_count:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file fails the row count
+        arr = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+    if arr.shape[0] != grid.node_count:
         raise ValueError(
-            "density file has %d rows but the grid has %d nodes" % (len(rows), grid.node_count)
+            "density file has %d rows but the grid has %d nodes" % (arr.shape[0], grid.node_count)
         )
     k = grid.nodes.shape[1]
-    parsed = [list(map(float, row.split(","))) for row in rows]
-    width = len(parsed[0])
-    if any(len(row) != width for row in parsed):
-        raise ValueError("density file has ragged rows")
-    pair_count = width - k
+    pair_count = arr.shape[1] - k
     if pair_count <= 0 or pair_count % 2:
         raise ValueError("density file width does not decompose into coordinates + re/im pairs")
     m = math.isqrt(pair_count // 2)
     if 2 * m * m != pair_count:
         raise ValueError("density entries do not form square matrices")
-    arr = np.array(parsed)
     if not np.all(np.isfinite(arr)):
         raise ValueError("density file holds non-finite entries")
     if not np.allclose(arr[:, :k], grid.nodes, rtol=0.0, atol=1e-9):
@@ -154,10 +145,19 @@ def read_density_csv(path: str, grid: SupportGrid) -> np.ndarray:
 
 
 def write_trace_csv(path: str, trace: list[tuple[float, float, float, float]]) -> None:
-    lines = ["t,V,min_eig,lambda_norm"]
-    for t, v, min_eig, lam_norm in trace:
-        lines.append(",".join(format_float(x) for x in (t, v, min_eig, lam_norm)))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, np.reshape(np.asarray(trace, dtype=float), (-1, 4)),
+                 header="t,V,min_eig,lambda_norm")
+
+
+def _write_table(path: str, table: np.ndarray, header: str | None = None) -> None:
+    """CSV rows of ``table``, each float as format_float writes it."""
+    bad = table[~np.isfinite(table)]
+    if bad.size:
+        raise ValueError(f"cannot serialise non-finite float {float(bad[0])!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ without weights:
 
 ``lam`` is dual-feasible when L*(lam) is positive definite at every node; the
 densities produced by the solver are built from such lam.  The attainable
-moments form a cone inside the *range subspace* of L, an orthonormal basis of
-which is computed once per operator by an SVD over the generator family
-{ w_n G_left[n] H G_right[n] : H Hermitian unit }.  All coordinates used by
-the continuation solver live in that basis.
+moments form a cone inside the *range subspace* of L, the orthogonal
+complement of ker L*.  An orthonormal basis of it is computed once per
+operator from one L* pass over the unit matrices of the moment space, which
+also gives the cached L* images of the basis.  All coordinates used by the
+continuation solver live in that basis.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _check_positive, eigh_hermitian, hermitian_part, matrix_log, trace_inner
+from .calculus import _check_positive, eigvalsh_hermitian, hermitian_part, matrix_log, trace_inner
+from .errors import PositivityError
 from .grid import SupportGrid
 
 _RANGE_SVD_RTOL = 1e-10
@@ -67,10 +69,13 @@ def kernel_samples(left: np.ndarray, right: np.ndarray) -> KernelSamples:
 class RangeBasis:
     """Orthonormal basis of the range subspace under Re trace(X* Y).
 
-    ``elements`` has shape (d, n_left, n_right).
+    ``elements`` has shape (d, n_left, n_right).  ``adjoint`` holds their
+    sampled adjoint images L*(E_i), shape (d, N, m, m), C-contiguous so that
+    the family evaluation's flat views of it need no copy.
     """
 
     elements: np.ndarray
+    adjoint: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -93,18 +98,17 @@ class RangeBasis:
 
 @dataclass(frozen=True, eq=False)
 class MomentOperator:
-    """A support grid, kernel samples, and the induced range geometry.
-
-    ``adjoint_basis`` caches the sampled adjoint images L*(E_i) of the range
-    basis elements, shape (d, N, m, m), C-contiguous so that the family
-    evaluation's flat views of it need no copy; the adjoint field and the
-    solver's Jacobians contract against it.
-    """
+    """A support grid, kernel samples, and the induced range geometry."""
 
     grid: SupportGrid
     kernels: KernelSamples
     basis: RangeBasis
-    adjoint_basis: np.ndarray = field(repr=False)
+
+    @property
+    def adjoint_basis(self) -> np.ndarray:
+        """The range basis's cached adjoint images L*(E_i), shape (d, N, m, m);
+        the adjoint field and the solver's Jacobians contract against them."""
+        return self.basis.adjoint
 
     @property
     def node_count(self) -> int:
@@ -157,42 +161,41 @@ def dual_from_matrix(op: MomentOperator, matrix: np.ndarray) -> DualVariable:
 
 
 def build_operator(grid: SupportGrid, kernels: KernelSamples) -> MomentOperator:
-    """Assemble the operator: validates shapes, computes the range basis and
-    the cached adjoint images of its elements."""
+    """Assemble the operator: validates shapes and computes the range basis
+    with the cached adjoint images of its elements."""
     if kernels.left.shape[0] != grid.node_count:
         raise ValueError(
             "kernel sample count %d does not match grid node count %d"
             % (kernels.left.shape[0], grid.node_count)
         )
-    basis = compute_range_basis(grid, kernels)
-    adj = np.ascontiguousarray(_adjoint_of_stack(kernels, basis.elements))
-    return MomentOperator(grid, kernels, basis, adj)
+    return MomentOperator(grid, kernels, compute_range_basis(grid, kernels))
 
 
 def compute_range_basis(grid: SupportGrid, kernels: KernelSamples) -> RangeBasis:
-    """Orthonormal basis of span{ w_n G_left[n] H G_right[n] : H Hermitian }.
+    """Orthonormal basis of the range of L, found as (ker L*)^perp.
 
-    One generator is formed per node per Hermitian unit of the m x m space,
-    flattened into real vectors (real and imaginary parts stacked, which
-    represents Re trace(X* Y) as the Euclidean dot product).  Right-singular
-    vectors with singular value above 1e-10 times the largest are kept, so
-    the construction is deterministic for fixed inputs.
+    L* is applied once, to the 2 n_left n_right unit matrices E_ab and i E_ab.
+    Their images, weighted by the quadrature weights and flattened to real
+    rows, have the Gram matrix of the generators w_n G_left[n] H G_right[n]
+    over Hermitian units H.  The right-singular vectors ``c`` with singular
+    value above 1e-10 times the largest give both the basis, c . units, and
+    its adjoint images, c . L*(units).  The construction is deterministic for
+    fixed inputs.
     """
-    left, right = kernels.left, kernels.right
-    n, nl, m = left.shape
-    nr = right.shape[2]
-    units = _hermitian_units(m)                      # (m*m, m, m)
-    gen = np.einsum("nab,ubc,ncd->nuad", left, units, right, optimize=True)
-    gen *= grid.weights[:, None, None, None]
-    flat = gen.reshape(n * units.shape[0], nl * nr)
-    real = np.concatenate([flat.real, flat.imag], axis=1)
-    _, s, vt = np.linalg.svd(real, full_matrices=False)
+    nl, nr = kernels.left.shape[1], kernels.right.shape[2]
+    eye = np.eye(nl * nr).reshape(-1, nl, nr)
+    units = np.concatenate([eye, 1j * eye])                  # (2 nl nr, nl, nr)
+    images = _adjoint_of_stack(kernels, units)               # (2 nl nr, N, m, m)
+    weighted = np.ascontiguousarray(images * grid.weights[:, None, None])
+    # the R factor of the tall matrix has its singular values and right
+    # singular vectors, without forming the tall left factor
+    r = np.linalg.qr(weighted.reshape(len(units), -1).view(float).T, mode="r")
+    _, s, vt = np.linalg.svd(r, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("kernel family generates a trivial range")
-    keep = s > _RANGE_SVD_RTOL * s[0]
-    kept = vt[keep]
-    elements = kept[:, : nl * nr] + 1j * kept[:, nl * nr:]
-    return RangeBasis(elements.reshape(-1, nl, nr))
+    kept = vt[s > _RANGE_SVD_RTOL * s[0]]
+    return RangeBasis(np.tensordot(kept, units, axes=1),
+                      np.ascontiguousarray(np.tensordot(kept, images, axes=1)))
 
 
 def apply_L(op: MomentOperator, density: np.ndarray) -> np.ndarray:
@@ -212,11 +215,7 @@ def apply_L_adjoint(op: MomentOperator, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (op.n_left, op.n_right):
         raise ValueError(f"dual matrix shape {lam.shape}, expected {(op.n_left, op.n_right)}")
-    out = np.einsum(
-        "nba,bc,ndc->nad", np.conj(op.kernels.left), lam, np.conj(op.kernels.right),
-        optimize=True,
-    )
-    return hermitian_part(out)
+    return _adjoint_of_stack(op.kernels, lam[None])[0]
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -238,9 +237,11 @@ def project_to_range(op: MomentOperator, matrix: np.ndarray) -> tuple[np.ndarray
 
 def is_dual_feasible(op: MomentOperator, lam) -> tuple[bool, float]:
     """Whether L*(lam) clears the inverse families' floor at every node; returns min eigenvalue."""
-    w, _ = eigh_hermitian(apply_L_adjoint(op, _as_matrix(op, lam)))
-    min_eig = float(np.min(w))
-    return min_eig > _DUAL_FLOOR_RTOL * max(float(w.sum()) / w.size, 0.0), min_eig
+    a_field = apply_L_adjoint(op, _as_matrix(op, lam))
+    try:
+        return True, _check_dual_floor(eigvalsh_hermitian(a_field))
+    except PositivityError as exc:
+        return False, exc.min_eig
 
 
 def moment_functional(op: MomentOperator, moment: np.ndarray, lam) -> float:
@@ -283,7 +284,7 @@ def entropy(density: np.ndarray, grid: SupportGrid, kind: str, sigma: np.ndarray
 
 def _entropies(rho: np.ndarray, grid: SupportGrid, log_sigma: np.ndarray | None = None):
     """Burg, von Neumann and (given log sigma) relative entropy from one eigendecomposition."""
-    w, _ = eigh_hermitian(rho)
+    w = eigvalsh_hermitian(rho)
     _check_positive(w, 0.0, "density not positive definite")
     log_w = np.log(w)
     burg = float(-np.sum(grid.weights * np.sum(log_w, axis=1)))
@@ -297,28 +298,15 @@ def _entropies(rho: np.ndarray, grid: SupportGrid, log_sigma: np.ndarray | None 
 # ---------------------------------------------------------------------------
 # helpers
 
-def _hermitian_units(m: int) -> np.ndarray:
-    """Orthonormal Hermitian units of the m x m space (dimension m^2)."""
-    units = []
-    for a in range(m):
-        e = np.zeros((m, m), dtype=complex)
-        e[a, a] = 1.0
-        units.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(m):
-        for b in range(a + 1, m):
-            e = np.zeros((m, m), dtype=complex)
-            e[a, b] = inv_sqrt2
-            e[b, a] = inv_sqrt2
-            units.append(e)
-            e = np.zeros((m, m), dtype=complex)
-            e[a, b] = 1j * inv_sqrt2
-            e[b, a] = -1j * inv_sqrt2
-            units.append(e)
-    return np.stack(units)
+def _check_dual_floor(eigs: np.ndarray) -> float:
+    """Smallest of an adjoint field's nodewise eigenvalues ``eigs`` (N, m);
+    PositivityError unless it exceeds 1e-10 times the field's mean eigenvalue."""
+    return _check_positive(eigs, _DUAL_FLOOR_RTOL * max(float(eigs.sum()) / eigs.size, 0.0),
+                           "adjoint field near-singular")
 
 
 def _adjoint_of_stack(kernels: KernelSamples, elements: np.ndarray) -> np.ndarray:
+    """L* of each matrix in a stack (i, n_left, n_right), shape (i, N, m, m)."""
     out = np.einsum(
         "nba,ibc,ndc->inad", np.conj(kernels.left), elements, np.conj(kernels.right),
         optimize=True,

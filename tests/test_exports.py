@@ -4,10 +4,19 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import momentropy
-from momentropy import problems
+from momentropy import operator, problems, solver
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("momentropy_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_every_exported_name_resolves():
@@ -18,9 +27,7 @@ def test_every_exported_name_resolves():
 def test_every_name_the_benchmark_tracer_wraps_resolves():
     # bench/tracing.py rebinds these names from outside to time each layer;
     # a name that no longer resolves loses its per-layer metric
-    spec = importlib.util.spec_from_file_location("momentropy_bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     unresolved = []
     for paths in tracing.TARGETS.values():
         for path in paths:
@@ -29,6 +36,25 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
             except (ImportError, AttributeError):
                 unresolved.append(path)
     assert unresolved == []
+
+
+def test_the_spans_the_benchmark_tracer_wraps_fire():
+    # a wrapped name that stays bound but is no longer called loses its
+    # per-layer metric too.  operator.entropy is left out: it has not fired
+    # since the solver's finalise moved to operator._entropies (ROADMAP item 6)
+    tracer = _tracing().Tracer()
+    grid = momentropy.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
+    ones = np.ones((grid.node_count, 1, 1), dtype=complex)
+    family = momentropy.rational_family()
+    with tracer.installed():
+        op = operator.build_operator(grid, operator.kernel_samples(ones, ones))
+        for run in (solver.solve, solver.solve_tau):
+            assert run(op, np.array([[2.0]]), family).status == "Converged"
+    assert tracer.missing == set()
+    fired = {row[0] for row in tracer.spans}
+    assert {"operator.build_operator", "operator.compute_range_basis",
+            "operator.project_to_range", "families.default_dual_start", "families.evaluate",
+            "solver.rk4_step", "solver.flow_system", "solver.finalise"} <= fired
 
 
 def test_solve_config_holds_only_the_policy_options():

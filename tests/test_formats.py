@@ -79,6 +79,28 @@ def test_density_csv_writes_are_byte_stable(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_density_and_trace_csv_golden_bytes(tmp_path):
+    # every cell is written as format_float writes it (%.17g, -0 kept); a
+    # discrete grid's coordinate is the node index
+    grid = mp.discrete_grid(2)
+    rho = np.array([[[0.1, -0.0 + 1e-300j], [-0.0 - 1e-300j, 2.0]],
+                    [[1.0, 0.5j], [-0.5j, 3.0]]])
+    fm.write_density_csv(tmp_path / "density.csv", rho, grid)
+    assert (tmp_path / "density.csv").read_bytes() == (
+        b"0,0.10000000000000001,0,0,1e-300,-0,-1e-300,2,0\n"
+        b"1,1,0,0,0.5,-0,-0.5,3,0\n")
+    fm.write_trace_csv(tmp_path / "trace.csv", [(0.0, 0.1, -0.0, 1e-300), (1.5, 2.0, -1e-12, 3.0)])
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"t,V,min_eig,lambda_norm\n"
+        b"0,0.10000000000000001,-0,1e-300\n"
+        b"1.5,2,-9.9999999999999998e-13,3\n")
+    rho[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        fm.write_density_csv(tmp_path / "nan.csv", rho, grid)
+    with pytest.raises(ValueError):
+        fm.write_trace_csv(tmp_path / "inf.csv", [(0.0, np.inf, 0.0, 0.0)])
+
+
 def test_trace_csv_layout(tmp_path):
     path = tmp_path / "trace.csv"
     fm.write_trace_csv(path, [(0.0, 1.0, 0.5, 0.1), (0.1, 0.8, 0.5, 0.2)])

@@ -158,6 +158,69 @@ def test_range_dimensions_match_counting_arguments():
     assert op5.d == 4
 
 
+def _generator_range_basis(op):
+    """Range basis from an SVD over the generators w_n G_left[n] H G_right[n],
+    H running over the orthonormal Hermitian units of the m x m space."""
+    m, size = op.m, op.n_left * op.n_right
+    units = []
+    for a in range(m):
+        for b in range(m):
+            e = np.zeros((m, m), dtype=complex)
+            if a == b:
+                e[a, a] = 1.0
+            elif a < b:
+                e[a, b] = e[b, a] = 1.0 / np.sqrt(2.0)
+            else:
+                e[b, a], e[a, b] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            units.append(e)
+    gen = np.einsum("n,nab,ubc,ncd->nuad", op.grid.weights, op.kernels.left,
+                    np.stack(units), op.kernels.right)
+    flat = gen.reshape(-1, size)
+    _, s, vt = np.linalg.svd(np.hstack([flat.real, flat.imag]), full_matrices=False)
+    kept = vt[s > 1e-10 * s[0]]
+    return (kept[:, :size] + 1j * kept[:, size:]).reshape(-1, op.n_left, op.n_right)
+
+
+def _range_basis_cases(tmp_path):
+    rng = np.random.default_rng(11)
+    samples = mp.build_operator(mp.discrete_grid(5), mp.kernel_samples(
+        rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2)),
+        rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))))
+    path = tmp_path / "samples.json"
+    fm.write_problem(path, fm.problem_to_obj(samples.grid, fm.samples_kernels_obj(samples),
+                                             np.zeros((2, 3))))
+    # the right kernels 1 and 1e-12 of the inverse-family floor test below
+    ones = np.ones((2, 1, 1), dtype=complex)
+    tiny = np.array([1.0, 1e-12], dtype=complex).reshape(2, 1, 1)
+    return {
+        "array": pr.nonequispaced_array_problem(),
+        "grid2d": pr.grid2d_problem(2, mp.build_grid(
+            "rectangle2d", ((0.0, np.pi), (0.0, np.pi)), panels=12, order=4)),
+        "partial-trace": pr.partial_trace_problem(2, 2),
+        "statecov": pr.state_covariance_problem(
+            pr.random_state_model(n=4, m=2, seed=0),
+            mp.build_grid("interval1d", (-np.pi, np.pi), panels=32, order=5)),
+        "samples": fm.load_problem(path).operator,
+        "floor": mp.build_operator(mp.discrete_grid(2), mp.kernel_samples(ones, tiny)),
+    }
+
+
+def test_range_basis_from_one_adjoint_pass_matches_the_generator_basis(tmp_path):
+    # L* of the unit matrices has the generators' Gram matrix, so the same
+    # subspace comes out; only its rotation and signs may differ
+    for name, op in _range_basis_cases(tmp_path).items():
+        ref = _generator_range_basis(op)
+        assert op.d == len(ref), name
+        rows = op.basis.elements.reshape(op.d, -1).view(float)
+        ref_rows = np.ascontiguousarray(ref).reshape(op.d, -1).view(float)
+        assert np.abs(rows.T @ rows - ref_rows.T @ ref_rows).max() <= 1e-12, name
+        assert np.abs(rows @ rows.T - np.eye(op.d)).max() <= 1e-12, name
+        for i in range(op.d):
+            want = mp.apply_L_adjoint(op, op.basis.elements[i])
+            assert np.linalg.norm(op.adjoint_basis[i] - want) <= 1e-12 * np.linalg.norm(want), \
+                (name, i)
+
+
 def test_range_basis_is_orthonormal(array_problem):
     op, _rho, _R = array_problem
     mats = op.basis.elements
