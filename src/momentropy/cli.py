@@ -181,12 +181,14 @@ def _merge_config(args):
         if not isinstance(config, dict):
             raise ValueError("a config file holds a JSON object")
         for key, value in config.items():
-            if value is not None and key in _CONFIG_TYPES:
+            if key not in _CONFIG_TYPES:
+                raise ValueError("unknown config key %r; expected one of %s"
+                                 % (key, ", ".join(_CONFIG_TYPES)))
+            if value is not None:
                 formats.json_typed(value, _CONFIG_TYPES[key], "config " + key)
         merged.update(config)
-    for key in ("problem", "example", "family", "sigma", "tol", "t_max",
-                "torus_override", "seed"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in _CONFIG_TYPES:
+        val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
     merged.setdefault("family", "exponential")

@@ -39,15 +39,7 @@ from .calculus import (
     matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
-from .operator import _check_dual_floor, MomentOperator, DualVariable, apply_L, dual_from_coords
-
-FAMILY_KINDS = (
-    "rational",
-    "exponential",
-    "weighted_rational",
-    "weighted_exponential",
-    "prior_exponential",
-)
+from .operator import _check_dual_floor, MomentOperator, DualVariable, dual_from_coords
 
 _INVERSE_KINDS = ("rational", "weighted_rational")
 
@@ -114,20 +106,26 @@ def prior_exponential_family(sigma: np.ndarray) -> Family:
     return Family("prior_exponential", sigma=sigma, log_sigma=matrix_log(sigma))
 
 
+# kind -> (factory, whether the factory takes the reference density sigma)
+_FAMILY_BUILDERS = {
+    "rational": (rational_family, False),
+    "exponential": (exponential_family, False),
+    "weighted_rational": (lambda sigma: weighted_rational_family(sigma=sigma), True),
+    "weighted_exponential": (weighted_exponential_family, True),
+    "prior_exponential": (prior_exponential_family, True),
+}
+FAMILY_KINDS = tuple(_FAMILY_BUILDERS)
+
+
 def family_from_name(name: str, sigma: np.ndarray | None = None) -> Family:
     """Build a family from its hyphen- or underscore-spelled name."""
     key = name.replace("-", "_")
-    if key == "rational":
-        return rational_family()
-    if key == "exponential":
-        return exponential_family()
-    if key == "weighted_rational":
-        return weighted_rational_family(sigma=_require_sigma(key, sigma))
-    if key == "weighted_exponential":
-        return weighted_exponential_family(_require_sigma(key, sigma))
-    if key == "prior_exponential":
-        return prior_exponential_family(_require_sigma(key, sigma))
-    raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_KINDS}")
+    if key not in _FAMILY_BUILDERS:
+        raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_KINDS}")
+    factory, takes_sigma = _FAMILY_BUILDERS[key]
+    if takes_sigma and sigma is None:
+        raise ValueError(f"family {key!r} needs a reference density sigma")
+    return factory(sigma) if takes_sigma else factory()
 
 
 def family_density(op: MomentOperator, lam, family: Family) -> np.ndarray:
@@ -141,8 +139,9 @@ def family_density(op: MomentOperator, lam, family: Family) -> np.ndarray:
 
 
 def h_map(op: MomentOperator, lam, family: Family) -> np.ndarray:
-    """Moment image h(lam) = L(rho_lam), an n_left x n_right matrix."""
-    return apply_L(op, family_density(op, lam, family))
+    """Moment image h(lam) = L(rho_lam), an n_left x n_right matrix assembled
+    from the evaluation's range coordinates: the moment the solver matches."""
+    return op.basis.assemble(_evaluate(op, lam, family).h_coords)
 
 
 def flow_jacobian(op: MomentOperator, lam, family: Family) -> np.ndarray:
@@ -286,9 +285,3 @@ def _sqrt_field(sigma: np.ndarray) -> np.ndarray:
 def _validate_field(field: np.ndarray, name: str) -> None:
     if field.ndim != 3 or field.shape[-1] != field.shape[-2]:
         raise ValueError(f"{name} must be a sampled field of square matrices (N, m, m)")
-
-
-def _require_sigma(kind: str, sigma: np.ndarray | None) -> np.ndarray:
-    if sigma is None:
-        raise ValueError(f"family {kind!r} needs a reference density sigma")
-    return np.asarray(sigma, dtype=complex)

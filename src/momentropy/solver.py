@@ -51,13 +51,7 @@ import numpy as np
 from .calculus import matrix_log
 from .errors import PositivityError
 from .families import Family, _evaluate, default_dual_start
-from .operator import (
-    DualVariable,
-    MomentOperator,
-    dual_from_coords,
-    inner,
-    project_to_range,
-)
+from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
 from . import operator as _operator
 
 STATUS_CONVERGED = "Converged"
@@ -125,10 +119,13 @@ class SolveReport:
     smallest nodewise eigenvalue of L*(lam).  ``entropy_value``
     is the family's canonical objective at the solution (Burg-type for the
     inverse families, von Neumann for exponential, relative to sigma for the
-    sigma-weighted families); ``entropy_burg`` / ``entropy_vonneumann`` and
-    ``pairing_value`` (= <lam, R>, which equals m * measure(support) at the
-    matched solution) are diagnostics.  ``fitted_V_slope`` is the fitted
-    log-V decay rate, None when the trace has no converged tail.
+    weighted and prior exponential families); ``entropy_burg`` /
+    ``entropy_vonneumann`` and ``pairing_value`` (= <lam, L(rho)>, which is
+    <lam, R> at the matched solution; only for ``rational`` does it equal
+    m * measure(support), since tr(A A^{-1}) = m at every node) are
+    diagnostics, set on ``Converged`` runs only.  ``fitted_V_slope`` is the
+    fitted log-V decay rate, None when the trace has no converged tail.  A
+    ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace.
     """
 
     status: str
@@ -209,17 +206,20 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             "inverse-type families are only covered by the convergence theory on "
             "one-dimensional or discrete supports; pass torus_override to force"
         )
+    # inputs built for another problem meet the operator here, once per solve;
+    # every weighted family holds sigma (phi phi* when built from phi)
+    for name, value, shape in (("sigma", family.sigma, (op.node_count, op.m, op.m)),
+                               ("start", None if start is None else start.coords, (op.d,))):
+        if value is not None and np.shape(value) != shape:
+            raise ValueError("%s has shape %s; this operator needs %s"
+                             % (name, np.shape(value), shape))
 
     r_coords, residual = project_to_range(op, moment)
     scale = max(float(np.linalg.norm(moment)), 1e-300)
     if residual > _RANGE_RESIDUAL_TOL * scale:
-        return SolveReport(
-            status=STATUS_NOT_IN_RANGE,
-            lambda_hat=dual_from_coords(op, np.zeros(op.d)),
-            V_final=float("nan"), trace=[],
-            message="moment lies outside the operator range "
-                    "(relative residual %.3e)" % (residual / scale),
-        )
+        return _finalise(op, family, STATUS_NOT_IN_RANGE, np.zeros(op.d), None, float("nan"), [],
+                         "moment lies outside the operator range "
+                         "(relative residual %.3e)" % (residual / scale), fit_slope=False)
 
     x = (start.coords.copy() if start is not None
          else default_dual_start(op, family).coords)
@@ -366,7 +366,8 @@ def _finalise(op, family, status, x, ev, v, trace, message,
                 entropy_value = entropy_vn if log_sigma is None else entropy_rel
         except PositivityError:
             pass  # converged density with a marginal node: leave entropies unset
-        pairing = inner(lam.matrix, op.basis.assemble(ev.h_coords))
+        # <lam, L(rho)>: the range basis is orthonormal under Re tr(X* Y)
+        pairing = float(x @ ev.h_coords)
     slope = None
     if fit_slope:
         try:

@@ -188,6 +188,11 @@ def test_zero_options_are_input_errors(scalar_bundle, tmp_path):
         r6 = _run("solve", "--example", "scalar-demo", "--config", str(config))
         assert r6.returncode == 3, (key, r6.stderr)
         assert key in r6.stderr and "Traceback" not in r6.stderr
+    # a misspelt key is named, never ignored
+    config.write_text(json.dumps({"t_max": 1e-9, "familly": "rational"}))
+    r7 = _run("solve", "--example", "scalar-demo", "--config", str(config))
+    assert r7.returncode == 3
+    assert "unknown config key 'familly'" in r7.stderr and "Traceback" not in r7.stderr
 
 
 def test_non_finite_moment_is_an_input_error(scalar_bundle, tmp_path):
@@ -225,11 +230,19 @@ def test_weighted_family_with_sigma_recovers_reference(array_bundle, tmp_path):
     assert rel <= 1e-6
 
 
-def test_weighted_family_requires_sigma(array_bundle):
+def test_weighted_family_requires_sigma(array_bundle, tmp_path):
     r = _run("solve", "--problem", str(array_bundle / "problem.json"),
              "--family", "weighted-rational")
     assert r.returncode == 3
     assert r.stderr.strip()
+    # a sigma of another matrix size is named with both shapes
+    grid = fm.load_problem(array_bundle / "problem.json").operator.grid
+    sigma = tmp_path / "sigma.csv"
+    fm.write_density_csv(sigma, np.tile(np.eye(2, dtype=complex), (grid.node_count, 1, 1)), grid)
+    r2 = _run("solve", "--problem", str(array_bundle / "problem.json"),
+              "--family", "prior-exponential", "--sigma", str(sigma))
+    assert r2.returncode == 3
+    assert "error: sigma has shape (160, 2, 2); this operator needs (160, 1, 1)" in r2.stderr
 
 
 def test_bell_example_moment_is_maximally_mixed(tmp_path):

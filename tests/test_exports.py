@@ -1,7 +1,11 @@
-"""Names other code reaches by path: the package's exports and the benchmark's tracer targets."""
+"""Names other code reaches by path (the package's exports and the benchmark's
+tracer targets) and what importing the package loads."""
 import dataclasses
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,3 +79,24 @@ def test_no_function_takes_a_tolerance_or_floor_parameter():
                           for p in sorted(params & {"pos_floor", "floor", "rtol", "rank_rtol",
                                              "modes", "spectral_radius", "with_feedback"})]
     assert offending == []
+
+
+def test_imports_need_only_numpy_and_load_it_after_the_cli_thread_pin():
+    # a fresh interpreter in which scipy cannot be imported: numpy is the only
+    # runtime dependency, and the CLI pins BLAS threads before numpy loads
+    script = "\n".join([
+        "import os, sys",
+        "sys.modules['scipy'] = None",
+        "import momentropy",
+        "assert 'numpy' not in sys.modules, 'import momentropy loaded numpy'",
+        "from momentropy import cli",
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', os.environ['OPENBLAS_NUM_THREADS']",
+        "sys.exit(cli.main(['solve', '--example', 'scalar-demo']))",
+    ])
+    src = str(Path(momentropy.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert '"status": "Converged"' in run.stdout

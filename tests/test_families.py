@@ -104,6 +104,8 @@ def test_family_density_positivity_guard_names_the_node():
 
 
 def test_h_map_agrees_with_forward_operator_on_density(array_problem, rng):
+    # h_map assembles the evaluation's range coordinates; apply_L integrates
+    # the density against the kernels
     op, _rho, _R = array_problem
     for name in ("rational", "exponential"):
         family = mp.family_from_name(name)

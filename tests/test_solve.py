@@ -58,6 +58,11 @@ def test_moment_outside_the_range_is_rejected(array_problem, rng):
         assert report.status == STATUS_NOT_IN_RANGE
         assert "residual" in report.message
         assert np.isnan(report.V_final)
+        assert report.trace == []
+        assert not np.any(report.lambda_hat.coords) and not np.any(report.lambda_hat.matrix)
+        assert (report.density, report.entropy_value, report.entropy_burg,
+                report.entropy_vonneumann, report.pairing_value,
+                report.fitted_V_slope) == (None,) * 6
 
 
 def test_inverse_families_need_override_on_two_dimensional_support():
@@ -168,11 +173,22 @@ def test_a_failing_first_stage_ends_the_run_at_once(scalar_op, monkeypatch, solv
     assert len(report.trace) == 1
 
 
-def test_non_finite_moments_and_options_are_rejected(scalar_op):
+def test_non_finite_moments_and_options_are_rejected(scalar_op, array_problem):
     for solver in (mp.solve, mp.solve_tau):
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 solver(scalar_op, np.array([[bad]], dtype=complex), mp.rational_family())
+    # a sigma or a start built for another problem is named, with both shapes
+    moment = np.array([[2.0]], dtype=complex)
+    foreign_start = mp.default_dual_start(array_problem[0], mp.exponential_family())
+    for solver in (mp.solve, mp.solve_tau):
+        for sigma in (np.tile(np.eye(2), (32, 1, 1)), np.ones((5, 1, 1))):
+            for factory in (mp.weighted_exponential_family, mp.prior_exponential_family):
+                with pytest.raises(ValueError, match=r"sigma has shape \(%d, %d, %d\); this "
+                                   r"operator needs \(32, 1, 1\)" % sigma.shape):
+                    solver(scalar_op, moment, factory(sigma))
+        with pytest.raises(ValueError, match=r"start has shape \(7,\); this operator needs \(1,\)"):
+            solver(scalar_op, moment, mp.exponential_family(), start=foreign_start)
     for name in ("tol", "t_max"):
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
@@ -187,6 +203,17 @@ def test_relative_entropy_is_reported_for_the_sigma_families(array_problem):
         assert report.status == STATUS_CONVERGED
         assert report.entropy_value == mp.entropy(report.density, op.grid, "relative",
                                                   sigma=sigma)
+
+
+def test_pairing_is_the_dual_point_against_the_matched_moment(array_problem):
+    # <lam, L(rho)> from range coordinates agrees with the matrix pairing
+    op, _rho, moment = array_problem
+    sigma = pr.bump_mixture_density(op.grid, 1.0, bumps=((1.5, 0.4, 0.6),))
+    for name in mp.FAMILY_KINDS:
+        report = mp.solve(op, moment, mp.family_from_name(name, sigma=sigma))
+        assert report.status == STATUS_CONVERGED, name
+        want = mp.inner(report.lambda_hat.matrix, mp.apply_L(op, report.density))
+        assert report.pairing_value == pytest.approx(want, rel=1e-12, abs=0.0), name
 
 
 def test_finalise_decomposes_the_density_once(array_problem, monkeypatch):
