@@ -7,8 +7,9 @@ Subcommands:
     feasibility  probe whether the target moment is strictly attainable
     example      write a builtin problem bundle into a directory
 
-Exit codes: 0 converged / feasible; 2 divergence verdicts; 3 input errors,
-usage errors included.
+Exit codes: 0 converged / feasible; 2 divergence proved by a checked
+separating certificate; 3 input errors, usage errors included; 4 inconclusive
+(the run stopped without converging or finding a certificate).
 Outputs are byte-deterministic for identical inputs and seed; to keep that
 true across BLAS thread settings, this module pins the numerical libraries
 to one thread before they load.
@@ -30,7 +31,8 @@ import sys
 from . import formats
 from .errors import DualStartNotFound, PositivityError
 from .families import FAMILY_KINDS, family_from_name
-from .solver import STATUS_CONVERGED, STATUS_NOT_IN_RANGE, SolveConfig, solve
+from .solver import (STATUS_CONVERGED, STATUS_DIVERGED_CERTIFIED, STATUS_INCONCLUSIVE,
+                     STATUS_NOT_IN_RANGE, SolveConfig, solve)
 
 # Unused here; bound only because bench/tracing.py wraps these names in this module.
 from .problems import (build_operator, grid2d_problem, nonequispaced_array_problem,  # noqa: F401
@@ -41,6 +43,11 @@ EXAMPLE_NAMES = tuple(formats.EXAMPLES)
 EXIT_OK = 0
 EXIT_DIVERGED = 2
 EXIT_INPUT = 3
+EXIT_INCONCLUSIVE = 4
+
+# the solver's four statuses and the exit code of each
+_EXIT_CODES = {STATUS_CONVERGED: EXIT_OK, STATUS_DIVERGED_CERTIFIED: EXIT_DIVERGED,
+               STATUS_NOT_IN_RANGE: EXIT_INPUT, STATUS_INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
 def main(argv=None) -> int:
@@ -124,23 +131,25 @@ def _cmd_solve(args) -> int:
     if args.density_out and report.density is not None:
         formats.write_density_csv(args.density_out, report.density, op.grid)
 
-    if report.status == STATUS_CONVERGED:
-        return EXIT_OK
-    if report.status == STATUS_NOT_IN_RANGE:
+    code = _EXIT_CODES[report.status]
+    if code == EXIT_INPUT:
         print(f"error: {report.message}", file=sys.stderr)
-        return EXIT_INPUT
-    print(f"diverged: {report.status}: {report.message}", file=sys.stderr)
-    return EXIT_DIVERGED
+    elif code != EXIT_OK:
+        print(f"{report.status}: {report.message}", file=sys.stderr)
+    return code
 
 
 def _cmd_feasibility(args) -> int:
     _op, family_name, report = _run_solver(args)
-    if report.status == STATUS_NOT_IN_RANGE:
+    code = _EXIT_CODES[report.status]
+    if code == EXIT_INPUT:
         print(f"error: {report.message}", file=sys.stderr)
-        return EXIT_INPUT
-    verdict = "feasible" if report.status == STATUS_CONVERGED else "not-strictly-feasible"
-    print(f"{verdict} ({family_name} family, status {report.status})")
-    return EXIT_OK if report.status == STATUS_CONVERGED else EXIT_DIVERGED
+        return code
+    verdict = {EXIT_OK: "feasible", EXIT_DIVERGED: "not-strictly-feasible"}.get(code, "inconclusive")
+    cert = report.certificate
+    detail = "" if cert is None else ", certificate margin %.3e at step %d" % (cert.margin, cert.step)
+    print(f"{verdict} ({family_name} family, status {report.status}{detail})")
+    return code
 
 
 def _run_solver(args):

@@ -161,6 +161,20 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
     """
     if not family.is_inverse_kind:
         return dual_from_coords(op, np.zeros(op.d))
+    try:
+        coords, _min_eig = _identity_dual(op)
+    except PositivityError as exc:
+        raise DualStartNotFound(
+            "least-squares identity start is not strictly dual-feasible "
+            "(min eigenvalue %.3e); supply an explicit start" % exc.min_eig
+        ) from exc
+    return dual_from_coords(op, coords)
+
+
+def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float]:
+    """Range coordinates of the least-squares solution lam_I of L*(lam) = I,
+    and the smallest nodewise eigenvalue of L*(lam_I); PositivityError unless
+    that eigenvalue clears the inverse families' dual floor."""
     x = op.adjoint_basis
     w = op.grid.weights[:, None, None]
     flat = _real_rows(x)
@@ -170,15 +184,7 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
         coords = np.linalg.solve(gram, target)
     except np.linalg.LinAlgError:
         coords = np.linalg.lstsq(gram, target, rcond=None)[0]
-    start = dual_from_coords(op, coords)
-    try:
-        _check_dual_floor(eigvalsh_hermitian(_adjoint_field(op, start, flat)))
-    except PositivityError as exc:
-        raise DualStartNotFound(
-            "least-squares identity start is not strictly dual-feasible "
-            "(min eigenvalue %.3e); supply an explicit start" % exc.min_eig
-        ) from exc
-    return start
+    return coords, _check_dual_floor(eigvalsh_hermitian(_adjoint_field(op, coords, flat)))
 
 
 # ---------------------------------------------------------------------------

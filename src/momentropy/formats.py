@@ -14,7 +14,9 @@ Density CSV:      one row per node: support coordinates, then the density
 Trace CSV:        header t,V,min_eig,lambda_norm then one row per step
 Report JSON:      status / lambda / V_final / entropy / fitted_V_slope /
                   iterations, plus diagnostic entries documented in
-                  :class:`momentropy.solver.SolveReport`
+                  :class:`momentropy.solver.SolveReport`; ``certificate`` is
+                  null unless the run found a separating dual point, then
+                  {"dual": <matrix>, "margin", "node", "step"}
 
 Built-in examples (:data:`EXAMPLES`) are builtin kernels objects read by the
 same code as problem files, so an example and its problem file agree.
@@ -378,6 +380,7 @@ def example_problem(name: str, seed: int = 0):
 
 def report_to_obj(report, family_name: str) -> dict:
     """Report JSON object; None and non-finite entries serialise as null."""
+    cert = report.certificate
     return {
         "status": report.status,
         "lambda": matrix_to_obj(report.lambda_hat.matrix),
@@ -390,6 +393,9 @@ def report_to_obj(report, family_name: str) -> dict:
         "entropy_vonneumann": _nullable(report.entropy_vonneumann),
         "pairing": _nullable(report.pairing_value),
         "message": report.message,
+        "certificate": None if cert is None else {
+            "dual": matrix_to_obj(cert.dual.matrix), "margin": cert.margin,
+            "node": cert.node, "step": cert.step},
     }
 
 

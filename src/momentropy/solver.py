@@ -17,9 +17,27 @@ slope -2.  ``solve_tau`` runs the fixed-interval form
     dlam/dtau = D(lam)^{-1} (R - R0),    tau in [0, 1],
 
 which is the path at s = 1 - tau.  When ``R`` is attainable the path ends at
-the unique matching dual point; when it is not, it leaves every bounded set or
-collides with the boundary of the dual-feasible region, and the solver
-reports which.
+the unique matching dual point; when it is not, it leaves every bounded set,
+and its direction separates ``R`` from the cone of attainable moments.
+
+Four statuses end a run.  ``Converged``: a strictly positive density of the
+family reproduces ``R``.  ``DivergedCertified``: a dual point y with
+L*(y) >= 0 at every node and <y, R> < 0 was found, which proves that no
+positive density of any family has moment ``R`` (for positive rho,
+<y, L(rho)> = sum_n w_n tr(L*(y)_n rho_n) >= 0).  ``NotInRange``: ``R`` lies
+outside the operator's range.  ``Inconclusive``: the run stopped without
+either, because its step collapsed, its dual norm passed 1e8 or the flow
+reached its horizon.
+
+Every accepted point x, the start included, is tested for a certificate at
+the cost of one dot product.  Once per solve the least-squares identity dual
+lam_I (L*(lam_I) = I as nearly as the range allows) is computed, with
+a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  At x, whose evaluation holds
+min_eig = min eig L*(x), the point y = x + delta lam_I with
+delta = max(0, -min_eig) / a_I has L*(y) >= 0, and <y, R> = <x, R> + delta p_I.
+It is a certificate when that margin lies below -1e-9 ||R|| ||y||.  Where
+L*(lam_I) is not strictly positive, only points with min_eig >= 0 are tested,
+with y = x.
 
 Both clocks share one path follower, so every accepted point lies on the
 path.  A trial step from t to t + dt is Newton's method on
@@ -48,17 +66,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import matrix_log
+from .calculus import eigvalsh_hermitian, matrix_log
 from .errors import PositivityError
-from .families import Family, _evaluate, default_dual_start
+from .families import Family, _evaluate, _identity_dual, default_dual_start
 from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
 from . import operator as _operator
 
 STATUS_CONVERGED = "Converged"
-STATUS_DIVERGED_UNBOUNDED = "DivergedUnbounded"
-STATUS_DIVERGED_BOUNDARY = "DivergedBoundary"
+STATUS_DIVERGED_CERTIFIED = "DivergedCertified"
 STATUS_NOT_IN_RANGE = "NotInRange"
-STATUS_MAX_TIME = "MaxTimeExceeded"
+STATUS_INCONCLUSIVE = "Inconclusive"
 
 _SLOPE_V_FLOOR = 1e-13
 _SLOPE_MIN_POINTS = 10
@@ -75,8 +92,10 @@ _TAU_STEPS = (0.01, 0.25, 1e-6)
 _CORRECTOR_ITERATIONS = 4
 _DOUBLING_ITERATIONS = 3
 _ON_PATH_RTOL = 1e-10
-# Dual norm beyond which a run counts as unbounded.
+# Dual norm beyond which a run stops as inconclusive.
 _LAMBDA_MAX = 1e8
+# A dual point y with L*(y) >= 0 separates R when <y, R> < -this * ||R|| ||y||.
+_CERTIFICATE_RTOL = 1e-9
 # Relative residual above which R is rejected as lying outside the range.
 _RANGE_RESIDUAL_TOL = 1e-8
 
@@ -111,6 +130,22 @@ class SolveConfig:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """Proof that no positive density has the target moment R.
+
+    ``dual`` is a point y with L*(y) >= 0 at every node and <y, R> < 0;
+    ``margin`` is <y, R> / (||R|| ||y||), ``node`` the node where L*(y) has
+    its smallest eigenvalue and ``step`` the accepted step (0 for the start)
+    at which y was found.
+    """
+
+    dual: DualVariable = field(repr=False)
+    margin: float
+    node: int
+    step: int
+
+
+@dataclass(frozen=True)
 class SolveReport:
     """Outcome of a continuation run.
 
@@ -124,7 +159,8 @@ class SolveReport:
     <lam, R> at the matched solution; only for ``rational`` does it equal
     m * measure(support), since tr(A A^{-1}) = m at every node) are
     diagnostics, set on ``Converged`` runs only.  ``fitted_V_slope`` is the
-    fitted log-V decay rate, None when the trace has no converged tail.  A
+    fitted log-V decay rate, None when the trace has no converged tail.
+    ``certificate`` is set on ``DivergedCertified`` runs only.  A
     ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace.
     """
 
@@ -139,6 +175,7 @@ class SolveReport:
     pairing_value: float | None = None
     fitted_V_slope: float | None = None
     message: str = ""
+    certificate: Certificate | None = None
 
 
 class _StepFailure(Exception):
@@ -161,8 +198,8 @@ def solve_tau(op: MomentOperator, moment: np.ndarray, family: Family,
 
     Every accepted point meets the line h(lam) = R0 + tau (R - R0) within
     the corrector tolerance, so a successful run certifies its own path; on
-    infeasible targets the step collapses before tau reaches 1 and the run
-    reports divergence.  Agrees with :func:`solve` at the fixed point.
+    infeasible targets the run stops at its first separating certificate.
+    Agrees with :func:`solve` at the fixed point.
     """
     return _integrate(op, moment, family, config or SolveConfig(), start, is_flow=False)
 
@@ -207,8 +244,9 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             "one-dimensional or discrete supports; pass torus_override to force"
         )
     # inputs built for another problem meet the operator here, once per solve;
-    # every weighted family holds sigma (phi phi* when built from phi)
-    for name, value, shape in (("sigma", family.sigma, (op.node_count, op.m, op.m)),
+    # the weighted rational family is named by its factor phi, the others by sigma
+    weight = ("phi", family.phi) if family.kind == "weighted_rational" else ("sigma", family.sigma)
+    for name, value, shape in (weight + ((op.node_count, op.m, op.m),),
                                ("start", None if start is None else start.coords, (op.d,))):
         if value is not None and np.shape(value) != shape:
             raise ValueError("%s has shape %s; this operator needs %s"
@@ -223,6 +261,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
 
     x = (start.coords.copy() if start is not None
          else default_dual_start(op, family).coords)
+    separating_dual = _certificate_test(op, r_coords)
     ev = _eval_or_fail(op, x, family)
     span = ev.h_coords - r_coords
     on_path_tol = _ON_PATH_RTOL * max(float(np.linalg.norm(span)), float(np.linalg.norm(r_coords)))
@@ -241,16 +280,24 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         trial_step = _rk4_step_tau
     lam_norm = math.hypot(*x)  # scaled inside, so a far-off point's norm stays finite
     trace = [(t, v, ev.min_eig, lam_norm)]
-    message = ""
+    message, certificate = "", None
 
     while True:
+        y = separating_dual(x, ev.min_eig)
+        if y is not None:
+            status = STATUS_DIVERGED_CERTIFIED
+            certificate = _certificate(op, y, r_coords, len(trace) - 1)
+            message = ("separating certificate at step %d (t=%.6f): <y, R> = %.3e ||R|| ||y||, "
+                       "L*(y) >= 0 least at node %d"
+                       % (certificate.step, t, certificate.margin, certificate.node))
+            break
         s = clock(t)
         if t == t_end:  # both clocks read s = 0 on R; only the flow can stop short, at t_max
-            status = STATUS_CONVERGED if s == 0.0 else STATUS_MAX_TIME
+            status = STATUS_CONVERGED if s == 0.0 else STATUS_INCONCLUSIVE
             message = "" if s == 0.0 else "horizon t=%g reached before landing on R" % t_end
             break
         if lam_norm > _LAMBDA_MAX:
-            status = STATUS_DIVERGED_UNBOUNDED
+            status = STATUS_INCONCLUSIVE
             message = "dual norm %.3e exceeded %g at t=%.6f" % (lam_norm, _LAMBDA_MAX, t)
             break
 
@@ -274,7 +321,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 reason = str(exc)
                 dt *= 0.5
         else:
-            status = STATUS_DIVERGED_BOUNDARY
+            status = STATUS_INCONCLUSIVE
             message = "step collapsed below %g at t=%.6f: %s" % (dt_min, t, reason)
             break
 
@@ -286,7 +333,40 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         if used <= _DOUBLING_ITERATIONS:
             dt = min(2.0 * dt, dt_cap)
 
-    return _finalise(op, family, status, x, ev, v, trace, message, fit_slope=is_flow)
+    return _finalise(op, family, status, x, ev, v, trace, message, fit_slope=is_flow,
+                     certificate=certificate)
+
+
+def _certificate_test(op, r_coords):
+    """The certificate test of one solve: a function of an accepted point x
+    and min_eig = min eig L*(x) that returns the coordinates of a separating
+    dual point y, or None."""
+    r_norm = float(np.linalg.norm(r_coords))
+    try:
+        lam_i, a_i = _identity_dual(op)
+        p_i = float(r_coords @ lam_i)
+    except PositivityError:
+        # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
+        lam_i, a_i, p_i = None, math.inf, 0.0
+
+    def separating_dual(x, min_eig):
+        if lam_i is None and min_eig < 0.0:
+            return None
+        delta = max(0.0, -min_eig) / a_i
+        margin = float(r_coords @ x) + delta * p_i
+        if not margin < 0.0:  # the common case costs the dot product alone
+            return None
+        y = x + delta * lam_i if delta else x
+        return y if margin < -_CERTIFICATE_RTOL * r_norm * math.hypot(*y) else None
+
+    return separating_dual
+
+
+def _certificate(op, y, r_coords, step) -> Certificate:
+    dual = dual_from_coords(op, y)
+    node_min = eigvalsh_hermitian(_operator.apply_L_adjoint(op, dual.matrix)).min(axis=1)
+    margin = float(r_coords @ y) / (float(np.linalg.norm(r_coords)) * math.hypot(*y))
+    return Certificate(dual=dual, margin=margin, node=int(np.argmin(node_min)), step=step)
 
 
 def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
@@ -347,7 +427,7 @@ _rk4_step = _rk4_step_tau = _corrector
 
 
 def _finalise(op, family, status, x, ev, v, trace, message,
-              fit_slope: bool = True) -> SolveReport:
+              fit_slope: bool = True, certificate: Certificate | None = None) -> SolveReport:
     lam = dual_from_coords(op, x)
     density = None
     entropy_value = entropy_burg = entropy_vn = pairing = None
@@ -378,5 +458,5 @@ def _finalise(op, family, status, x, ev, v, trace, message,
         status=status, lambda_hat=lam, V_final=v, trace=trace,
         density=density, entropy_value=entropy_value, entropy_burg=entropy_burg,
         entropy_vonneumann=entropy_vn, pairing_value=pairing,
-        fitted_V_slope=slope, message=message,
+        fitted_V_slope=slope, message=message, certificate=certificate,
     )

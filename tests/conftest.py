@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import momentropy as mp
 from momentropy import problems as pr
@@ -48,6 +49,20 @@ def array_solves(array_problem):
         report = mp.solve(op, moment, family, start=start)
         out[name] = (report, time.perf_counter() - t0)
     return out
+
+
+@pytest.fixture(scope="session")
+def assert_certified():
+    """Independent check of a separating certificate: the dual matrix y has
+    L*(y) >= 0 at every node (scipy's eigvalsh, up to 1e-12 of the largest
+    eigenvalue) and <y, R> < 0, both computed on matrices."""
+    def check(op, moment, status, dual_matrix):
+        assert status == "DivergedCertified"
+        field = mp.apply_L_adjoint(op, dual_matrix)
+        eigs = np.concatenate([sla.eigvalsh(node) for node in field])
+        assert eigs.min() >= -1e-12 * eigs.max(), (eigs.min(), eigs.max())
+        assert mp.inner(dual_matrix, np.asarray(moment, dtype=complex)) < 0.0
+    return check
 
 
 @pytest.fixture()

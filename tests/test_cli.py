@@ -99,24 +99,33 @@ def test_infeasible_moment_exits_with_divergence_code(scalar_bundle, tmp_path):
                  "--report", str(tmp_path / ("r_%s.json" % family)))
         assert r.returncode == 2, (family, r.stderr)
         report = json.loads((tmp_path / ("r_%s.json" % family)).read_text())
-        assert report["status"].startswith("Diverged")
+        assert report["status"] == "DivergedCertified"
+        assert r.stderr.startswith("DivergedCertified: separating certificate at step ")
+        cert = report["certificate"]
+        assert cert["margin"] < 0.0 and cert["node"] >= 0 and cert["step"] >= 0
+        assert fm.matrix_from_obj(cert["dual"]).real[0, 0] > 0.0
 
 
 def test_a_far_off_divergence_writes_a_finite_trace(scalar_bundle, tmp_path):
-    # the exponential flow on a small negative target accepts points whose
-    # dual norm squared overflows a double; the verdict and the trace stay finite
-    obj = json.loads((scalar_bundle / "problem.json").read_text())
-    obj["moment"]["data"] = [[-1e-3, 0.0]]
-    obj.pop("rho_true", None)
-    bad = tmp_path / "problem.json"
-    bad.write_text(fm.dumps_canonical(obj))
-    trace = tmp_path / "trace.csv"
-    r = _run("solve", "--problem", str(bad), "--family", "exponential",
-             "--report", str(tmp_path / "report.json"), "--trace-out", str(trace))
-    assert r.returncode == 2, r.stderr
-    assert "Warning" not in r.stderr and "inf" not in r.stderr
-    rows = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
-    assert np.all(np.isfinite(rows)) and rows[-1, 3] > 1e100
+    # kernels of size 1e-60 put the rational start, the least-squares
+    # solution of L*(lam) = I, at a dual norm near 1e120; the verdicts, the
+    # reports and the traces stay finite
+    grid = fm.load_problem(scalar_bundle / "problem.json").operator.grid
+    tiny = np.full((grid.node_count, 1, 1), 1e-60, dtype=complex)
+    op = mp.build_operator(grid, mp.kernel_samples(tiny, tiny))
+    for value, code, status in ((2.0, 4, "Inconclusive"), (-2.0, 2, "DivergedCertified")):
+        path = tmp_path / ("problem_%g.json" % value)
+        fm.write_problem(path, fm.problem_to_obj(grid, fm.samples_kernels_obj(op),
+                                                 np.array([[value]], dtype=complex)))
+        trace, report = tmp_path / ("trace_%g.csv" % value), tmp_path / ("report_%g.json" % value)
+        r = _run("solve", "--problem", str(path), "--family", "rational",
+                 "--report", str(report), "--trace-out", str(trace))
+        assert r.returncode == code, r.stderr
+        assert r.stderr.startswith(status + ": ")
+        assert "Warning" not in r.stderr and "inf" not in r.stderr
+        assert json.loads(report.read_text())["status"] == status
+        rows = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows)) and rows[-1, 3] > 1e100
 
 
 def test_feasibility_subcommand_verdicts(scalar_bundle, tmp_path):
@@ -132,7 +141,27 @@ def test_feasibility_subcommand_verdicts(scalar_bundle, tmp_path):
     bad.write_text(fm.dumps_canonical(obj))
     r2 = _run("feasibility", "--problem", str(bad), "--family", "rational")
     assert r2.returncode == 2
-    assert "not-strictly-feasible" in r2.stdout
+    assert r2.stdout.startswith("not-strictly-feasible (rational family, status "
+                                "DivergedCertified, certificate margin -")
+    assert r2.stdout.rstrip().endswith(" at step 0)")
+
+
+def test_a_stalled_run_exits_inconclusive(scalar_bundle, tmp_path):
+    # the rational flow on the attainable target 1e-12 passes the dual-norm
+    # bound before it lands: no proof either way, so exit 4, never 2
+    obj = json.loads((scalar_bundle / "problem.json").read_text())
+    obj["moment"]["data"] = [[1e-12, 0.0]]
+    obj.pop("rho_true", None)
+    small = tmp_path / "problem.json"
+    small.write_text(fm.dumps_canonical(obj))
+    r = _run("solve", "--problem", str(small), "--family", "rational")
+    assert r.returncode == 4, r.stderr
+    report = json.loads(r.stdout)
+    assert report["status"] == "Inconclusive" and report["certificate"] is None
+    assert r.stderr.startswith("Inconclusive: dual norm ")
+    r2 = _run("feasibility", "--problem", str(small), "--family", "rational")
+    assert r2.returncode == 4
+    assert r2.stdout == "inconclusive (rational family, status Inconclusive)\n"
 
 
 def test_config_file_merging_and_flag_priority(scalar_bundle, tmp_path):
@@ -140,8 +169,8 @@ def test_config_file_merging_and_flag_priority(scalar_bundle, tmp_path):
     config.write_text(json.dumps({"t_max": 1e-9}))
     r = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
              "--family", "rational", "--config", str(config))
-    assert r.returncode == 2
-    assert json.loads(r.stdout)["status"] == "MaxTimeExceeded"
+    assert r.returncode == 4
+    assert json.loads(r.stdout)["status"] == "Inconclusive"
     # an explicit flag beats the config file
     r2 = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
               "--family", "rational", "--config", str(config), "--t-max", "60")

@@ -116,14 +116,25 @@ def test_report_objects_have_stable_shape(scalar_report):
     assert list(obj.keys()) == [
         "status", "lambda", "V_final", "entropy", "fitted_V_slope",
         "iterations", "family", "entropy_burg", "entropy_vonneumann",
-        "pairing", "message",
+        "pairing", "message", "certificate",
     ]
     assert obj["status"] == "Converged"
+    assert obj["certificate"] is None
     assert obj["family"] == family
     assert obj["lambda"]["rows"] == 1 and obj["lambda"]["cols"] == 1
     # a full JSON round trip of the report is loss-free
     assert json.loads(fm.dumps_canonical(obj)) == json.loads(
         fm.dumps_canonical(json.loads(fm.dumps_canonical(obj))))
+
+
+def test_a_certified_report_writes_its_certificate(array_problem):
+    op, _rho, moment = array_problem
+    report = mp.solve(op, -moment, mp.rational_family())
+    cert = json.loads(fm.dumps_canonical(fm.report_to_obj(report, "rational")))["certificate"]
+    assert list(cert) == ["dual", "margin", "node", "step"]
+    assert np.array_equal(fm.matrix_from_obj(cert["dual"]), report.certificate.dual.matrix)
+    assert (cert["margin"], cert["node"], cert["step"]) == (
+        report.certificate.margin, report.certificate.node, report.certificate.step)
 
 
 def test_report_maps_non_finite_diagnostics_to_null(array_problem, rng):

@@ -6,14 +6,13 @@ import pytest
 
 import momentropy as mp
 from momentropy import calculus
+from momentropy import formats as fm
 from momentropy import operator as operator_module
 from momentropy import problems as pr
 from momentropy import solver as solver_module
 from momentropy.solver import (
     STATUS_CONVERGED,
-    STATUS_DIVERGED_BOUNDARY,
-    STATUS_DIVERGED_UNBOUNDED,
-    STATUS_MAX_TIME,
+    STATUS_INCONCLUSIVE,
     STATUS_NOT_IN_RANGE,
 )
 
@@ -75,33 +74,50 @@ def test_inverse_families_need_override_on_two_dimensional_support():
         mp.solve_tau(op2, moment, mp.rational_family())
     config = mp.SolveConfig(torus_override=True, t_max=5.0)
     report = mp.solve(op2, moment, mp.rational_family(), config)
-    assert report.status in (STATUS_CONVERGED, STATUS_MAX_TIME)
+    assert report.status in (STATUS_CONVERGED, STATUS_INCONCLUSIVE)
     # exponential families carry no dimension restriction
     report2 = mp.solve(op2, moment, mp.exponential_family())
     assert report2.status == STATUS_CONVERGED
 
 
-def test_divergence_statuses_on_negative_scalar_moment(scalar_op):
+def test_divergence_statuses_on_negative_scalar_moment(scalar_op, assert_certified):
+    # -1 is the moment of no positive density: the verdict carries the
+    # separating dual point and names its step, margin and worst node
+    moment = np.array([[-1.0]], dtype=complex)
     for name in ("rational", "exponential"):
-        report = mp.solve(scalar_op, np.array([[-1.0]], dtype=complex),
-                          mp.family_from_name(name))
-        assert report.status in (STATUS_DIVERGED_UNBOUNDED, STATUS_DIVERGED_BOUNDARY)
+        report = mp.solve(scalar_op, moment, mp.family_from_name(name))
+        cert = report.certificate
+        assert_certified(scalar_op, moment, report.status, cert.dual.matrix)
         assert report.V_final > 1e-3
-        assert report.message
-        if report.status == STATUS_DIVERGED_BOUNDARY:
-            # the verdict names why the last trial step was rejected
-            assert report.message.startswith("step collapsed below 1e-12 at t=")
-            reason = report.message.split(": ", 1)[1]
-            assert reason in ("Jacobian lost definiteness", "corrector stopped contracting",
-                              "corrector missed the path after 4 iterations",
-                              "non-finite values in evaluation",
-                              "non-finite Newton step") \
-                or reason.startswith("adjoint field near-singular at node ")
-        else:
-            # the verdict names the norm, the bound and the time
+        assert cert.step == len(report.trace) - 1
+        assert cert.margin < -1e-9
+        assert report.message == (
+            "separating certificate at step %d (t=%.6f): <y, R> = %.3e ||R|| ||y||, "
+            "L*(y) >= 0 least at node %d" % (cert.step, report.trace[-1][0], cert.margin, cert.node))
+    # R = 0 lies on the cone's boundary, where no dual point separates it: each
+    # run stops short and says why
+    zero = np.zeros((1, 1), dtype=complex)
+    for solver in (mp.solve, mp.solve_tau):
+        for name in ("rational", "exponential"):
+            report = solver(scalar_op, zero, mp.family_from_name(name))
+            assert report.status == STATUS_INCONCLUSIVE and report.certificate is None
             t, _v, _min_eig, lam_norm = report.trace[-1]
-            assert report.message == "dual norm %.3e exceeded 1e+08 at t=%.6f" % (lam_norm, t)
-            assert lam_norm > 1e8
+            if report.message.startswith("step collapsed"):
+                # the verdict names why the last trial step was rejected
+                h_min = "1e-12" if solver is mp.solve else "1e-06"
+                assert report.message.startswith("step collapsed below %s at t=" % h_min)
+                reason = report.message.split(": ", 1)[1]
+                assert reason in ("Jacobian lost definiteness", "corrector stopped contracting",
+                                  "corrector missed the path after 4 iterations",
+                                  "non-finite values in evaluation",
+                                  "non-finite Newton step") \
+                    or reason.startswith("adjoint field near-singular at node ")
+            elif report.message.startswith("dual norm"):
+                # the verdict names the norm, the bound and the time
+                assert report.message == "dual norm %.3e exceeded 1e+08 at t=%.6f" % (lam_norm, t)
+                assert lam_norm > 1e8
+            else:
+                assert report.message == "horizon t=60 reached before landing on R"
 
 
 @pytest.mark.parametrize("solver, traced, other", [
@@ -166,7 +182,7 @@ def test_a_failing_first_stage_ends_the_run_at_once(scalar_op, monkeypatch, solv
 
     monkeypatch.setattr(solver_module, "_solve_flow_system", refuse)
     report = solver(scalar_op, np.array([[2.0]], dtype=complex), mp.exponential_family())
-    assert report.status == STATUS_DIVERGED_BOUNDARY
+    assert report.status == STATUS_INCONCLUSIVE
     assert report.message == ("step collapsed below %s at t=0.000000: Jacobian lost definiteness"
                               % h_min)
     assert len(calls) == 1
@@ -187,6 +203,10 @@ def test_non_finite_moments_and_options_are_rejected(scalar_op, array_problem):
                 with pytest.raises(ValueError, match=r"sigma has shape \(%d, %d, %d\); this "
                                    r"operator needs \(32, 1, 1\)" % sigma.shape):
                     solver(scalar_op, moment, factory(sigma))
+        # the weighted rational family is named by the factor phi it was built from
+        with pytest.raises(ValueError, match=r"phi has shape \(5, 1, 1\); this operator "
+                           r"needs \(32, 1, 1\)"):
+            solver(scalar_op, moment, mp.weighted_rational_family(phi=np.ones((5, 1, 1))))
         with pytest.raises(ValueError, match=r"start has shape \(7,\); this operator needs \(1,\)"):
             solver(scalar_op, moment, mp.exponential_family(), start=foreign_start)
     for name in ("tol", "t_max"):
@@ -246,7 +266,8 @@ def test_time_horizon_is_honoured(array_problem):
     op, _rho, moment = array_problem
     config = mp.SolveConfig(t_max=1e-3)
     report = mp.solve(op, moment, mp.rational_family(), config)
-    assert report.status == STATUS_MAX_TIME
+    assert report.status == STATUS_INCONCLUSIVE
+    assert report.message == "horizon t=0.001 reached before landing on R"
     assert report.trace[-1][0] <= 1e-3 + 1e-12
 
 
@@ -272,10 +293,12 @@ def test_fixed_interval_form_matches_the_flow_form(scalar_op, array_problem):
     assert rel <= 1e-6
 
 
-def test_fixed_interval_form_detects_infeasible_targets(scalar_op):
-    report = mp.solve_tau(scalar_op, np.array([[-1.0]], dtype=complex), mp.rational_family())
-    assert report.status == STATUS_DIVERGED_BOUNDARY
-    assert report.trace[-1][0] < 0.9  # the path exits the cone well before tau = 1
+def test_fixed_interval_form_detects_infeasible_targets(scalar_op, assert_certified):
+    moment = np.array([[-1.0]], dtype=complex)
+    for name in ("rational", "exponential"):
+        report = mp.solve_tau(scalar_op, moment, mp.family_from_name(name))
+        assert_certified(scalar_op, moment, report.status, report.certificate.dual.matrix)
+        assert report.trace[-1][0] < 0.9  # the proof is at hand well before tau = 1
 
 
 def test_lyapunov_slope_recovers_synthetic_decay():
@@ -307,12 +330,14 @@ def test_the_last_trace_row_is_the_landing_on_the_target(scalar_op):
 
 @pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
 @pytest.mark.parametrize("name", ["rational", "exponential"])
-def test_negative_and_zero_scalar_targets_never_converge(scalar_op, solver, name):
+def test_negative_and_zero_scalar_targets_never_converge(scalar_op, assert_certified,
+                                                          solver, name):
     # the magnitudes of the benchmark's infeasible targets; a flow that stops
     # at an absolute V would call the smallest of them matched
     for value in (-1e-7, -1e-3, -1e1, -1e5):
-        report = solver(scalar_op, np.array([[value]], dtype=complex), mp.family_from_name(name))
-        assert report.status in (STATUS_DIVERGED_UNBOUNDED, STATUS_DIVERGED_BOUNDARY), value
+        moment = np.array([[value]], dtype=complex)
+        report = solver(scalar_op, moment, mp.family_from_name(name))
+        assert_certified(scalar_op, moment, report.status, report.certificate.dual.matrix)
     report = solver(scalar_op, np.zeros((1, 1), dtype=complex), mp.family_from_name(name))
     assert report.status != STATUS_CONVERGED
 
@@ -326,17 +351,22 @@ def test_a_small_positive_target_converges_with_a_relative_residual(scalar_op, n
     assert resid <= 1e-6
 
 
-def test_a_far_off_point_raises_no_overflow_warning(scalar_op):
-    # the exponential flow on R = -1e-3 accepts a point with dual norm near
-    # 5e218, whose square overflows a double
+def test_a_far_off_point_raises_no_overflow_warning(array_problem, assert_certified):
+    # exponential runs from a start with dual norm near 1e210, whose square
+    # overflows a double: one on an attainable target, one on its negative
+    op, _rho, moment = array_problem
+    start = mp.dual_from_coords(op, 1e210 * mp.default_dual_start(op, mp.rational_family()).coords)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = mp.solve(scalar_op, np.array([[-1e-3]], dtype=complex),
-                          mp.exponential_family())
-    assert report.status == STATUS_DIVERGED_UNBOUNDED
-    lam_norm = report.trace[-1][3]
+        report = mp.solve(op, moment, mp.exponential_family(), start=start)
+        certified = mp.solve(op, -moment, mp.exponential_family(), start=start)
+    assert report.status == STATUS_INCONCLUSIVE
+    t, _v, _min_eig, lam_norm = report.trace[-1]
     assert np.isfinite(lam_norm) and lam_norm > 1e200
-    assert "inf" not in report.message
+    assert report.message == "dual norm %.3e exceeded 1e+08 at t=%.6f" % (lam_norm, t)
+    assert_certified(op, -moment, certified.status, certified.certificate.dual.matrix)
+    assert np.isfinite(certified.certificate.margin) and certified.trace[-1][3] > 1e200
+    assert "inf" not in report.message + certified.message
 
 
 def test_trace_time_is_increasing_and_consistent(array_problem):
@@ -358,3 +388,81 @@ def test_explicit_starts_reach_the_same_solution(array_problem, rng):
     assert alt.status == STATUS_CONVERGED
     rel = np.max(np.abs(alt.density - base.density)) / np.max(np.abs(base.density))
     assert rel <= 1e-8
+
+
+def _flipped_array_moment(op):
+    # criterion 9's target: the demo density shifted down until no positive
+    # density has its moments
+    flipped = pr.two_bump_demo_density(op.grid)[:, 0, 0].real - 0.7
+    return mp.apply_L(op, flipped.reshape(-1, 1, 1).astype(complex))
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_a_flipped_array_moment_is_certified_early(array_problem, assert_certified,
+                                                   solver, name):
+    # the run stops at its first separating point, long before the path
+    # leaves every bounded set
+    op = array_problem[0]
+    moment = _flipped_array_moment(op)
+    report = solver(op, moment, mp.family_from_name(name))
+    assert_certified(op, moment, report.status, report.certificate.dual.matrix)
+    assert report.certificate.step == len(report.trace) - 1 <= 20
+
+
+def test_a_partial_trace_target_is_certified_without_an_identity_dual(assert_certified):
+    # L*(lam) is rank-deficient at every node of the partial trace, so no
+    # strictly positive L*(lam_I) exists; an accepted point whose own L*(x)
+    # is positive semidefinite is tested as it stands
+    op = pr.partial_trace_problem(2, 2)
+    moment = np.diag([0.5, -0.5]).astype(complex)
+    for solver in (mp.solve, mp.solve_tau):
+        report = solver(op, moment, mp.exponential_family())
+        assert_certified(op, moment, report.status, report.certificate.dual.matrix)
+        assert np.array_equal(report.certificate.dual.coords, report.lambda_hat.coords)
+    # on these infeasible targets the path meets only indefinite L*(x), which
+    # cannot serve: a run either stops short or its certificate is checked
+    for moment in (np.diag([1.0, -1e-3]), np.array([[0.5, 0.6j], [-0.6j, 0.5]])):
+        moment = moment.astype(complex)
+        for solver in (mp.solve, mp.solve_tau):
+            report = solver(op, moment, mp.exponential_family())
+            if report.certificate is None:
+                assert report.status == STATUS_INCONCLUSIVE
+            else:
+                assert_certified(op, moment, report.status, report.certificate.dual.matrix)
+
+
+@pytest.mark.parametrize("example", sorted(fm.EXAMPLES))
+def test_no_attainable_target_is_ever_certified(example):
+    # every family on every bundled problem, both forms: a separating point
+    # for an attainable target would contradict <y, L(rho)> >= 0
+    op, _kernels, moment, rho_true = fm.example_problem(example)
+    sigma = rho_true + np.eye(op.m)  # a positive reference other than the truth
+    config = mp.SolveConfig(torus_override=True)
+    for name in mp.FAMILY_KINDS:
+        family = mp.family_from_name(name, sigma=sigma)
+        for solver in (mp.solve, mp.solve_tau):
+            try:
+                report = solver(op, moment, family, config)
+            except mp.DualStartNotFound:
+                # L*(lam) is rank-deficient at every node of the partial trace
+                assert example == "bell" and family.is_inverse_kind
+                continue
+            assert report.certificate is None, (name, solver.__name__)
+            assert report.status == STATUS_CONVERGED, (name, solver.__name__)
+
+
+def test_stalled_runs_on_attainable_targets_are_inconclusive(array_problem, scalar_op):
+    # targets far from the start's scale, on which the path follower stops
+    # short of R; without a certificate the verdict is never a divergence
+    op, _rho, moment = array_problem
+    cases = [(mp.solve_tau, op, 1e8 * moment, "rational"),
+             (mp.solve_tau, op, 1e8 * moment, "exponential"),
+             (mp.solve, op, 1e-8 * moment, "rational"),
+             (mp.solve, scalar_op, [[1e-12]], "rational"),
+             (mp.solve_tau, scalar_op, [[1e-7]], "rational"),
+             (mp.solve_tau, scalar_op, [[1e-7]], "exponential")]
+    for solver, problem_op, target, name in cases:
+        report = solver(problem_op, np.asarray(target, dtype=complex), mp.family_from_name(name))
+        assert report.status in (STATUS_CONVERGED, STATUS_INCONCLUSIVE), (solver.__name__, name)
+        assert report.certificate is None
