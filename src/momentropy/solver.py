@@ -35,9 +35,12 @@ lam_I (L*(lam_I) = I as nearly as the range allows) is computed, with
 a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  At x, whose evaluation holds
 min_eig = min eig L*(x), the point y = x + delta lam_I with
 delta = max(0, -min_eig) / a_I has L*(y) >= 0, and <y, R> = <x, R> + delta p_I.
-It is a certificate when that margin lies below -1e-9 ||R|| ||y||.  Where
-L*(lam_I) is not strictly positive, only points with min_eig >= 0 are tested,
-with y = x.
+When that margin is negative, y is checked in full: it is a certificate
+when <y, R> lies below -1e-9 ||R|| ||y|| and the eigenvalues of L*(y) at
+every node are above -1e-12 times the largest, so that rounding in delta
+cannot certify; a y that fails the check is dropped and the run goes on.
+Where L*(lam_I) is not strictly positive, only points with min_eig >= 0 are
+tested, with y = x.
 
 Both clocks share one path follower, so every accepted point lies on the
 path.  A trial step from t to t + dt is Newton's method on
@@ -96,6 +99,9 @@ _ON_PATH_RTOL = 1e-10
 _LAMBDA_MAX = 1e8
 # A dual point y with L*(y) >= 0 separates R when <y, R> < -this * ||R|| ||y||.
 _CERTIFICATE_RTOL = 1e-9
+# L*(y) counts as positive semidefinite when its least eigenvalue over the
+# nodes is above -this times its largest.
+_PSD_RTOL = 1e-12
 # Relative residual above which R is rejected as lying outside the range.
 _RANGE_RESIDUAL_TOL = 1e-8
 
@@ -261,8 +267,18 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
 
     x = (start.coords.copy() if start is not None
          else default_dual_start(op, family).coords)
-    separating_dual = _certificate_test(op, r_coords)
     ev = _eval_or_fail(op, x, family)
+    # lam_I and a_I = min eig L*(lam_I) for the certificate test; lam_I is
+    # the inverse families' default start, evaluated just above
+    if start is None and family.is_inverse_kind:
+        lam_i, a_i = x, ev.min_eig
+    else:
+        try:
+            lam_i, a_i = _identity_dual(op)
+        except PositivityError:
+            # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
+            lam_i, a_i = None, math.inf
+    p_i = 0.0 if lam_i is None else float(r_coords @ lam_i)
     span = ev.h_coords - r_coords
     on_path_tol = _ON_PATH_RTOL * max(float(np.linalg.norm(span)), float(np.linalg.norm(r_coords)))
     t = 0.0
@@ -283,14 +299,19 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     message, certificate = "", None
 
     while True:
-        y = separating_dual(x, ev.min_eig)
-        if y is not None:
-            status = STATUS_DIVERGED_CERTIFIED
-            certificate = _certificate(op, y, r_coords, len(trace) - 1)
-            message = ("separating certificate at step %d (t=%.6f): <y, R> = %.3e ||R|| ||y||, "
-                       "L*(y) >= 0 least at node %d"
-                       % (certificate.step, t, certificate.margin, certificate.node))
-            break
+        # y = x + delta lam_I has L*(y) >= 0, and <y, R> costs one dot product;
+        # _certificate checks a candidate in full
+        if lam_i is not None or ev.min_eig >= 0.0:
+            delta = max(0.0, -ev.min_eig / a_i)
+            if float(r_coords @ x) + delta * p_i < 0.0:
+                certificate = _certificate(op, x + delta * lam_i if delta else x, r_coords,
+                                           len(trace) - 1)
+                if certificate is not None:
+                    status = STATUS_DIVERGED_CERTIFIED
+                    message = ("separating certificate at step %d (t=%.6f): <y, R> = %.3e "
+                               "||R|| ||y||, L*(y) >= 0 least at node %d"
+                               % (certificate.step, t, certificate.margin, certificate.node))
+                    break
         s = clock(t)
         if t == t_end:  # both clocks read s = 0 on R; only the flow can stop short, at t_max
             status = STATUS_CONVERGED if s == 0.0 else STATUS_INCONCLUSIVE
@@ -337,36 +358,18 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                      certificate=certificate)
 
 
-def _certificate_test(op, r_coords):
-    """The certificate test of one solve: a function of an accepted point x
-    and min_eig = min eig L*(x) that returns the coordinates of a separating
-    dual point y, or None."""
-    r_norm = float(np.linalg.norm(r_coords))
-    try:
-        lam_i, a_i = _identity_dual(op)
-        p_i = float(r_coords @ lam_i)
-    except PositivityError:
-        # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
-        lam_i, a_i, p_i = None, math.inf, 0.0
-
-    def separating_dual(x, min_eig):
-        if lam_i is None and min_eig < 0.0:
-            return None
-        delta = max(0.0, -min_eig) / a_i
-        margin = float(r_coords @ x) + delta * p_i
-        if not margin < 0.0:  # the common case costs the dot product alone
-            return None
-        y = x + delta * lam_i if delta else x
-        return y if margin < -_CERTIFICATE_RTOL * r_norm * math.hypot(*y) else None
-
-    return separating_dual
-
-
-def _certificate(op, y, r_coords, step) -> Certificate:
-    dual = dual_from_coords(op, y)
-    node_min = eigvalsh_hermitian(_operator.apply_L_adjoint(op, dual.matrix)).min(axis=1)
+def _certificate(op, y, r_coords, step) -> Certificate | None:
+    """The certificate at dual coordinates y, or None unless <y, R> lies below
+    -_CERTIFICATE_RTOL ||R|| ||y|| and L*(y) is positive semidefinite at
+    every node, both checked here."""
     margin = float(r_coords @ y) / (float(np.linalg.norm(r_coords)) * math.hypot(*y))
-    return Certificate(dual=dual, margin=margin, node=int(np.argmin(node_min)), step=step)
+    if not margin < -_CERTIFICATE_RTOL:
+        return None
+    dual = dual_from_coords(op, y)
+    eigs = eigvalsh_hermitian(_operator.apply_L_adjoint(op, dual.matrix))
+    if eigs.min() < -_PSD_RTOL * eigs.max():
+        return None
+    return Certificate(dual=dual, margin=margin, node=int(np.argmin(eigs.min(axis=1))), step=step)
 
 
 def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:

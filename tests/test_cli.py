@@ -170,7 +170,9 @@ def test_config_file_merging_and_flag_priority(scalar_bundle, tmp_path):
     r = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
              "--family", "rational", "--config", str(config))
     assert r.returncode == 4
-    assert json.loads(r.stdout)["status"] == "Inconclusive"
+    report = json.loads(r.stdout)
+    assert report["status"] == "Inconclusive"
+    assert report["message"] == "horizon t=1e-09 reached before landing on R"
     # an explicit flag beats the config file
     r2 = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
               "--family", "rational", "--config", str(config), "--t-max", "60")

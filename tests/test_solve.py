@@ -74,7 +74,9 @@ def test_inverse_families_need_override_on_two_dimensional_support():
         mp.solve_tau(op2, moment, mp.rational_family())
     config = mp.SolveConfig(torus_override=True, t_max=5.0)
     report = mp.solve(op2, moment, mp.rational_family(), config)
-    assert report.status in (STATUS_CONVERGED, STATUS_INCONCLUSIVE)
+    assert report.status == STATUS_CONVERGED or (
+        report.status == STATUS_INCONCLUSIVE
+        and report.message == "horizon t=5 reached before landing on R")
     # exponential families carry no dimension restriction
     report2 = mp.solve(op2, moment, mp.exponential_family())
     assert report2.status == STATUS_CONVERGED
@@ -408,6 +410,50 @@ def test_a_flipped_array_moment_is_certified_early(array_problem, assert_certifi
     report = solver(op, moment, mp.family_from_name(name))
     assert_certified(op, moment, report.status, report.certificate.dual.matrix)
     assert report.certificate.step == len(report.trace) - 1 <= 20
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+def test_a_candidate_with_an_indefinite_adjoint_is_refused(array_problem, monkeypatch, solver):
+    # an evaluation that reports L*(x) >= 0 where it is not sets delta = 0,
+    # so y = x has a negative margin but an indefinite L*(y): the eigenvalue
+    # check refuses every such candidate and the run never ends certified
+    op = array_problem[0]
+    evaluate, certificate = solver_module._evaluate, solver_module._certificate
+    refused = []
+
+    def lying(*args, **kwargs):
+        ev = evaluate(*args, **kwargs)
+        return ev._replace(min_eig=abs(ev.min_eig))
+
+    def counted(*args):
+        cert = certificate(*args)
+        refused.append(cert is None)
+        return cert
+
+    monkeypatch.setattr(solver_module, "_evaluate", lying)
+    monkeypatch.setattr(solver_module, "_certificate", counted)
+    report = solver(op, _flipped_array_moment(op), mp.exponential_family())
+    assert report.status == STATUS_INCONCLUSIVE and report.certificate is None
+    assert refused and all(refused)
+
+
+def test_a_point_mass_target_is_never_certified(array_problem, monkeypatch):
+    # a point mass at a node is the moment of a nonnegative density, so
+    # <y, R> >= 0 whenever L*(y) >= 0; on the exponential path the margin
+    # sinks to rounding, near -1e-16 ||R|| ||y||, and only the relative
+    # guard keeps it from certifying
+    op = array_problem[0]
+    mass = np.zeros((op.node_count, 1, 1), dtype=complex)
+    mass[80] = 1.0 / op.grid.weights[80]
+    moment = mp.apply_L(op, mass)
+    for solver in (mp.solve, mp.solve_tau):
+        report = solver(op, moment, mp.exponential_family())
+        assert report.status == STATUS_INCONCLUSIVE and report.certificate is None
+    monkeypatch.setattr(solver_module, "_CERTIFICATE_RTOL", 0.0)
+    for solver in (mp.solve, mp.solve_tau):
+        report = solver(op, moment, mp.exponential_family())
+        assert report.status == "DivergedCertified"
+        assert -1e-15 < report.certificate.margin < 0.0
 
 
 def test_a_partial_trace_target_is_certified_without_an_identity_dual(assert_certified):
