@@ -42,6 +42,8 @@ from .errors import DualStartNotFound, PositivityError
 from .operator import _check_dual_floor, MomentOperator, DualVariable, dual_from_coords
 
 _INVERSE_KINDS = ("rational", "weighted_rational")
+# L*(lam_I) counts as the identity when its eigenvalues are within this of 1.
+_IDENTITY_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +159,13 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
     ``L*(lam) = identity`` over the range subspace, which reproduces the
     identity-coordinates start on problems where the adjoint can reach the
     constant identity field; the result is validated for strict dual
-    feasibility and :class:`DualStartNotFound` is raised otherwise.
+    feasibility and :class:`DualStartNotFound` is raised otherwise.  The
+    solver scales this point to the target moment before it starts.
     """
     if not family.is_inverse_kind:
         return dual_from_coords(op, np.zeros(op.d))
     try:
-        coords, _min_eig = _identity_dual(op)
+        coords, _min_eig, _is_identity = _identity_dual(op)
     except PositivityError as exc:
         raise DualStartNotFound(
             "least-squares identity start is not strictly dual-feasible "
@@ -171,20 +174,31 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
     return dual_from_coords(op, coords)
 
 
-def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float]:
+def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float, bool]:
     """Range coordinates of the least-squares solution lam_I of L*(lam) = I,
-    and the smallest nodewise eigenvalue of L*(lam_I); PositivityError unless
-    that eigenvalue clears the inverse families' dual floor."""
+    the smallest nodewise eigenvalue of L*(lam_I), and whether every one of
+    those eigenvalues is within 1e-8 of 1 (L*(lam_I) = I); PositivityError
+    unless the smallest clears the inverse families' dual floor.
+
+    Each adjoint image is divided by its largest entry before the Gram system
+    is formed, so that system, whose entries scale as the fourth power of the
+    kernels, neither underflows nor overflows.
+    """
     x = op.adjoint_basis
     w = op.grid.weights[:, None, None]
     flat = _real_rows(x)
-    gram = flat @ _real_rows(w * x).T
-    target = flat @ (w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
+    row_scale = np.abs(flat).max(axis=1)
+    unit_rows = flat / row_scale[:, None]
+    gram = unit_rows @ (_real_rows(w * x) / row_scale[:, None]).T
+    target = unit_rows @ (w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
     try:
         coords = np.linalg.solve(gram, target)
     except np.linalg.LinAlgError:
         coords = np.linalg.lstsq(gram, target, rcond=None)[0]
-    return coords, _check_dual_floor(eigvalsh_hermitian(_adjoint_field(op, coords, flat)))
+    coords = coords / row_scale
+    eigs = eigvalsh_hermitian(_adjoint_field(op, coords, flat))
+    min_eig = _check_dual_floor(eigs)
+    return coords, min_eig, bool(np.all(np.abs(eigs - 1.0) <= _IDENTITY_ATOL))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +219,8 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     #     J_ij = -sum_n w_n Re <v* E_i v, g (u* E_j u)>,
     # with g_ab = f_a f_b (minus the divided difference of 1/mu) for the
     # inverse shape and the divided difference of e^mu / e for the exponential.
+    # g is held by its square root, which stays in range for any kernel size
+    # where g itself (f^2 for the inverse shape) would under- or overflow.
     x = op.adjoint_basis
     flat = _real_rows(x)
     a_field = _adjoint_field(op, lam, flat)
@@ -213,7 +229,8 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
         min_eig = _check_dual_floor(eigs_a)
         f = 1.0 / eigs_a
         if need_jacobian:
-            g = f[:, :, None] * f[:, None, :]
+            root_f = np.sqrt(f)
+            root_g = root_f[:, :, None] * root_f[:, None, :]
     else:
         exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
         mu, u = eigh_hermitian(exponent)
@@ -222,7 +239,7 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
         with np.errstate(over="ignore", under="ignore"):
             f = np.exp(mu) / np.e
         if need_jacobian:
-            g = _divided_difference_exp(mu) / np.e
+            root_g = np.sqrt(_divided_difference_exp(mu) / np.e)
 
     v = u if family.phi is None else family.phi @ u
     w = op.grid.weights[:, None, None]
@@ -234,17 +251,17 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
 
     jac = None
     if need_jacobian:
-        w_g = w * g
         if family.phi is None or op.m == 1:
             # v* E v = |phi|^2 u* E u here, so J = -Y Y^T with
-            # Y = sqrt(w g |phi|^2) u* E u, symmetric by construction
+            # Y = sqrt(w g) |phi| u* E u, symmetric by construction
+            root_w_g = np.sqrt(w) * root_g
             if family.phi is not None:
-                w_g = w_g * np.abs(family.phi) ** 2
-            y = _real_rows(_basis_congruence(u, x, np.sqrt(w_g)))
+                root_w_g = root_w_g * np.abs(family.phi)
+            y = _real_rows(_basis_congruence(u, x, root_w_g))
             jac = -(y @ y.T)
         else:
             z = _real_rows(_basis_congruence(v, x))
-            jac = -(z @ _real_rows(_basis_congruence(u, x, w_g)).T)
+            jac = -(z @ _real_rows(_basis_congruence(u, x, w * root_g ** 2)).T)
     return _PointEval(density, h_coords, jac, min_eig)
 
 

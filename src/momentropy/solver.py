@@ -26,13 +26,25 @@ L*(y) >= 0 at every node and <y, R> < 0 was found, which proves that no
 positive density of any family has moment ``R`` (for positive rho,
 <y, L(rho)> = sum_n w_n tr(L*(y)_n rho_n) >= 0).  ``NotInRange``: ``R`` lies
 outside the operator's range.  ``Inconclusive``: the run stopped without
-either, because its step collapsed, its dual norm passed 1e8 or the flow
+either, because its start could not be evaluated, its step collapsed, its
+dual norm passed 1e8 max(1, ||x_0||) (x_0 the run's start) or the flow
 reached its horizon.
+
+Without an explicit start, the run starts at ``default_dual_start`` scaled
+to the target, so that its verdict and its step count do not depend on the
+size of ``R``.  With lam_0 that point and c = <R, h(lam_0)> / ||h(lam_0)||^2
+the least-squares scale of its moment, the start is lam_0 / c for the inverse
+families, where h(lam / c) = c h(lam), and lam_0 - ln(c) lam_I for the
+exponential ones when L*(lam_I) = I within 1e-8, where
+h(lam - ln(c) lam_I) = c h(lam).  It stays lam_0 when c is not positive and
+finite, and for the exponential families on operators where L*(lam_I) is not
+the identity.  An explicit start is never rescaled.
 
 Every accepted point x, the start included, is tested for a certificate at
 the cost of one dot product.  Once per solve the least-squares identity dual
 lam_I (L*(lam_I) = I as nearly as the range allows) is computed, with
-a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  At x, whose evaluation holds
+a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  When p_I < 0, lam_I itself
+is the candidate at the start.  At x, whose evaluation holds
 min_eig = min eig L*(x), the point y = x + delta lam_I with
 delta = max(0, -min_eig) / a_I has L*(y) >= 0, and <y, R> = <x, R> + delta p_I.
 When that margin is negative, y is checked in full: it is a certificate
@@ -56,7 +68,8 @@ to the clock's cap.  A collapsed step's verdict message carries the reason
 for the last rejection.  Both clocks end on R itself: tau lands on 1, and the
 flow clock reads s = 0 at the time its V would reach ``tol * ||R||^2``, so
 each run's last step is a corrector step onto R, and a run converges only by
-meeting it (or by starting within that threshold).
+meeting it.  A start already within that threshold is the end of its path
+on both clocks, and the run converges there without a step.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -95,7 +108,8 @@ _TAU_STEPS = (0.01, 0.25, 1e-6)
 _CORRECTOR_ITERATIONS = 4
 _DOUBLING_ITERATIONS = 3
 _ON_PATH_RTOL = 1e-10
-# Dual norm beyond which a run stops as inconclusive.
+# A run stops as inconclusive once its dual norm passes this times
+# max(1, ||x_0||), x_0 its start.
 _LAMBDA_MAX = 1e8
 # A dual point y with L*(y) >= 0 separates R when <y, R> < -this * ||R|| ||y||.
 _CERTIFICATE_RTOL = 1e-9
@@ -167,7 +181,9 @@ class SolveReport:
     diagnostics, set on ``Converged`` runs only.  ``fitted_V_slope`` is the
     fitted log-V decay rate, None when the trace has no converged tail.
     ``certificate`` is set on ``DivergedCertified`` runs only.  A
-    ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace.
+    ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace; a run
+    whose start could not be evaluated has that start as ``lambda_hat``, a
+    NaN ``V_final`` and an empty trace.
     """
 
     status: str
@@ -265,61 +281,86 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                          "moment lies outside the operator range "
                          "(relative residual %.3e)" % (residual / scale), fit_slope=False)
 
-    x = (start.coords.copy() if start is not None
-         else default_dual_start(op, family).coords)
-    ev = _eval_or_fail(op, x, family)
     # lam_I and a_I = min eig L*(lam_I) for the certificate test; lam_I is
-    # the inverse families' default start, evaluated just above
+    # the inverse families' default start, and a_I comes from its evaluation
+    x = start.coords.copy() if start is not None else default_dual_start(op, family).coords
     if start is None and family.is_inverse_kind:
-        lam_i, a_i = x, ev.min_eig
+        lam_i, a_i, is_identity = x, None, False
     else:
         try:
-            lam_i, a_i = _identity_dual(op)
+            lam_i, a_i, is_identity = _identity_dual(op)
         except PositivityError:
             # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
-            lam_i, a_i = None, math.inf
+            lam_i, a_i, is_identity = None, math.inf, False
+    try:
+        if start is None and (family.is_inverse_kind or is_identity):
+            # scale the default start to R: h(lam/c) = c h(lam) for the inverse
+            # families and h(lam - ln(c) lam_I) = c h(lam) for the exponential
+            # ones when L*(lam_I) = I, with c the least-squares fit of h(lam) to R
+            ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
+            if family.is_inverse_kind:
+                a_i = ev0.min_eig
+            # h is divided by its largest entry first, so ||h||^2 stays in range
+            peak, c = float(np.abs(ev0.h_coords).max()), 0.0
+            if peak > 0.0:
+                unit = ev0.h_coords / peak
+                c = float(r_coords @ unit) / float(unit @ unit) / peak
+            if c > 0.0 and math.isfinite(c):
+                x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
+        ev = _eval_or_fail(op, x, family)
+    except _REJECTIONS as exc:
+        return _finalise(op, family, STATUS_INCONCLUSIVE, x, None, float("nan"), [],
+                         "start evaluation failed: %s" % exc, fit_slope=False)
     p_i = 0.0 if lam_i is None else float(r_coords @ lam_i)
     span = ev.h_coords - r_coords
     on_path_tol = _ON_PATH_RTOL * max(float(np.linalg.norm(span)), float(np.linalg.norm(r_coords)))
     t = 0.0
     v = _mismatch(r_coords, ev.h_coords)
+    # both clocks read s = 0 on R, at t_land, and the step that reaches it
+    # lands on R; a start within tol ||R||^2 of R lands at once
+    v_land = config.tol * float(np.sum(r_coords ** 2))
     if is_flow:
-        # V = e^{-2t} V(0) on the path, so V meets tol ||R||^2 at t_land; the
-        # clock reads s = 0 there, and the step that reaches it lands on R
-        v_land = config.tol * float(np.sum(r_coords ** 2))
+        # V = e^{-2t} V(0) on the path, so V meets tol ||R||^2 at t_land
         t_land = 0.5 * math.log(max(v / v_land, 1.0)) if v_land > 0.0 else math.inf
-        clock, t_end, (dt, dt_cap, dt_min) = ((lambda t: 0.0 if t == t_land else math.exp(-t)),
-                                              min(t_land, config.t_max), _FLOW_STEPS)
-        trial_step = _rk4_step
+        t_end, (dt, dt_cap, dt_min) = min(t_land, config.t_max), _FLOW_STEPS
+        decay, trial_step = (lambda t: math.exp(-t)), _rk4_step
     else:
-        clock, t_end, (dt, dt_cap, dt_min) = (lambda t: 1.0 - t), 1.0, _TAU_STEPS
-        trial_step = _rk4_step_tau
+        t_land = 0.0 if 0.0 < v_land and v <= v_land else 1.0
+        t_end, (dt, dt_cap, dt_min) = t_land, _TAU_STEPS
+        decay, trial_step = (lambda t: 1.0 - t), _rk4_step_tau
+
+    def clock(t):
+        return 0.0 if t == t_land else decay(t)
+
     lam_norm = math.hypot(*x)  # scaled inside, so a far-off point's norm stays finite
+    lam_max = _LAMBDA_MAX * max(1.0, lam_norm)
     trace = [(t, v, ev.min_eig, lam_norm)]
-    message, certificate = "", None
+    # L*(lam_I) > 0, so lam_I itself separates R when <lam_I, R> < 0
+    certificate = _certificate(op, lam_i, r_coords, 0) if p_i < 0.0 else None
+    message = ""
 
     while True:
         # y = x + delta lam_I has L*(y) >= 0, and <y, R> costs one dot product;
         # _certificate checks a candidate in full
-        if lam_i is not None or ev.min_eig >= 0.0:
+        if certificate is None and (lam_i is not None or ev.min_eig >= 0.0):
             delta = max(0.0, -ev.min_eig / a_i)
             if float(r_coords @ x) + delta * p_i < 0.0:
                 certificate = _certificate(op, x + delta * lam_i if delta else x, r_coords,
                                            len(trace) - 1)
-                if certificate is not None:
-                    status = STATUS_DIVERGED_CERTIFIED
-                    message = ("separating certificate at step %d (t=%.6f): <y, R> = %.3e "
-                               "||R|| ||y||, L*(y) >= 0 least at node %d"
-                               % (certificate.step, t, certificate.margin, certificate.node))
-                    break
+        if certificate is not None:
+            status = STATUS_DIVERGED_CERTIFIED
+            message = ("separating certificate at step %d (t=%.6f): <y, R> = %.3e "
+                       "||R|| ||y||, L*(y) >= 0 least at node %d"
+                       % (certificate.step, t, certificate.margin, certificate.node))
+            break
         s = clock(t)
         if t == t_end:  # both clocks read s = 0 on R; only the flow can stop short, at t_max
             status = STATUS_CONVERGED if s == 0.0 else STATUS_INCONCLUSIVE
             message = "" if s == 0.0 else "horizon t=%g reached before landing on R" % t_end
             break
-        if lam_norm > _LAMBDA_MAX:
+        if lam_norm > lam_max:
             status = STATUS_INCONCLUSIVE
-            message = "dual norm %.3e exceeded %g at t=%.6f" % (lam_norm, _LAMBDA_MAX, t)
+            message = "dual norm %.3e exceeded %.3e at t=%.6f" % (lam_norm, lam_max, t)
             break
 
         try:
@@ -376,12 +417,13 @@ def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
     return float(np.sum((r_coords - h_coords) ** 2))
 
 
-def _eval_or_fail(op, coords, family):
+def _eval_or_fail(op, coords, family, need_jacobian=True):
     # for the inverse-type families this raises PositivityError, naming the
     # node, when the adjoint field drops to the positivity floor
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        ev = _evaluate(op, coords, family, need_jacobian=True)
-    if not np.all(np.isfinite(ev.h_coords)) or not np.all(np.isfinite(ev.flow_jacobian)):
+        ev = _evaluate(op, coords, family, need_jacobian=need_jacobian)
+    if not np.all(np.isfinite(ev.h_coords)) or (
+            need_jacobian and not np.all(np.isfinite(ev.flow_jacobian))):
         raise _StepFailure("non-finite values in evaluation")
     return ev
 

@@ -107,13 +107,15 @@ def test_infeasible_moment_exits_with_divergence_code(scalar_bundle, tmp_path):
 
 
 def test_a_far_off_divergence_writes_a_finite_trace(scalar_bundle, tmp_path):
-    # kernels of size 1e-60 put the rational start, the least-squares
-    # solution of L*(lam) = I, at a dual norm near 1e120; the verdicts, the
-    # reports and the traces stay finite
+    # kernels of size 1e-60 put the rational family's least-squares identity
+    # dual lam_I, the solution of L*(lam) = I, at a dual norm near 1e120.
+    # Scaled to the attainable target 2 it lands on the dual 1/2 at once;
+    # the target -2 is certified by lam_I itself.  The verdicts, the reports
+    # and the traces stay finite.
     grid = fm.load_problem(scalar_bundle / "problem.json").operator.grid
     tiny = np.full((grid.node_count, 1, 1), 1e-60, dtype=complex)
     op = mp.build_operator(grid, mp.kernel_samples(tiny, tiny))
-    for value, code, status in ((2.0, 4, "Inconclusive"), (-2.0, 2, "DivergedCertified")):
+    for value, code, status in ((2.0, 0, "Converged"), (-2.0, 2, "DivergedCertified")):
         path = tmp_path / ("problem_%g.json" % value)
         fm.write_problem(path, fm.problem_to_obj(grid, fm.samples_kernels_obj(op),
                                                  np.array([[value]], dtype=complex)))
@@ -121,11 +123,35 @@ def test_a_far_off_divergence_writes_a_finite_trace(scalar_bundle, tmp_path):
         r = _run("solve", "--problem", str(path), "--family", "rational",
                  "--report", str(report), "--trace-out", str(trace))
         assert r.returncode == code, r.stderr
-        assert r.stderr.startswith(status + ": ")
+        assert r.stderr.startswith(status + ": ") if code else r.stderr == ""
         assert "Warning" not in r.stderr and "inf" not in r.stderr
         assert json.loads(report.read_text())["status"] == status
         rows = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
-        assert np.all(np.isfinite(rows)) and rows[-1, 3] > 1e100
+        assert np.all(np.isfinite(rows))
+        if code:
+            assert rows[-1, 3] > 1e100
+        else:
+            assert len(rows) == 1 and abs(rows[-1, 3] - 0.5) <= 1e-9
+
+
+def test_a_start_whose_evaluation_fails_exits_inconclusive(scalar_bundle, tmp_path):
+    # kernels of size 1e100 and the target -2: the start is not scaled, and
+    # its Jacobian overflows.  The verdict is a report, never a traceback
+    grid = fm.load_problem(scalar_bundle / "problem.json").operator.grid
+    huge = np.full((grid.node_count, 1, 1), 1e100, dtype=complex)
+    op = mp.build_operator(grid, mp.kernel_samples(huge, huge))
+    path = tmp_path / "problem.json"
+    fm.write_problem(path, fm.problem_to_obj(grid, fm.samples_kernels_obj(op),
+                                             np.array([[-2.0]], dtype=complex)))
+    r = _run("solve", "--problem", str(path), "--family", "exponential",
+             "--trace-out", str(tmp_path / "trace.csv"))
+    assert r.returncode == 4, r.stderr
+    assert r.stderr == "Inconclusive: start evaluation failed: non-finite values in evaluation\n"
+    report = json.loads(r.stdout)
+    assert report["status"] == "Inconclusive" and report["certificate"] is None
+    assert report["message"] == "start evaluation failed: non-finite values in evaluation"
+    # the trace holds its header and no row
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1
 
 
 def test_feasibility_subcommand_verdicts(scalar_bundle, tmp_path):
@@ -146,44 +172,50 @@ def test_feasibility_subcommand_verdicts(scalar_bundle, tmp_path):
     assert r2.stdout.rstrip().endswith(" at step 0)")
 
 
-def test_a_stalled_run_exits_inconclusive(scalar_bundle, tmp_path):
-    # the rational flow on the attainable target 1e-12 passes the dual-norm
-    # bound before it lands: no proof either way, so exit 4, never 2
-    obj = json.loads((scalar_bundle / "problem.json").read_text())
-    obj["moment"]["data"] = [[1e-12, 0.0]]
+def test_a_stalled_run_exits_inconclusive(tmp_path):
+    # the exponential flow on the attainable target 1e12 times the statecov
+    # moment cannot take its first step: L*(lam_I) is not the identity there,
+    # so its start is not scaled to the target.  No proof either way, so
+    # exit 4, never 2
+    r0 = _run("example", "statecov", str(tmp_path))
+    assert r0.returncode == 0, r0.stderr
+    obj = json.loads((tmp_path / "problem.json").read_text())
+    obj["moment"]["data"] = [[1e12 * re, 1e12 * im] for re, im in obj["moment"]["data"]]
     obj.pop("rho_true", None)
-    small = tmp_path / "problem.json"
-    small.write_text(fm.dumps_canonical(obj))
-    r = _run("solve", "--problem", str(small), "--family", "rational")
+    large = tmp_path / "large.json"
+    large.write_text(fm.dumps_canonical(obj))
+    r = _run("solve", "--problem", str(large), "--family", "exponential")
     assert r.returncode == 4, r.stderr
     report = json.loads(r.stdout)
     assert report["status"] == "Inconclusive" and report["certificate"] is None
-    assert r.stderr.startswith("Inconclusive: dual norm ")
-    r2 = _run("feasibility", "--problem", str(small), "--family", "rational")
+    assert r.stderr.startswith("Inconclusive: step collapsed below 1e-12 at t=0.000000: ")
+    r2 = _run("feasibility", "--problem", str(large), "--family", "exponential")
     assert r2.returncode == 4
-    assert r2.stdout == "inconclusive (rational family, status Inconclusive)\n"
+    assert r2.stdout == "inconclusive (exponential family, status Inconclusive)\n"
 
 
-def test_config_file_merging_and_flag_priority(scalar_bundle, tmp_path):
+def test_config_file_merging_and_flag_priority(array_bundle, tmp_path):
+    # the array target is not a multiple of the default start's moment, so a
+    # run takes steps and meets a short horizon first
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"t_max": 1e-9}))
-    r = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
+    r = _run("solve", "--problem", str(array_bundle / "problem.json"),
              "--family", "rational", "--config", str(config))
     assert r.returncode == 4
     report = json.loads(r.stdout)
     assert report["status"] == "Inconclusive"
     assert report["message"] == "horizon t=1e-09 reached before landing on R"
     # an explicit flag beats the config file
-    r2 = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
+    r2 = _run("solve", "--problem", str(array_bundle / "problem.json"),
               "--family", "rational", "--config", str(config), "--t-max", "60")
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["status"] == "Converged"
     # the config file's family is used unless --family is given
     config.write_text(json.dumps({"family": "rational"}))
-    r3 = _run("solve", "--problem", str(scalar_bundle / "problem.json"), "--config", str(config))
+    r3 = _run("solve", "--problem", str(array_bundle / "problem.json"), "--config", str(config))
     assert r3.returncode == 0, r3.stderr
     assert json.loads(r3.stdout)["family"] == "rational"
-    r4 = _run("solve", "--problem", str(scalar_bundle / "problem.json"),
+    r4 = _run("solve", "--problem", str(array_bundle / "problem.json"),
               "--family", "exponential", "--config", str(config))
     assert r4.returncode == 0, r4.stderr
     assert json.loads(r4.stdout)["family"] == "exponential"

@@ -46,14 +46,15 @@ def test_the_spans_the_benchmark_tracer_wraps_fire():
     # a wrapped name that stays bound but is no longer called loses its
     # per-layer metric too.  operator.entropy is left out: it has not fired
     # since the solver's finalise moved to operator._entropies (ROADMAP item 6)
+    # The array target is not a multiple of the default start's moment, so
+    # each default-start run takes steps.
     tracer = _tracing().Tracer()
-    grid = momentropy.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
-    ones = np.ones((grid.node_count, 1, 1), dtype=complex)
     family = momentropy.rational_family()
     with tracer.installed():
-        op = operator.build_operator(grid, operator.kernel_samples(ones, ones))
+        op = problems.nonequispaced_array_problem()
+        moment = operator.apply_L(op, problems.two_bump_demo_density(op.grid))
         for run in (solver.solve, solver.solve_tau):
-            assert run(op, np.array([[2.0]]), family).status == "Converged"
+            assert run(op, moment, family).status == "Converged"
     assert tracer.missing == set()
     fired = {row[0] for row in tracer.spans}
     assert {"operator.build_operator", "operator.compute_range_basis",

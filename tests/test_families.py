@@ -6,7 +6,7 @@ import momentropy as mp
 from momentropy import problems as pr
 from momentropy.calculus import _divided_difference_exp, eigh_hermitian, hermitian_part
 from momentropy.errors import DualStartNotFound, PositivityError
-from momentropy.families import _evaluate
+from momentropy.families import _evaluate, _identity_dual
 
 
 def _single_node_op(m):
@@ -170,6 +170,20 @@ def test_default_start_reaches_the_identity_adjoint_field(array_problem):
     assert np.max(np.abs(field[:, 0, 0] - 1.0)) <= 1e-10
     start_exp = mp.default_dual_start(op, mp.exponential_family())
     assert np.array_equal(start_exp.coords, np.zeros(op.d))
+
+
+@pytest.mark.parametrize("size", [1.0, 1e-60, 1e-105, 1e100])
+def test_the_identity_dual_does_not_depend_on_the_kernel_size(size):
+    # the Gram matrix of the adjoint images scales as size^4, which
+    # underflows at 1e-105 and overflows at 1e100; lam_I = 1 / size^2
+    grid = mp.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
+    kernels = np.full((grid.node_count, 1, 1), size, dtype=complex)
+    op = mp.build_operator(grid, mp.kernel_samples(kernels, kernels))
+    coords, min_eig, is_identity = _identity_dual(op)
+    assert is_identity and min_eig == pytest.approx(1.0, rel=1e-12)
+    start = mp.default_dual_start(op, mp.rational_family())
+    assert np.array_equal(start.coords, coords)
+    assert abs(coords[0]) * size ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_default_start_raises_when_identity_is_unreachable():

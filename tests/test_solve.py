@@ -17,11 +17,16 @@ from momentropy.solver import (
 )
 
 
+def _scalar_kernel_op(size=1.0):
+    # a scalar moment of the unit interval with constant kernels: R = size^2 int rho
+    grid = mp.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
+    kernels = np.full((grid.node_count, 1, 1), size, dtype=complex)
+    return mp.build_operator(grid, mp.kernel_samples(kernels, kernels))
+
+
 @pytest.fixture(scope="module")
 def scalar_op():
-    grid = mp.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
-    ones = np.ones((grid.node_count, 1, 1), dtype=complex)
-    return mp.build_operator(grid, mp.kernel_samples(ones, ones))
+    return _scalar_kernel_op()
 
 
 def test_scalar_rational_solve_matches_closed_form(scalar_op):
@@ -115,9 +120,11 @@ def test_divergence_statuses_on_negative_scalar_moment(scalar_op, assert_certifi
                                   "non-finite Newton step") \
                     or reason.startswith("adjoint field near-singular at node ")
             elif report.message.startswith("dual norm"):
-                # the verdict names the norm, the bound and the time
-                assert report.message == "dual norm %.3e exceeded 1e+08 at t=%.6f" % (lam_norm, t)
-                assert lam_norm > 1e8
+                # the verdict names the norm, the bound 1e8 max(1, ||x_0||) and the time
+                bound = 1e8 * max(1.0, report.trace[0][3])
+                assert report.message == "dual norm %.3e exceeded %.3e at t=%.6f" % (
+                    lam_norm, bound, t)
+                assert lam_norm > bound
             else:
                 assert report.message == "horizon t=60 reached before landing on R"
 
@@ -160,8 +167,8 @@ def test_each_form_stays_within_its_evaluation_budget(array_problem, monkeypatch
 
 @pytest.mark.parametrize("name", ["rational", "exponential"])
 def test_solve_converges_on_a_scaled_array_target(array_problem, name):
-    # a target 1e8 times the array moment stretches the path over eight
-    # decades; the flow must still meet it
+    # a target 1e8 times the array moment: the flow must meet it, with the
+    # decay rate of the unscaled target
     op, _rho, moment = array_problem
     scaled = 1e8 * moment
     report = mp.solve(op, scaled, mp.family_from_name(name))
@@ -183,7 +190,11 @@ def test_a_failing_first_stage_ends_the_run_at_once(scalar_op, monkeypatch, solv
         raise solver_module._StepFailure("Jacobian lost definiteness")
 
     monkeypatch.setattr(solver_module, "_solve_flow_system", refuse)
-    report = solver(scalar_op, np.array([[2.0]], dtype=complex), mp.exponential_family())
+    # the default start is exact on a scalar target and takes no step; the
+    # unscaled one does
+    family = mp.exponential_family()
+    report = solver(scalar_op, np.array([[2.0]], dtype=complex), family,
+                    start=mp.default_dual_start(scalar_op, family))
     assert report.status == STATUS_INCONCLUSIVE
     assert report.message == ("step collapsed below %s at t=0.000000: Jacobian lost definiteness"
                               % h_min)
@@ -277,12 +288,15 @@ def test_fixed_interval_form_matches_the_flow_form(scalar_op, array_problem):
     report = mp.solve_tau(scalar_op, np.array([[2.0]], dtype=complex), mp.rational_family())
     assert report.status == STATUS_CONVERGED
     assert report.lambda_hat.matrix[0, 0].real == pytest.approx(0.5, abs=1e-9)
-    # tau lands exactly on 1, whatever round-off the step sum carries
+    # tau lands exactly on 1, whatever round-off the step sum carries; from
+    # the unscaled start, since the default start is exact on a scalar target
     for value in (2.0, 3.0):
         for name in ("rational", "exponential"):
             target = np.array([[value]], dtype=complex)
-            flow = mp.solve(scalar_op, target, mp.family_from_name(name))
-            fixed = mp.solve_tau(scalar_op, target, mp.family_from_name(name))
+            family = mp.family_from_name(name)
+            start = mp.default_dual_start(scalar_op, family)
+            flow = mp.solve(scalar_op, target, family, start=start)
+            fixed = mp.solve_tau(scalar_op, target, family, start=start)
             assert fixed.status == STATUS_CONVERGED, (value, name)
             assert fixed.trace[-1][0] == 1.0
             assert np.max(np.abs(fixed.density - flow.density)) <= 1e-9 * value
@@ -318,7 +332,10 @@ def test_lyapunov_slope_error_cases():
 
 
 def test_reported_slope_tracks_the_design_decay_rate(scalar_op):
-    report = mp.solve(scalar_op, np.array([[2.0]], dtype=complex), mp.rational_family())
+    # from the unscaled start: the default start is exact here and has no decay to fit
+    family = mp.rational_family()
+    report = mp.solve(scalar_op, np.array([[2.0]], dtype=complex), family,
+                      start=mp.default_dual_start(scalar_op, family))
     assert report.fitted_V_slope is not None
     assert -2.2 <= report.fitted_V_slope <= -1.8
 
@@ -354,21 +371,30 @@ def test_a_small_positive_target_converges_with_a_relative_residual(scalar_op, n
 
 
 def test_a_far_off_point_raises_no_overflow_warning(array_problem, assert_certified):
-    # exponential runs from a start with dual norm near 1e210, whose square
-    # overflows a double: one on an attainable target, one on its negative
+    # runs from explicit starts far from the target's scale.  From dual norms
+    # near 1e210, whose square overflows a double, exponential runs on an
+    # attainable target and on its negative; from 1e100 lam_I the rational
+    # flow on R = 0 follows the path out to the dual-norm bound 1e8 ||x_0||
     op, _rho, moment = array_problem
-    start = mp.dual_from_coords(op, 1e210 * mp.default_dual_start(op, mp.rational_family()).coords)
+    lam_i = mp.default_dual_start(op, mp.rational_family()).coords
+    start = mp.dual_from_coords(op, 1e210 * lam_i)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = mp.solve(op, moment, mp.exponential_family(), start=start)
         certified = mp.solve(op, -moment, mp.exponential_family(), start=start)
-    assert report.status == STATUS_INCONCLUSIVE
-    t, _v, _min_eig, lam_norm = report.trace[-1]
-    assert np.isfinite(lam_norm) and lam_norm > 1e200
-    assert report.message == "dual norm %.3e exceeded 1e+08 at t=%.6f" % (lam_norm, t)
+        unbounded = mp.solve(op, 0.0 * moment, mp.rational_family(),
+                             start=mp.dual_from_coords(op, 1e100 * lam_i))
+    assert report.status == STATUS_INCONCLUSIVE and report.certificate is None
+    assert report.message.startswith("step collapsed below 1e-12 at t=0.000000: ")
+    assert np.isfinite(report.trace[-1][3]) and report.trace[-1][3] > 1e200
     assert_certified(op, -moment, certified.status, certified.certificate.dual.matrix)
     assert np.isfinite(certified.certificate.margin) and certified.trace[-1][3] > 1e200
-    assert "inf" not in report.message + certified.message
+    t, _v, _min_eig, lam_norm = unbounded.trace[-1]
+    bound = 1e8 * unbounded.trace[0][3]
+    assert unbounded.status == STATUS_INCONCLUSIVE and len(unbounded.trace) > 2
+    assert np.isfinite(lam_norm) and lam_norm > bound > 1e100
+    assert unbounded.message == "dual norm %.3e exceeded %.3e at t=%.6f" % (lam_norm, bound, t)
+    assert "inf" not in report.message + certified.message + unbounded.message
 
 
 def test_trace_time_is_increasing_and_consistent(array_problem):
@@ -432,7 +458,10 @@ def test_a_candidate_with_an_indefinite_adjoint_is_refused(array_problem, monkey
 
     monkeypatch.setattr(solver_module, "_evaluate", lying)
     monkeypatch.setattr(solver_module, "_certificate", counted)
-    report = solver(op, _flipped_array_moment(op), mp.exponential_family())
+    # from the unscaled start, whose path meets only indefinite L*(x)
+    family = mp.exponential_family()
+    report = solver(op, _flipped_array_moment(op), family,
+                    start=mp.default_dual_start(op, family))
     assert report.status == STATUS_INCONCLUSIVE and report.certificate is None
     assert refused and all(refused)
 
@@ -499,16 +528,119 @@ def test_no_attainable_target_is_ever_certified(example):
 
 
 def test_stalled_runs_on_attainable_targets_are_inconclusive(array_problem, scalar_op):
-    # targets far from the start's scale, on which the path follower stops
-    # short of R; without a certificate the verdict is never a divergence
+    # targets far from the unscaled start's scale.  The scaled start meets
+    # the array and scalar ones; the exponential start on the state
+    # covariance and partial-trace operators, where L*(lam_I) is not the
+    # identity, is not scaled, and those runs stop short of R.  Without a
+    # certificate the verdict is never a divergence
     op, _rho, moment = array_problem
+    statecov, bell = fm.example_problem("statecov"), fm.example_problem("bell")
     cases = [(mp.solve_tau, op, 1e8 * moment, "rational"),
              (mp.solve_tau, op, 1e8 * moment, "exponential"),
              (mp.solve, op, 1e-8 * moment, "rational"),
              (mp.solve, scalar_op, [[1e-12]], "rational"),
              (mp.solve_tau, scalar_op, [[1e-7]], "rational"),
-             (mp.solve_tau, scalar_op, [[1e-7]], "exponential")]
+             (mp.solve_tau, scalar_op, [[1e-7]], "exponential"),
+             (mp.solve, statecov[0], 1e12 * statecov[2], "exponential"),
+             (mp.solve_tau, statecov[0], 1e-8 * statecov[2], "exponential"),
+             (mp.solve_tau, bell[0], 1e8 * bell[2], "exponential")]
     for solver, problem_op, target, name in cases:
         report = solver(problem_op, np.asarray(target, dtype=complex), mp.family_from_name(name))
         assert report.status in (STATUS_CONVERGED, STATUS_INCONCLUSIVE), (solver.__name__, name)
         assert report.certificate is None
+
+
+# ---------------------------------------------------------------------------
+# the default start is scaled to the target
+
+_SIZES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+@pytest.mark.parametrize("example, name", [
+    ("nonequispaced-array", "rational"), ("nonequispaced-array", "exponential"),
+    ("scalar-demo", "rational"), ("scalar-demo", "exponential"), ("statecov", "rational")])
+def test_verdicts_and_step_counts_do_not_depend_on_the_size_of_the_target(example, name,
+                                                                          solver):
+    # h(lam / c) = c h(lam) for the inverse families, and h(lam - ln(c) lam_I)
+    # = c h(lam) for the exponential ones where L*(lam_I) = I, so a run on c R
+    # follows the path of the run on R moved along that symmetry
+    op, _kernels, moment, _rho = fm.example_problem(example)
+    family = mp.family_from_name(name)
+    runs = [solver(op, size * moment, family) for size in _SIZES]
+    assert [report.status for report in runs] == [STATUS_CONVERGED] * len(_SIZES)
+    assert len({len(report.trace) for report in runs}) == 1, [len(r.trace) for r in runs]
+    if example == "scalar-demo":
+        # every scalar target is a multiple of the start's moment: both clocks land at once
+        assert len(runs[0].trace) == 1
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_infeasible_targets_are_certified_at_every_size(array_problem, scalar_op,
+                                                       assert_certified, solver, name):
+    op, _rho, moment = array_problem
+    family = mp.family_from_name(name)
+    for problem_op, target in ((op, _flipped_array_moment(op)), (op, -moment),
+                               (scalar_op, np.array([[-2.0]], dtype=complex))):
+        for size in _SIZES:
+            report = solver(problem_op, size * target, family)
+            assert_certified(problem_op, size * target, report.status,
+                             report.certificate.dual.matrix)
+
+
+@pytest.mark.parametrize("size", [1e-60, 1e-105, 1e100])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_verdicts_do_not_depend_on_the_kernel_size(assert_certified, size, name):
+    # R = 2 is the moment of the density 2 / size^2, whose rational dual is
+    # 1/2 at every size; the least-squares identity dual and the Jacobians
+    # stay in range where size^4 would under- or overflow
+    family = mp.family_from_name(name)
+    op, unit_op = _scalar_kernel_op(size), _scalar_kernel_op()
+    target = np.array([[2.0]], dtype=complex)
+    for solver in (mp.solve, mp.solve_tau):
+        base, report = solver(unit_op, target, family), solver(op, target, family)
+        assert report.status == base.status == STATUS_CONVERGED
+        assert len(report.trace) == len(base.trace)
+        resid = abs(mp.apply_L(op, report.density)[0, 0] - 2.0) / 2.0
+        assert resid <= 1e-9
+        if size < 1.0:
+            # the negative target's unscaled start is evaluated too (see below for 1e100)
+            negative = solver(op, -target, family)
+            assert_certified(op, -target, negative.status, negative.certificate.dual.matrix)
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+def test_a_start_whose_evaluation_fails_ends_inconclusive(array_problem, solver):
+    # kernels of 1e100: no positive multiple of the start's moment is -2, so
+    # the start is not scaled, and its Jacobian's entries near 1e400 overflow
+    op = _scalar_kernel_op(1e100)
+    for name in ("rational", "exponential"):
+        report = solver(op, np.array([[-2.0]], dtype=complex), mp.family_from_name(name))
+        assert report.status == STATUS_INCONCLUSIVE and report.certificate is None
+        assert report.message == "start evaluation failed: non-finite values in evaluation"
+        assert report.trace == [] and np.isnan(report.V_final)
+    # an explicit start outside the rational family's domain
+    op, _rho, moment = array_problem
+    family = mp.rational_family()
+    outside = mp.dual_from_coords(op, -mp.default_dual_start(op, family).coords)
+    report = solver(op, moment, family, start=outside)
+    assert report.status == STATUS_INCONCLUSIVE and report.certificate is None
+    assert report.message.startswith("start evaluation failed: adjoint field near-singular at node ")
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+def test_a_start_on_the_target_lands_at_once(array_problem, monkeypatch, solver):
+    # a start within the landing threshold tol ||R||^2 is the end of its path
+    # on both clocks: no step is tried
+    op, _rho, moment = array_problem
+    family = mp.exponential_family()
+    solution = solver(op, moment, family).lambda_hat
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step was tried")
+
+    monkeypatch.setattr(solver_module, "_solve_flow_system", never)
+    report = solver(op, moment, family, start=solution)
+    assert report.status == STATUS_CONVERGED and len(report.trace) == 1
+    assert report.V_final <= 1e-10 * np.sum(np.abs(moment) ** 2)
