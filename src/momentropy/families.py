@@ -42,8 +42,6 @@ from .errors import DualStartNotFound, PositivityError
 from .operator import _check_dual_floor, MomentOperator, DualVariable, dual_from_coords
 
 _INVERSE_KINDS = ("rational", "weighted_rational")
-# L*(lam_I) counts as the identity when its eigenvalues are within this of 1.
-_IDENTITY_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +163,7 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
     if not family.is_inverse_kind:
         return dual_from_coords(op, np.zeros(op.d))
     try:
-        coords, _min_eig, _is_identity = _identity_dual(op)
+        coords, _min_eig = _identity_dual(op)
     except PositivityError as exc:
         raise DualStartNotFound(
             "least-squares identity start is not strictly dual-feasible "
@@ -174,11 +172,10 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
     return dual_from_coords(op, coords)
 
 
-def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float, bool]:
-    """Range coordinates of the least-squares solution lam_I of L*(lam) = I,
-    the smallest nodewise eigenvalue of L*(lam_I), and whether every one of
-    those eigenvalues is within 1e-8 of 1 (L*(lam_I) = I); PositivityError
-    unless the smallest clears the inverse families' dual floor.
+def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float]:
+    """Range coordinates of the least-squares solution lam_I of L*(lam) = I
+    and the smallest nodewise eigenvalue of L*(lam_I); PositivityError unless
+    that eigenvalue clears the inverse families' dual floor.
 
     Each adjoint image is divided by its largest entry before the Gram system
     is formed, so that system, whose entries scale as the fourth power of the
@@ -196,9 +193,7 @@ def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float, bool]:
     except np.linalg.LinAlgError:
         coords = np.linalg.lstsq(gram, target, rcond=None)[0]
     coords = coords / row_scale
-    eigs = eigvalsh_hermitian(_adjoint_field(op, coords, flat))
-    min_eig = _check_dual_floor(eigs)
-    return coords, min_eig, bool(np.all(np.abs(eigs - 1.0) <= _IDENTITY_ATOL))
+    return coords, _check_dual_floor(eigvalsh_hermitian(_adjoint_field(op, coords, flat)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,22 +31,23 @@ dual norm passed 1e8 max(1, ||x_0||) (x_0 the run's start) or the flow
 reached its horizon.
 
 Without an explicit start, the run starts at ``default_dual_start`` scaled
-to the target, so that its verdict and its step count do not depend on the
+to the target, so that its verdict and its step count depend little on the
 size of ``R``.  With lam_0 that point and c = <R, h(lam_0)> / ||h(lam_0)||^2
 the least-squares scale of its moment, the start is lam_0 / c for the inverse
 families, where h(lam / c) = c h(lam), and lam_0 - ln(c) lam_I for the
-exponential ones when L*(lam_I) = I within 1e-8, where
-h(lam - ln(c) lam_I) = c h(lam).  It stays lam_0 when c is not positive and
-finite, and for the exponential families on operators where L*(lam_I) is not
-the identity.  An explicit start is never rescaled.
+exponential ones, where h(lam - ln(c) lam_I) = c h(lam) when L*(lam_I) = I
+and nearly so when L*(lam_I) is close to it.  It stays lam_0 when c is not
+positive and finite, and on operators with no strictly positive L*(lam_I).
+An explicit start is never rescaled.
 
 Every accepted point x, the start included, is tested for a certificate at
 the cost of one dot product.  Once per solve the least-squares identity dual
 lam_I (L*(lam_I) = I as nearly as the range allows) is computed, with
 a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  When p_I < 0, lam_I itself
-is the candidate at the start.  At x, whose evaluation holds
-min_eig = min eig L*(x), the point y = x + delta lam_I with
-delta = max(0, -min_eig) / a_I has L*(y) >= 0, and <y, R> = <x, R> + delta p_I.
+is the candidate at step 0, checked before the start is evaluated.  At x,
+whose evaluation holds min_eig = min eig L*(x), the point y = x + delta lam_I
+with delta = max(0, -min_eig) / a_I has L*(y) >= 0, and <y, R> = <x, R> +
+delta p_I.
 When that margin is negative, y is checked in full: it is a certificate
 when <y, R> lies below -1e-9 ||R|| ||y|| and the eigenvalues of L*(y) at
 every node are above -1e-12 times the largest, so that rounding in delta
@@ -183,7 +184,8 @@ class SolveReport:
     ``certificate`` is set on ``DivergedCertified`` runs only.  A
     ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace; a run
     whose start could not be evaluated has that start as ``lambda_hat``, a
-    NaN ``V_final`` and an empty trace.
+    NaN ``V_final``, an empty trace and, when lam_I separates R, lam_I as its
+    certificate at step 0.
     """
 
     status: str
@@ -279,24 +281,27 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     if residual > _RANGE_RESIDUAL_TOL * scale:
         return _finalise(op, family, STATUS_NOT_IN_RANGE, np.zeros(op.d), None, float("nan"), [],
                          "moment lies outside the operator range "
-                         "(relative residual %.3e)" % (residual / scale), fit_slope=False)
+                         "(relative residual %.3e)" % (residual / scale))
 
     # lam_I and a_I = min eig L*(lam_I) for the certificate test; lam_I is
     # the inverse families' default start, and a_I comes from its evaluation
     x = start.coords.copy() if start is not None else default_dual_start(op, family).coords
     if start is None and family.is_inverse_kind:
-        lam_i, a_i, is_identity = x, None, False
+        lam_i, a_i = x, None
     else:
         try:
-            lam_i, a_i, is_identity = _identity_dual(op)
+            lam_i, a_i = _identity_dual(op)
         except PositivityError:
             # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
-            lam_i, a_i, is_identity = None, math.inf, False
+            lam_i, a_i = None, math.inf
+    p_i = 0.0 if lam_i is None else float(r_coords @ lam_i)
+    # L*(lam_I) > 0, so lam_I separates R when <lam_I, R> < 0, start or no start
+    certificate = _certificate(op, lam_i, r_coords, 0) if p_i < 0.0 else None
     try:
-        if start is None and (family.is_inverse_kind or is_identity):
-            # scale the default start to R: h(lam/c) = c h(lam) for the inverse
-            # families and h(lam - ln(c) lam_I) = c h(lam) for the exponential
-            # ones when L*(lam_I) = I, with c the least-squares fit of h(lam) to R
+        if start is None and lam_i is not None:
+            # scale the default start to R, with c the least-squares fit of h(lam)
+            # to R: h(lam/c) = c h(lam) (inverse), and h(lam - ln(c) lam_I) = c h(lam)
+            # (exponential) when L*(lam_I) = I, and nearly so when it is near I
             ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
             if family.is_inverse_kind:
                 a_i = ev0.min_eig
@@ -309,9 +314,10 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
         ev = _eval_or_fail(op, x, family)
     except _REJECTIONS as exc:
-        return _finalise(op, family, STATUS_INCONCLUSIVE, x, None, float("nan"), [],
-                         "start evaluation failed: %s" % exc, fit_slope=False)
-    p_i = 0.0 if lam_i is None else float(r_coords @ lam_i)
+        status, message = ((STATUS_INCONCLUSIVE, "start evaluation failed: %s" % exc)
+                           if certificate is None else
+                           (STATUS_DIVERGED_CERTIFIED, _certified_message(certificate, 0.0)))
+        return _finalise(op, family, status, x, None, float("nan"), [], message, certificate)
     span = ev.h_coords - r_coords
     on_path_tol = _ON_PATH_RTOL * max(float(np.linalg.norm(span)), float(np.linalg.norm(r_coords)))
     t = 0.0
@@ -335,9 +341,6 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     lam_norm = math.hypot(*x)  # scaled inside, so a far-off point's norm stays finite
     lam_max = _LAMBDA_MAX * max(1.0, lam_norm)
     trace = [(t, v, ev.min_eig, lam_norm)]
-    # L*(lam_I) > 0, so lam_I itself separates R when <lam_I, R> < 0
-    certificate = _certificate(op, lam_i, r_coords, 0) if p_i < 0.0 else None
-    message = ""
 
     while True:
         # y = x + delta lam_I has L*(y) >= 0, and <y, R> costs one dot product;
@@ -348,10 +351,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 certificate = _certificate(op, x + delta * lam_i if delta else x, r_coords,
                                            len(trace) - 1)
         if certificate is not None:
-            status = STATUS_DIVERGED_CERTIFIED
-            message = ("separating certificate at step %d (t=%.6f): <y, R> = %.3e "
-                       "||R|| ||y||, L*(y) >= 0 least at node %d"
-                       % (certificate.step, t, certificate.margin, certificate.node))
+            status, message = STATUS_DIVERGED_CERTIFIED, _certified_message(certificate, t)
             break
         s = clock(t)
         if t == t_end:  # both clocks read s = 0 on R; only the flow can stop short, at t_max
@@ -395,8 +395,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         if used <= _DOUBLING_ITERATIONS:
             dt = min(2.0 * dt, dt_cap)
 
-    return _finalise(op, family, status, x, ev, v, trace, message, fit_slope=is_flow,
-                     certificate=certificate)
+    return _finalise(op, family, status, x, ev, v, trace, message, certificate, is_flow)
 
 
 def _certificate(op, y, r_coords, step) -> Certificate | None:
@@ -411,6 +410,11 @@ def _certificate(op, y, r_coords, step) -> Certificate | None:
     if eigs.min() < -_PSD_RTOL * eigs.max():
         return None
     return Certificate(dual=dual, margin=margin, node=int(np.argmin(eigs.min(axis=1))), step=step)
+
+
+def _certified_message(cert: Certificate, t: float) -> str:
+    return ("separating certificate at step %d (t=%.6f): <y, R> = %.3e ||R|| ||y||, "
+            "L*(y) >= 0 least at node %d" % (cert.step, t, cert.margin, cert.node))
 
 
 def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
@@ -472,7 +476,7 @@ _rk4_step = _rk4_step_tau = _corrector
 
 
 def _finalise(op, family, status, x, ev, v, trace, message,
-              fit_slope: bool = True, certificate: Certificate | None = None) -> SolveReport:
+              certificate: Certificate | None = None, fit_slope: bool = False) -> SolveReport:
     lam = dual_from_coords(op, x)
     density = None
     entropy_value = entropy_burg = entropy_vn = pairing = None

@@ -4,7 +4,9 @@ The acceptance tests append one summary line per criterion; the terminal
 hook below prints them after the run so the pass/fail record is visible in
 plain ``pytest -v`` output.
 """
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,15 @@ import momentropy as mp
 from momentropy import problems as pr
 
 _ACCEPTANCE_LINES: list[str] = []
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def src_env(env=None):
+    """A copy of ``env`` (default: this process's environment) with the
+    package's source directory first on PYTHONPATH, for test subprocesses."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,14 @@ import pytest
 import scipy.linalg as sla
 
 import momentropy as mp
+from conftest import src_env
 from momentropy import formats as fm
 from momentropy import problems as pr
 
 
 def _run_cli(argv, env=None, cwd=None):
     return subprocess.run([sys.executable, "-m", "momentropy", *argv],
-                          capture_output=True, text=True, env=env, cwd=cwd,
+                          capture_output=True, text=True, env=src_env(env), cwd=cwd,
                           timeout=300)
 
 

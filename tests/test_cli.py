@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import momentropy as mp
+from conftest import src_env
 from momentropy import cli
 from momentropy import formats as fm
 
 
 def _run(*argv, cwd=None):
-    return subprocess.run([sys.executable, "-m", "momentropy", *argv],
-                          capture_output=True, text=True, cwd=cwd, timeout=300)
+    return subprocess.run([sys.executable, "-m", "momentropy", *argv], capture_output=True,
+                          text=True, cwd=cwd, env=src_env(), timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -135,23 +136,30 @@ def test_a_far_off_divergence_writes_a_finite_trace(scalar_bundle, tmp_path):
 
 
 def test_a_start_whose_evaluation_fails_exits_inconclusive(scalar_bundle, tmp_path):
-    # kernels of size 1e100 and the target -2: the start is not scaled, and
-    # its Jacobian overflows.  The verdict is a report, never a traceback
+    # kernels of size 1e100: the start's Jacobian overflows.  R = 0 leaves
+    # the start unscaled and has no certificate, so the verdict is a report,
+    # never a traceback; -2 is certified by lam_I before the start is tried
     grid = fm.load_problem(scalar_bundle / "problem.json").operator.grid
     huge = np.full((grid.node_count, 1, 1), 1e100, dtype=complex)
     op = mp.build_operator(grid, mp.kernel_samples(huge, huge))
-    path = tmp_path / "problem.json"
-    fm.write_problem(path, fm.problem_to_obj(grid, fm.samples_kernels_obj(op),
-                                             np.array([[-2.0]], dtype=complex)))
-    r = _run("solve", "--problem", str(path), "--family", "exponential",
-             "--trace-out", str(tmp_path / "trace.csv"))
-    assert r.returncode == 4, r.stderr
-    assert r.stderr == "Inconclusive: start evaluation failed: non-finite values in evaluation\n"
-    report = json.loads(r.stdout)
-    assert report["status"] == "Inconclusive" and report["certificate"] is None
-    assert report["message"] == "start evaluation failed: non-finite values in evaluation"
-    # the trace holds its header and no row
-    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1
+    for value, code, status in ((0.0, 4, "Inconclusive"), (-2.0, 2, "DivergedCertified")):
+        path, trace = tmp_path / ("problem_%g.json" % value), tmp_path / ("trace_%g.csv" % value)
+        fm.write_problem(path, fm.problem_to_obj(grid, fm.samples_kernels_obj(op),
+                                                 np.array([[value]], dtype=complex)))
+        r = _run("solve", "--problem", str(path), "--family", "exponential",
+                 "--trace-out", str(trace))
+        assert r.returncode == code, r.stderr
+        report = json.loads(r.stdout)
+        assert report["status"] == status and report["V_final"] is None
+        if code == 4:
+            assert report["certificate"] is None
+            assert report["message"] == "start evaluation failed: non-finite values in evaluation"
+        else:
+            assert report["certificate"]["step"] == 0
+            assert report["message"].startswith("separating certificate at step 0 (t=0.000000)")
+        assert r.stderr == "%s: %s\n" % (status, report["message"])
+        # the trace holds its header and no row
+        assert len(trace.read_text().splitlines()) == 1
 
 
 def test_feasibility_subcommand_verdicts(scalar_bundle, tmp_path):
@@ -172,24 +180,25 @@ def test_feasibility_subcommand_verdicts(scalar_bundle, tmp_path):
     assert r2.stdout.rstrip().endswith(" at step 0)")
 
 
-def test_a_stalled_run_exits_inconclusive(tmp_path):
-    # the exponential flow on the attainable target 1e12 times the statecov
-    # moment cannot take its first step: L*(lam_I) is not the identity there,
-    # so its start is not scaled to the target.  No proof either way, so
-    # exit 4, never 2
-    r0 = _run("example", "statecov", str(tmp_path))
-    assert r0.returncode == 0, r0.stderr
-    obj = json.loads((tmp_path / "problem.json").read_text())
-    obj["moment"]["data"] = [[1e12 * re, 1e12 * im] for re, im in obj["moment"]["data"]]
-    obj.pop("rho_true", None)
-    large = tmp_path / "large.json"
-    large.write_text(fm.dumps_canonical(obj))
-    r = _run("solve", "--problem", str(large), "--family", "exponential")
+def test_a_stalled_run_exits_inconclusive(array_bundle, tmp_path):
+    # a point mass at one node of the array is attainable only in the limit,
+    # and the exponential run stops short of it without a certificate: no
+    # proof either way, so exit 4, never 2
+    problem = json.loads((array_bundle / "problem.json").read_text())
+    op = fm.load_problem(array_bundle / "problem.json").operator
+    mass = np.zeros((op.node_count, 1, 1), dtype=complex)
+    mass[80] = 1.0 / op.grid.weights[80]
+    problem["moment"] = fm.matrix_to_obj(mp.apply_L(op, mass))
+    problem.pop("rho_true", None)
+    path = tmp_path / "point_mass.json"
+    path.write_text(fm.dumps_canonical(problem))
+    r = _run("solve", "--problem", str(path), "--family", "exponential")
     assert r.returncode == 4, r.stderr
     report = json.loads(r.stdout)
     assert report["status"] == "Inconclusive" and report["certificate"] is None
-    assert r.stderr.startswith("Inconclusive: step collapsed below 1e-12 at t=0.000000: ")
-    r2 = _run("feasibility", "--problem", str(large), "--family", "exponential")
+    assert report["message"].startswith("step collapsed below 1e-12 at t=")
+    assert r.stderr == "Inconclusive: %s\n" % report["message"]
+    r2 = _run("feasibility", "--problem", str(path), "--family", "exponential")
     assert r2.returncode == 4
     assert r2.stdout == "inconclusive (exponential family, status Inconclusive)\n"
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import momentropy
+from conftest import src_env
 from momentropy import operator, problems, solver
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -45,7 +46,7 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
 def test_the_spans_the_benchmark_tracer_wraps_fire():
     # a wrapped name that stays bound but is no longer called loses its
     # per-layer metric too.  operator.entropy is left out: it has not fired
-    # since the solver's finalise moved to operator._entropies (ROADMAP item 6)
+    # since the solver's finalise moved to operator._entropies (ROADMAP item 5)
     # The array target is not a multiple of the default start's moment, so
     # each default-start run takes steps.
     tracer = _tracing().Tracer()
@@ -94,10 +95,7 @@ def test_imports_need_only_numpy_and_load_it_after_the_cli_thread_pin():
         "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', os.environ['OPENBLAS_NUM_THREADS']",
         "sys.exit(cli.main(['solve', '--example', 'scalar-demo']))",
     ])
-    src = str(Path(momentropy.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=300)
+                         env=src_env(dict(os.environ, OPENBLAS_NUM_THREADS="4")), timeout=300)
     assert run.returncode == 0, run.stderr
     assert '"status": "Converged"' in run.stdout

@@ -179,8 +179,10 @@ def test_the_identity_dual_does_not_depend_on_the_kernel_size(size):
     grid = mp.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
     kernels = np.full((grid.node_count, 1, 1), size, dtype=complex)
     op = mp.build_operator(grid, mp.kernel_samples(kernels, kernels))
-    coords, min_eig, is_identity = _identity_dual(op)
-    assert is_identity and min_eig == pytest.approx(1.0, rel=1e-12)
+    coords, min_eig = _identity_dual(op)
+    assert min_eig == pytest.approx(1.0, rel=1e-12)
+    field = mp.apply_L_adjoint(op, mp.dual_from_coords(op, coords).matrix)
+    assert np.max(np.abs(field - 1.0)) <= 1e-12
     start = mp.default_dual_start(op, mp.rational_family())
     assert np.array_equal(start.coords, coords)
     assert abs(coords[0]) * size ** 2 == pytest.approx(1.0, rel=1e-12)
