@@ -5,9 +5,11 @@ vectorised over the leading dimensions, so a field of matrices sampled on a
 grid can be processed in one call.  Every spectral function funnels through a
 single eigendecomposition routine (:func:`eigh_hermitian`) which symmetrises
 its input first; this gives the whole package one consistent policy for
-numerical noise.  Every positive-definiteness test in the package compares
-eigenvalues with its floor through :func:`_check_positive`, which names the
-node of a field that fails.
+numerical noise.  Fields of 1x1 matrices take a scalar path and fields of
+2x2 matrices a vectorised closed form; only ``m >= 3`` calls LAPACK.  Every
+positive-definiteness test in the package compares eigenvalues with its
+floor through :func:`_check_positive`, which names the node of a field that
+fails.
 
 The two central operations are the order-scrambled product
 
@@ -71,22 +73,28 @@ def eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, u)`` with ascending real eigenvalues ``w`` of shape
     ``(..., m)`` and unitary ``u`` such that ``M = u diag(w) u*``.  Inputs with
-    ``m == 1`` short-circuit to a scalar path, which keeps large sampled fields
-    of 1x1 matrices cheap.
+    ``m == 1`` short-circuit to a scalar path and inputs with ``m == 2`` to a
+    closed form (:func:`_eigh_2x2`), which keeps large sampled fields of small
+    matrices cheap; larger ``m`` goes to LAPACK.
     """
     a = _square(np.asarray(matrix, dtype=complex))
     if a.shape[-1] == 1:
         w = a.real[..., 0]
         u = np.ones_like(a)
         return w, u
+    if a.shape[-1] == 2:
+        return _eigh_2x2(a, vectors=True)
     return np.linalg.eigh(hermitian_part(a))
 
 
 def eigvalsh_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues alone, under the same policy as :func:`eigh_hermitian`."""
+    """Ascending eigenvalues alone, under the same policy as :func:`eigh_hermitian`
+    and bit for bit its ``w``."""
     a = _square(np.asarray(matrix, dtype=complex))
     if a.shape[-1] == 1:
         return a.real[..., 0]
+    if a.shape[-1] == 2:
+        return _eigh_2x2(a, vectors=False)
     return np.linalg.eigvalsh(hermitian_part(a))
 
 
@@ -173,6 +181,44 @@ def _frechet(u: np.ndarray, g: np.ndarray, delta: np.ndarray) -> np.ndarray:
     ``delta``, given its divided differences ``g`` in the eigenbasis ``u``."""
     uh = np.conj(np.swapaxes(u, -1, -2))
     return hermitian_part(u @ (g * (uh @ np.asarray(delta, dtype=complex) @ u)) @ uh)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # non-finite input gives NaN, as LAPACK does
+def _eigh_2x2(a: np.ndarray, vectors: bool):
+    """Closed-form eigendecomposition of the Hermitian part of 2x2 stacks.
+
+    With ``p, q`` the real diagonal and ``b`` the mean of ``a01`` and
+    ``conj(a10)``, the eigenvalues are ``(p+q)/2 -+ r`` with
+    ``r = hypot((q-p)/2, |b|)``, ascending.  The eigenvectors are the columns
+    of ``[[c e, s e], [-s, c]]`` with ``c, s`` the cosine and sine of
+    ``atan2(|b|, (q-p)/2) / 2`` and ``e = b/|b|`` the phase of ``b``
+    (Higham, *Functions of Matrices*, 2008).  Where ``b = 0`` the eigenvalues
+    are ``p`` and ``q`` exactly and ``u`` is the identity or the swap
+    ``[[0, 1], [-1, 0]]``; coincident eigenvalues (``r = 0``) are such a case
+    and get the identity.  Returns ``w`` alone unless ``vectors``.
+    """
+    p = a[..., 0, 0].real
+    q = a[..., 1, 1].real
+    b = 0.5 * (a[..., 0, 1] + np.conj(a[..., 1, 0]))
+    b_abs = np.abs(b)
+    half_gap = 0.5 * (q - p)
+    r = np.hypot(half_gap, b_abs)
+    mid = 0.5 * (p + q)
+    diagonal = b_abs == 0.0
+    w = np.stack((np.where(diagonal, np.minimum(p, q), mid - r),
+                  np.where(diagonal, np.maximum(p, q), mid + r)), axis=-1)
+    if not vectors:
+        return w
+    angle = 0.5 * np.arctan2(b_abs, half_gap)
+    c = np.where(diagonal, half_gap >= 0.0, np.cos(angle))
+    s = np.where(diagonal, half_gap < 0.0, np.sin(angle))
+    phase = np.divide(b, b_abs, out=np.ones_like(b), where=~diagonal)
+    u = np.empty(a.shape, dtype=complex)
+    u[..., 0, 0] = c * phase
+    u[..., 0, 1] = s * phase
+    u[..., 1, 0] = -s
+    u[..., 1, 1] = c
+    return w, u
 
 
 def _square(a: np.ndarray) -> np.ndarray:

@@ -233,17 +233,19 @@ def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
 
     Uses points with V above the numerical floor, 1e-13 of the trace's
     largest V (which leaves out the flow's landing on R); requires at least
-    10 such points and an actually converged tail (smallest V at most 1e-8),
-    and raises ValueError otherwise.  Close to -2 for the exact feedback flow.
+    10 such points and an actually converged tail (smallest V at most 1e-8
+    of the largest, so the test does not depend on the size of R), and
+    raises ValueError otherwise.  Close to -2 for the exact feedback flow.
     """
-    floor = _SLOPE_V_FLOOR * max((row[1] for row in trace if math.isfinite(row[1])), default=0.0)
-    pts = [(row[0], row[1]) for row in trace if row[1] > floor and math.isfinite(row[1])]
+    v_max = max((row[1] for row in trace if math.isfinite(row[1])), default=0.0)
+    pts = [(row[0], row[1]) for row in trace
+           if row[1] > _SLOPE_V_FLOOR * v_max and math.isfinite(row[1])]
     if len(pts) < _SLOPE_MIN_POINTS:
         raise ValueError("need at least %d trace points with V above %.0e of the largest"
                          % (_SLOPE_MIN_POINTS, _SLOPE_V_FLOOR))
     v_min = min(row[1] for row in trace)
-    if v_min > _SLOPE_CONVERGED_V:
-        raise ValueError("trace has no converged tail: min V %.3e" % v_min)
+    if v_min > _SLOPE_CONVERGED_V * v_max:
+        raise ValueError("trace has no converged tail: min V %.3e of the largest" % (v_min / v_max))
     ts = np.array([t for (t, _v) in pts])
     logs = np.log([v for (_t, v) in pts])
     a = np.column_stack([ts, np.ones_like(ts)])

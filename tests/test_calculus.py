@@ -5,11 +5,15 @@ scipy.linalg.logm and a 4001-point composite Simpson quadrature of the
 defining integral  M_C(D) = integral over s in [0,1] of C^(1-s) D C^s,
 then frozen here at full precision.
 """
+import decimal
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import momentropy as mp
+from momentropy import calculus, families
+from momentropy import formats as fm
 from momentropy import problems as pr
 from momentropy.errors import PositivityError
 
@@ -170,6 +174,124 @@ def test_eigh_hermitian_one_by_one_fast_path(rng):
     assert w.shape == (6, 1)
     assert np.allclose(w[:, 0], field[:, 0, 0].real, rtol=0, atol=0)
     assert np.allclose(u, np.ones((6, 1, 1)), rtol=0, atol=0)
+
+
+def _random_unitary_stack(rng, n):
+    z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    return np.linalg.qr(z)[0]
+
+
+def _with_spectrum(rng, low, high):
+    # u diag(low, high) u* at every node, u a random unitary
+    u = _random_unitary_stack(rng, low.size)
+    return (u * np.stack([low, high], axis=-1)[:, None, :]) @ np.conj(u).swapaxes(1, 2)
+
+
+def _two_by_two_stacks(rng, n=64):
+    p, q, t = rng.standard_normal((3, n))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    diag_rising = np.zeros((n, 2, 2), dtype=complex)
+    diag_rising[:, 0, 0], diag_rising[:, 1, 1] = p, p + 1.0 + np.abs(q)
+    imaginary_b = np.zeros((n, 2, 2), dtype=complex)
+    imaginary_b[:, 0, 0], imaginary_b[:, 1, 1] = p, q
+    imaginary_b[:, 0, 1], imaginary_b[:, 1, 0] = 1j * t, -1j * t
+    return {
+        # not Hermitian: the kernel decomposes its Hermitian part
+        "random complex": rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)),
+        "diagonal, p < q": diag_rising,
+        "diagonal, p > q": diag_rising[:, ::-1, ::-1].copy(),
+        "scalar identity": np.tile(3.5 * np.eye(2, dtype=complex), (n, 1, 1)),
+        "nearly degenerate": _with_spectrum(rng, scale, scale * (1.0 + 1e-10)),
+        "eigenvalues 1e-8 to 1e8": _with_spectrum(rng, 10.0 ** rng.uniform(-8.0, 8.0, n),
+                                                  10.0 ** rng.uniform(-8.0, 8.0, n)),
+        "imaginary b": imaginary_b,
+    }
+
+
+def _exact_eigenvalues(h):
+    # (p + q)/2 -+ sqrt(((q - p)/2)^2 + |b|^2) in 40-digit decimal arithmetic,
+    # from the exact binary values of the entries
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        out = []
+        for node in h:
+            p, q = decimal.Decimal(node[0, 0].real), decimal.Decimal(node[1, 1].real)
+            br, bi = decimal.Decimal(node[0, 1].real), decimal.Decimal(node[0, 1].imag)
+            mid, half_gap = (p + q) / 2, (q - p) / 2
+            r = (half_gap * half_gap + br * br + bi * bi).sqrt()
+            out.append([float(mid - r), float(mid + r)])
+    return np.array(out)
+
+
+def test_eigh_hermitian_two_by_two_closed_form(rng):
+    eps = np.finfo(float).eps
+    for label, a in _two_by_two_stacks(rng).items():
+        h = mp.hermitian_part(a)
+        w, u = mp.eigh_hermitian(a)
+        exact = _exact_eigenvalues(h)
+        norm = np.max(np.abs(exact), axis=-1)  # ||A||_2 at each node
+        assert np.all(np.abs(w - exact).max(axis=-1) <= 4.0 * eps * norm), label
+        # LAPACK, through numpy and through scipy, is within its own 4 eps of exact
+        for ref in (np.linalg.eigh(h)[0], np.array([sla.eigh(x, eigvals_only=True) for x in h])):
+            assert np.all(np.abs(w - ref).max(axis=-1) <= 8.0 * eps * norm), label
+        rebuilt = (u * w[:, None, :]) @ np.conj(u).swapaxes(1, 2)
+        rel = np.linalg.norm(rebuilt - h, axis=(1, 2)) / np.linalg.norm(h, axis=(1, 2))
+        assert np.all(rel <= 1e-14), label
+        assert np.max(np.abs(np.conj(u).swapaxes(1, 2) @ u - np.eye(2))) <= 1e-14, label
+        assert np.all(w[:, 0] <= w[:, 1]), label
+        assert np.array_equal(calculus.eigvalsh_hermitian(a), w), label
+
+
+def test_eigh_hermitian_two_by_two_special_cases(rng):
+    stacks = _two_by_two_stacks(rng)
+    # b = 0: the eigenvalues are the diagonal, exactly, and u the identity or the swap
+    for label, u_exact in (("diagonal, p < q", [[1, 0], [0, 1]]),
+                           ("diagonal, p > q", [[0, 1], [-1, 0]])):
+        a = stacks[label]
+        w, u = mp.eigh_hermitian(a)
+        assert np.array_equal(w, np.sort(a.real[:, [0, 1], [0, 1]], axis=-1)), label
+        assert np.array_equal(u, np.broadcast_to(u_exact, u.shape)), label
+    # coincident eigenvalues (r = 0) give the identity
+    w, u = mp.eigh_hermitian(stacks["scalar identity"])
+    assert np.array_equal(w, np.full(w.shape, 3.5))
+    assert np.array_equal(u, np.broadcast_to(np.eye(2), u.shape))
+
+
+def test_eigh_hermitian_two_by_two_non_finite_input():
+    # NaN and inf give non-finite eigenvalues, no warning, and the positivity
+    # check rejects them
+    for bad in (np.nan, np.inf, -np.inf):
+        field = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+        field[2, 0, 1] = bad
+        w, _u = mp.eigh_hermitian(field)
+        assert not np.all(np.isfinite(w[2])) and np.all(np.isfinite(w[[0, 1, 3]]))
+        with pytest.raises(PositivityError):
+            mp.matrix_log(field)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_a_non_finite_field_in_a_statecov_solve_is_a_rejected_step(monkeypatch, name, bad):
+    # one node of one adjoint field, in the first step after the start, is
+    # poisoned; the step is rejected and retried shorter, and the run converges
+    op, _kernels, moment, _rho = fm.example_problem("statecov")
+    clean = mp.solve(op, moment, mp.family_from_name(name))
+    real_field = families._adjoint_field
+    calls = []
+
+    def poisoned(op_, lam, flat):
+        field = real_field(op_, lam, flat)
+        calls.append(lam)
+        if len(calls) == 4:  # after lam_I, the unscaled and the scaled start
+            field = field.copy()
+            field[7, 0, 1] = bad
+        return field
+
+    monkeypatch.setattr(families, "_adjoint_field", poisoned)
+    report = mp.solve(op, moment, mp.family_from_name(name))
+    assert len(calls) > 4
+    assert report.status == "Converged", report.message
+    assert report.trace[1][0] < clean.trace[1][0]  # the first step was shortened
 
 
 def test_as_hermitian_symmetrizes_small_defects(rng):

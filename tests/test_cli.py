@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 import json
+import os
 import subprocess
 import sys
 
@@ -12,9 +13,9 @@ from momentropy import cli
 from momentropy import formats as fm
 
 
-def _run(*argv, cwd=None):
+def _run(*argv, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "momentropy", *argv], capture_output=True,
-                          text=True, cwd=cwd, env=src_env(), timeout=300)
+                          text=True, cwd=cwd, env=src_env(env), timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -349,3 +350,21 @@ def test_every_example_round_trips_through_its_problem_file(name, tmp_path):
     assert cli.main(["solve", "--problem", str(tmp_path / "bundle" / "problem.json"),
                      "--report", str(loaded)]) == 0
     assert direct.read_bytes() == loaded.read_bytes()
+
+
+def test_statecov_artifacts_are_byte_identical_across_thread_counts(tmp_path):
+    # the m = 2 counterpart of criterion 12, whose example is m = 1
+    artifacts = ("problem.json", "report.json", "density.csv", "trace.csv")
+    runs = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        d = tmp_path / threads
+        r = _run("example", "statecov", str(d), env=env)
+        assert r.returncode == 0, r.stderr
+        r = _run("solve", "--problem", str(d / "problem.json"), "--family", "rational",
+                 "--report", str(d / "report.json"), "--density-out", str(d / "density.csv"),
+                 "--trace-out", str(d / "trace.csv"), env=env)
+        assert r.returncode == 0, r.stderr
+        runs.append({name: (d / name).read_bytes() for name in artifacts})
+    for name in artifacts:
+        assert runs[0][name] == runs[1][name], name

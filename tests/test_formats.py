@@ -101,6 +101,28 @@ def test_density_and_trace_csv_golden_bytes(tmp_path):
         fm.write_trace_csv(tmp_path / "inf.csv", [(0.0, np.inf, 0.0, 0.0)])
 
 
+def test_csv_tables_match_numpy_savetxt_bytes(tmp_path, rng):
+    # a %-format per block of rows writes what savetxt's loop over rows
+    # writes, on tables of one block, of one row past it and of many
+    def savetxt_bytes(table, header=None):
+        path = tmp_path / "reference.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            if header is not None:
+                fh.write(header + "\n")
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        return path.read_bytes()
+
+    tables = [rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-300, 300, (rows, cols))
+              for rows, cols in ((1, 1), (7, 3), (256, 4), (257, 9), (2304, 10))]
+    tables.append(np.array([[-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 2.0 ** -1074]]))
+    for table in tables:
+        fm._write_table(tmp_path / "table.csv", table)
+        assert (tmp_path / "table.csv").read_bytes() == savetxt_bytes(table), table.shape
+    fm.write_trace_csv(tmp_path / "trace.csv", [])
+    assert (tmp_path / "trace.csv").read_bytes() == savetxt_bytes(
+        np.zeros((0, 4)), header="t,V,min_eig,lambda_norm") == b"t,V,min_eig,lambda_norm\n"
+
+
 def test_trace_csv_layout(tmp_path):
     path = tmp_path / "trace.csv"
     fm.write_trace_csv(path, [(0.0, 1.0, 0.5, 0.1), (0.1, 0.8, 0.5, 0.2)])

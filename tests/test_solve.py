@@ -179,6 +179,18 @@ def test_solve_converges_on_a_scaled_array_target(array_problem, name):
     assert -2.2 <= report.fitted_V_slope <= -1.8
 
 
+@pytest.mark.parametrize("size", [1e12, 1e-12])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_the_fitted_slope_does_not_depend_on_the_size_of_the_target(array_problem, name, size):
+    # the converged tail is judged against the trace's largest V, so a run on
+    # 1e12 R, which lands at V near 1e-5, still reports its decay rate
+    op, _rho, moment = array_problem
+    report = mp.solve(op, size * moment, mp.family_from_name(name))
+    assert report.status == STATUS_CONVERGED
+    assert report.fitted_V_slope is not None
+    assert -2.2 <= report.fitted_V_slope <= -1.8
+
+
 @pytest.mark.parametrize("solver, h_min", [(mp.solve, "1e-12"), (mp.solve_tau, "1e-06")])
 def test_a_failing_first_stage_ends_the_run_at_once(scalar_op, monkeypatch, solver, h_min):
     # the first stage does not depend on the step size, so no halving can
