@@ -48,7 +48,13 @@ _POSITIVE_RTOL = 1e-12
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     """Return (M + M*)/2, batched over leading dimensions."""
     a = _square(np.asarray(matrix))
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    out = a + np.conj(np.swapaxes(a, -1, -2))
+    if not np.iscomplexobj(out):
+        return 0.5 * out
+    # halve the parts as reals: a complex 0.5 would turn 0 * inf into nan
+    out.real *= 0.5
+    out.imag *= 0.5
+    return out
 
 
 def as_hermitian(matrix: np.ndarray) -> np.ndarray:

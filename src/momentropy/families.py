@@ -25,6 +25,13 @@ coordinates, which is what the continuation solver inverts.  It is negative
 definite on the feasible set for every family, and symmetric for the
 unweighted families and at m = 1; the weighted families' Jacobian is not
 symmetric at m > 1.
+
+Scalar fields (m = 1) are evaluated in real arithmetic, on the operator's real
+adjoint rows ``RangeBasis.scalar_adjoint``: there ``u = 1``, so the field is
+``a = lam X``, the density ``f(a) |phi|^2`` and the Jacobian ``-Y Y^T`` with
+``Y = X sqrt(w g) |phi|``.  This is exact, not an approximation: the cached
+adjoint images are Hermitian parts, so at m = 1 their imaginary parts are
+exactly 0.
 """
 
 from __future__ import annotations
@@ -216,9 +223,12 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     # inverse shape and the divided difference of e^mu / e for the exponential.
     # g is held by its square root, which stays in range for any kernel size
     # where g itself (f^2 for the inverse shape) would under- or overflow.
+    coords = _dual_coords(op, lam)
+    if op.m == 1:
+        return _evaluate_scalar(op, coords, family, need_jacobian)
     x = op.adjoint_basis
     flat = _real_rows(x)
-    a_field = _adjoint_field(op, lam, flat)
+    a_field = _adjoint_field(op, coords, flat)
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
         min_eig = _check_dual_floor(eigs_a)
@@ -238,26 +248,49 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
 
     v = u if family.phi is None else family.phi @ u
     w = op.grid.weights[:, None, None]
-    if op.m == 1:
-        density = (f * (v.real[..., 0] ** 2 + v.imag[..., 0] ** 2))[:, :, None].astype(complex)
-    else:
-        density = _rebuild(f, v)
+    density = _rebuild(f, v)
     h_coords = flat @ (w * density).reshape(-1).view(float)
 
     jac = None
     if need_jacobian:
-        if family.phi is None or op.m == 1:
-            # v* E v = |phi|^2 u* E u here, so J = -Y Y^T with
-            # Y = sqrt(w g) |phi| u* E u, symmetric by construction
-            root_w_g = np.sqrt(w) * root_g
-            if family.phi is not None:
-                root_w_g = root_w_g * np.abs(family.phi)
-            y = _real_rows(_basis_congruence(u, x, root_w_g))
+        if family.phi is None:
+            # v = u here, so J = -Y Y^T with Y = sqrt(w g) u* E u, symmetric
+            # by construction
+            y = _real_rows(_basis_congruence(u, x, np.sqrt(w) * root_g))
             jac = -(y @ y.T)
         else:
             z = _real_rows(_basis_congruence(v, x))
             jac = -(z @ _real_rows(_basis_congruence(u, x, w * root_g ** 2)).T)
     return _PointEval(density, h_coords, jac, min_eig)
+
+
+def _evaluate_scalar(op: MomentOperator, coords: np.ndarray, family: Family,
+                     need_jacobian: bool) -> _PointEval:
+    # The m = 1 formulas of the module docstring, with h = X (w rho) and
+    # sqrt(g) = f (inverse shape) or sqrt(f) (exponential shape).
+    x = op.basis.scalar_adjoint
+    a = coords @ x
+    if family.is_inverse_kind:
+        min_eig = _check_dual_floor(a[:, None])
+        f = 1.0 / a
+    else:
+        exponent = -a if family.log_sigma is None else family.log_sigma[:, 0, 0].real - a
+        min_eig = float(a.min())
+        with np.errstate(over="ignore", under="ignore"):
+            f = np.exp(exponent) / np.e
+    w = op.grid.weights
+    phi = None if family.phi is None else family.phi[:, 0, 0]
+    density = f if phi is None else f * (phi.real ** 2 + phi.imag ** 2)
+    h_coords = x @ (w * density)
+
+    jac = None
+    if need_jacobian:
+        scale = np.sqrt(w) * (f if family.is_inverse_kind else np.sqrt(f))
+        if phi is not None:
+            scale *= np.abs(phi)
+        y = x * scale
+        jac = -(y @ y.T)
+    return _PointEval(density.astype(complex)[:, None, None], h_coords, jac, min_eig)
 
 
 def _real_rows(a: np.ndarray) -> np.ndarray:
@@ -268,23 +301,27 @@ def _real_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1).view(float)
 
 
-def _adjoint_field(op: MomentOperator, lam, flat: np.ndarray) -> np.ndarray:
+def _dual_coords(op: MomentOperator, lam) -> np.ndarray:
+    """Range coordinates of a dual point given as coordinates, a
+    :class:`DualVariable` or a matrix."""
     if isinstance(lam, DualVariable):
         lam = lam.coords
     lam = np.asarray(lam)
     if lam.ndim != 1:
         # L* vanishes on the orthogonal complement of the range
         lam = op.basis.coords_of(lam)
+    return lam.astype(float)
+
+
+def _adjoint_field(op: MomentOperator, coords: np.ndarray, flat: np.ndarray) -> np.ndarray:
     # L* is linear and its images of the range basis are cached on the operator
-    return (lam.astype(float) @ flat).view(complex).reshape(op.node_count, op.m, op.m)
+    return (coords @ flat).view(complex).reshape(op.node_count, op.m, op.m)
 
 
 def _basis_congruence(v: np.ndarray, x: np.ndarray, scale=1.0) -> np.ndarray:
     """scale * (v[n]* x[i, n] v[n]) entrywise, for every basis element i, as a
     C-contiguous (d, N, m, m) array; ``scale`` broadcasts against (N, m, m)."""
     d, n, m, _ = x.shape
-    if m == 1:
-        return x * (scale * (v.real ** 2 + v.imag ** 2))
     # row-major vec(v* X v) = kron(v*, v^T) vec(X): one small matrix per node,
     # applied to all d elements at once
     kron = np.einsum("nba,ncd->nadbc", np.conj(v), v).reshape(n, m * m, m * m)

@@ -25,6 +25,7 @@ continuation solver live in that basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,14 @@ class RangeBasis:
     @property
     def dim(self) -> int:
         return self.elements.shape[0]
+
+    @cached_property
+    def scalar_adjoint(self) -> np.ndarray:
+        """At m = 1, the adjoint images as real rows L*(E_i)[n], shape (d, N),
+        C-contiguous, built on first use and kept with the basis.  Dropping the
+        imaginary part is exact: the images are Hermitian parts, so a 1x1
+        image has an imaginary part of exactly 0."""
+        return np.ascontiguousarray(self.adjoint[:, :, 0, 0].real)
 
     def assemble(self, coords: np.ndarray) -> np.ndarray:
         """Matrix with the given real coordinates: sum_i coords[i] E_i."""

@@ -21,9 +21,11 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def src_env(env=None):
     """A copy of ``env`` (default: this process's environment) with the
-    package's source directory first on PYTHONPATH, for test subprocesses."""
+    package's source directory first on PYTHONPATH, for test subprocesses,
+    which turn a RuntimeWarning into an error as the suite does."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 

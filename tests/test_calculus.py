@@ -269,6 +269,23 @@ def test_eigh_hermitian_two_by_two_non_finite_input():
             mp.matrix_log(field)
 
 
+def test_an_inf_entry_at_m_3_is_refused_without_a_warning(rng):
+    # the Hermitian part halves real and imaginary parts as reals, so inf
+    # stays inf (a complex 0.5 would make 0 * inf a nan and warn), and LAPACK
+    # then refuses the stack
+    field = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+    field[2, 0, 2] = np.inf
+    half = mp.hermitian_part(field)
+    assert half[2, 0, 2] == np.inf and half[2, 2, 0] == np.inf
+    assert not np.any(np.isnan(half))
+    for spectral in (mp.eigh_hermitian, mp.matrix_log, mp.assert_positive_definite):
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral(field)
+    # finite input gives the values of 0.5 * (A + A*)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    assert np.array_equal(mp.hermitian_part(a), 0.5 * (a + np.conj(a.swapaxes(1, 2))))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["rational", "exponential"])
 def test_a_non_finite_field_in_a_statecov_solve_is_a_rejected_step(monkeypatch, name, bad):

@@ -1,4 +1,7 @@
 """Density families: closed-form values, Jacobians, starting points."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -254,7 +257,12 @@ def _oracle_cases():
         if sigma is None:
             sigma = pr.random_smooth_matrix_density(op.grid, op.m, seed=9)
         for name in mp.FAMILY_KINDS:
-            yield op, mp.family_from_name(name, sigma=sigma), rng
+            family = mp.family_from_name(name, sigma=sigma)
+            # L*(lam) has rank 2 at both nodes of the partial trace for every
+            # lam, so an inverse family gives up there
+            below_floor = mp.dual_from_matrix(op, np.eye(2, dtype=complex)) \
+                if family.is_inverse_kind and op.m == 4 else None
+            yield op, family, below_floor, rng
     # an outer factor that is not Hermitian: rho = phi A^-1 phi*, which differs
     # from the sigma^(1/2) weighting of the same sigma = phi phi* at m > 1
     noise = rng.standard_normal((statecov.node_count, 2, 2)) \
@@ -262,21 +270,30 @@ def _oracle_cases():
     phi = np.triu(noise, 1) + np.eye(2) * (1.0 + rng.random((statecov.node_count, 1, 1)))
     family = mp.weighted_rational_family(phi=phi)
     assert np.array_equal(family.sigma, phi @ np.conj(phi).swapaxes(1, 2))
-    yield statecov, family, rng
+    yield statecov, family, None, rng
+    # m = 1: a factor with a phase, and a point whose adjoint field dips
+    # below the dual floor at some nodes
+    array = pr.nonequispaced_array_problem()
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, (array.node_count, 1, 1)))
+    phi = phase * (0.5 + rng.random((array.node_count, 1, 1)))
+    yield array, mp.weighted_rational_family(phi=phi), None, rng
+    start = mp.default_dual_start(array, mp.rational_family())
+    tilted = mp.dual_from_coords(array, start.coords + 2.0 * rng.standard_normal(array.d))
+    assert not mp.is_dual_feasible(array, tilted)[0]
+    yield array, mp.rational_family(), tilted, rng
 
 
 def test_evaluation_matches_its_einsum_formulation():
     # m = 1 (array), 2 (state covariance) and 4 (partial trace), every family,
-    # the dual point given as coordinates, as a DualVariable and as a matrix
-    for op, family, rng in _oracle_cases():
+    # the dual point given as coordinates, as a DualVariable and as a matrix;
+    # below the inverse families' floor both give up at the same node
+    for op, family, below_floor, rng in _oracle_cases():
         label = "%s m=%d" % (family.kind, op.m)
-        if family.is_inverse_kind and op.m == 4:
-            # L*(lam) has rank 2 at both nodes for every lam, so both give up
-            lam = mp.dual_from_matrix(op, np.eye(2, dtype=complex))
+        if below_floor is not None:
             with pytest.raises(PositivityError) as ref:
-                _reference_evaluate(op, lam, family)
+                _reference_evaluate(op, below_floor, family)
             with pytest.raises(PositivityError) as got:
-                _evaluate(op, lam, family, need_jacobian=True)
+                _evaluate(op, below_floor, family, need_jacobian=True)
             assert got.value.node == ref.value.node, label
             continue
         lam = _feasible_perturbed_start(op, family, rng, scale=0.3)
@@ -292,6 +309,19 @@ def test_evaluation_matches_its_einsum_formulation():
             for field, ref in zip(("density", "h_coords", "flow_jacobian", "min_eig"), want):
                 err = np.linalg.norm(np.asarray(getattr(got, field)) - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref), (label, field, type(given))
+
+
+def test_an_operator_is_freed_after_use():
+    # what the evaluation keeps per operator lives on the operator, so a CLI
+    # process that builds one operator per verdict does not grow
+    op = pr.nonequispaced_array_problem()
+    moment = mp.apply_L(op, pr.two_bump_demo_density(op.grid))
+    for name in ("rational", "exponential"):
+        assert mp.solve(op, moment, mp.family_from_name(name)).status == "Converged"
+    freed = weakref.ref(op)
+    del op
+    gc.collect()
+    assert freed() is None
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,16 @@ def test_adjoint_pairing_identity_scalar_and_matrix(rng):
 
 
 def test_adjoint_basis_is_c_contiguous(tmp_path):
-    # the evaluation reads it through flat real views, which need no copy
+    # the evaluation reads it through flat real views, which need no copy; at
+    # m = 1 it reads the real parts alone, which is exact only when every
+    # imaginary part is 0
     interval = mp.build_grid("interval1d", (0.0, 1.0), panels=2, order=2)
     ones = np.ones((interval.node_count, 1, 1), dtype=complex)
     ptrace = pr.partial_trace_problem(2, 2)
+    array = pr.nonequispaced_array_problem()
     ops = [
         mp.build_operator(interval, mp.kernel_samples(ones, ones)),
-        pr.nonequispaced_array_problem(),
+        array,
         pr.grid2d_problem(2, mp.build_grid("rectangle2d", ((0.0, np.pi), (0.0, np.pi)),
                                            panels=2, order=2)),
         ptrace,
@@ -121,12 +124,19 @@ def test_adjoint_basis_is_c_contiguous(tmp_path):
             pr.random_state_model(n=3, m=2, seed=2),
             mp.build_grid("interval1d", (-np.pi, np.pi), panels=4, order=3)),
     ]
-    moment = mp.apply_L(ptrace, np.broadcast_to(pr.bell_state(), (2, 4, 4)).copy())
-    path = tmp_path / "problem.json"
-    fm.write_problem(path, fm.problem_to_obj(ptrace.grid, fm.samples_kernels_obj(ptrace), moment))
-    ops.append(fm.load_problem(path).operator)
+    for name, op, density in (("ptrace", ptrace, np.broadcast_to(pr.bell_state(), (2, 4, 4))),
+                              ("array", array, pr.two_bump_demo_density(array.grid))):
+        path = tmp_path / (name + ".json")
+        moment = mp.apply_L(op, np.array(density))
+        fm.write_problem(path, fm.problem_to_obj(op.grid, fm.samples_kernels_obj(op), moment))
+        ops.append(fm.load_problem(path).operator)
+    assert [op.m for op in ops] == [1, 1, 1, 4, 2, 4, 1]
     for op in ops:
         assert op.adjoint_basis.flags.c_contiguous, op.kernels.left.shape
+        if op.m == 1:
+            assert np.all(op.adjoint_basis.imag == 0.0), op.kernels.left.shape
+            assert np.array_equal(op.basis.scalar_adjoint, op.adjoint_basis[:, :, 0, 0].real)
+            assert op.basis.scalar_adjoint.flags.c_contiguous
 
 
 def test_range_dimensions_match_counting_arguments():
