@@ -6,7 +6,10 @@ grid can be processed in one call.  Every spectral function funnels through a
 single eigendecomposition routine (:func:`eigh_hermitian`) which symmetrises
 its input first; this gives the whole package one consistent policy for
 numerical noise.  Fields of 1x1 matrices take a scalar path and fields of
-2x2 matrices a vectorised closed form; only ``m >= 3`` calls LAPACK.  Every
+2x2 matrices a vectorised closed form; only ``m >= 3`` calls LAPACK.  The
+closed form takes the entries ``p, q, b`` of each matrix
+(:func:`_eigh_2x2_entries`), so the density families evaluate 2x2 fields
+given as real rows through the same formula, without a complex stack.  Every
 positive-definiteness test in the package compares eigenvalues with its
 floor through :func:`_check_positive`, which names the node of a field that
 fails.
@@ -189,23 +192,40 @@ def _frechet(u: np.ndarray, g: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return hermitian_part(u @ (g * (uh @ np.asarray(delta, dtype=complex) @ u)) @ uh)
 
 
-@np.errstate(invalid="ignore", over="ignore")  # non-finite input gives NaN, as LAPACK does
 def _eigh_2x2(a: np.ndarray, vectors: bool):
-    """Closed-form eigendecomposition of the Hermitian part of 2x2 stacks.
+    """Closed-form eigendecomposition of the Hermitian part of 2x2 stacks:
+    :func:`_eigh_2x2_entries` on its diagonal and on ``b``, the mean of
+    ``a01`` and ``conj(a10)``.  Returns ``w`` alone unless ``vectors``."""
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, as LAPACK does
+        b = 0.5 * (a[..., 0, 1] + np.conj(a[..., 1, 0]))
+    parts = _eigh_2x2_entries(a[..., 0, 0].real, a[..., 1, 1].real, b, vectors)
+    if not vectors:
+        return parts
+    w, c, s, phase = parts
+    u = np.empty(a.shape, dtype=complex)
+    u[..., 0, 0] = c * phase
+    u[..., 0, 1] = s * phase
+    u[..., 1, 0] = -s
+    u[..., 1, 1] = c
+    return w, u
 
-    With ``p, q`` the real diagonal and ``b`` the mean of ``a01`` and
-    ``conj(a10)``, the eigenvalues are ``(p+q)/2 -+ r`` with
-    ``r = hypot((q-p)/2, |b|)``, ascending.  The eigenvectors are the columns
-    of ``[[c e, s e], [-s, c]]`` with ``c, s`` the cosine and sine of
-    ``atan2(|b|, (q-p)/2) / 2`` and ``e = b/|b|`` the phase of ``b``
-    (Higham, *Functions of Matrices*, 2008).  Where ``b = 0`` the eigenvalues
-    are ``p`` and ``q`` exactly and ``u`` is the identity or the swap
-    ``[[0, 1], [-1, 0]]``; coincident eigenvalues (``r = 0``) are such a case
-    and get the identity.  Returns ``w`` alone unless ``vectors``.
+
+@np.errstate(invalid="ignore", over="ignore")  # non-finite input gives NaN, as LAPACK does
+def _eigh_2x2_entries(p: np.ndarray, q: np.ndarray, b: np.ndarray, vectors: bool):
+    """Closed-form eigendecomposition of the Hermitian matrices
+    ``[[p, b], [conj(b), q]]`` from their entries, real ``p, q`` and complex
+    ``b``: the one 2x2 formula, shared by :func:`_eigh_2x2` and the families'
+    real m = 2 evaluation.
+
+    The eigenvalues are ``(p+q)/2 -+ r`` with ``r = hypot((q-p)/2, |b|)``,
+    ascending.  The eigenvectors are the columns of ``u = [[c e, s e], [-s, c]]``
+    with ``c, s`` the cosine and sine of ``atan2(|b|, (q-p)/2) / 2`` and
+    ``e = b/|b|`` the phase of ``b`` (Higham, *Functions of Matrices*, 2008).
+    Where ``b = 0`` the eigenvalues are ``p`` and ``q`` exactly and ``u`` is
+    the identity or the swap ``[[0, 1], [-1, 0]]``; coincident eigenvalues
+    (``r = 0``) are such a case and get the identity.  Returns ``w`` of shape
+    (..., 2) alone unless ``vectors``, else ``(w, c, s, e)``.
     """
-    p = a[..., 0, 0].real
-    q = a[..., 1, 1].real
-    b = 0.5 * (a[..., 0, 1] + np.conj(a[..., 1, 0]))
     b_abs = np.abs(b)
     half_gap = 0.5 * (q - p)
     r = np.hypot(half_gap, b_abs)
@@ -219,12 +239,20 @@ def _eigh_2x2(a: np.ndarray, vectors: bool):
     c = np.where(diagonal, half_gap >= 0.0, np.cos(angle))
     s = np.where(diagonal, half_gap < 0.0, np.sin(angle))
     phase = np.divide(b, b_abs, out=np.ones_like(b), where=~diagonal)
-    u = np.empty(a.shape, dtype=complex)
-    u[..., 0, 0] = c * phase
-    u[..., 0, 1] = s * phase
-    u[..., 1, 0] = -s
-    u[..., 1, 1] = c
-    return w, u
+    return w, c, s, phase
+
+
+def _real_entries(field: np.ndarray) -> np.ndarray:
+    """Hermitian (..., N, m, m) stacks as real rows (..., m*m, N), C-contiguous:
+    the diagonal entries, then the real and the imaginary parts of the entries
+    above the diagonal, in row-major order.  The rows determine an exactly
+    Hermitian matrix; of any other they keep the diagonal's real parts and
+    the upper triangle."""
+    row, col = np.triu_indices(field.shape[-1], 1)
+    upper = field[..., row, col]
+    rows = np.concatenate((np.diagonal(field, axis1=-2, axis2=-1).real, upper.real, upper.imag),
+                          axis=-1)
+    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
 
 def _square(a: np.ndarray) -> np.ndarray:
@@ -260,16 +288,22 @@ def _check_positive(w: np.ndarray, floor: float | None = None,
 def _divided_difference_exp(w: np.ndarray) -> np.ndarray:
     """First divided difference of exp on exponents: f_ij = (e^w_i - e^w_j)/(w_i - w_j).
 
-    Evaluated as ``e^w_j (e^x - 1)/x`` with ``x = w_i - w_j``; for
-    ``|x| < 1e-4`` the series ``1 + x/2 + x^2/6`` takes over, which gives the
-    diagonal ``f_ii = e^w_i`` exactly.  Stays finite for strongly negative
-    exponents and overflows to inf (which the solver rejects as a step
-    failure) for exponents beyond the double range.  At ``w = log c`` this is
-    the scrambled-product factor of ``c``.
+    Evaluated as ``e^w_j (e^x - 1)/x`` with ``x = w_i - w_j``
+    (:func:`_expm1_quotient`), which gives the diagonal ``f_ii = e^w_i``
+    exactly.  Stays finite for strongly negative exponents and overflows to
+    inf (which the solver rejects as a step failure) for exponents beyond the
+    double range.  At ``w = log c`` this is the scrambled-product factor of
+    ``c``.
     """
-    x = w[..., :, None] - w[..., None, :]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return np.exp(w[..., None, :]) * _expm1_quotient(w[..., :, None] - w[..., None, :])
+
+
+def _expm1_quotient(x: np.ndarray) -> np.ndarray:
+    """``(e^x - 1)/x`` entrywise; for ``|x| < 1e-4`` the series
+    ``1 + x/2 + x^2/6`` takes over, which keeps it smooth through ``x = 0``,
+    where it is 1 exactly."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         direct = np.expm1(x) / x
         series = 1.0 + 0.5 * x + x * x / 6.0
-        g = np.where(np.abs(x) < _SERIES_CUTOFF, series, direct)
-        return np.exp(w[..., None, :]) * g
+        return np.where(np.abs(x) < _SERIES_CUTOFF, series, direct)

@@ -21,29 +21,51 @@ dual-feasible; the exponential families are defined for every ``lam`` and
 extremise von Neumann / relative entropies.
 
 ``flow_jacobian`` returns the true Frechet derivative of ``h_map`` in range
-coordinates, which is what the continuation solver inverts.  It is negative
-definite on the feasible set for every family, and symmetric for the
-unweighted families and at m = 1; the weighted families' Jacobian is not
-symmetric at m > 1.
+coordinates, which is what the continuation solver inverts.  For the
+unweighted families, and for every family at m = 1, it is ``-Y Y^T`` with
+linearly independent rows where ``g > 0`` at every node (L* is injective on
+the range), so it is symmetric and, there, negative definite.  The weighted
+families' Jacobian at m > 1 is not symmetric, and its symmetric part can be
+indefinite inside the feasible set.
 
-Scalar fields (m = 1) are evaluated in real arithmetic, on the operator's real
-adjoint rows ``RangeBasis.scalar_adjoint``: there ``u = 1``, so the field is
-``a = lam X``, the density ``f(a) |phi|^2`` and the Jacobian ``-Y Y^T`` with
-``Y = X sqrt(w g) |phi|``.  This is exact, not an approximation: the cached
-adjoint images are Hermitian parts, so at m = 1 their imaginary parts are
-exactly 0.
+Fields of m = 1 and the unweighted families' fields of m = 2 are evaluated in
+real arithmetic, on the operator's real adjoint rows ``RangeBasis.real_adjoint``.
+These are exact, not approximations: the cached adjoint images are Hermitian
+parts, which their diagonal and upper entries determine.
+
+At m = 1, ``u = 1``, so the field is ``a = lam X``, the density
+``f(a) |phi|^2`` and the Jacobian ``-Y Y^T`` with ``Y = X sqrt(w g) |phi|``.
+
+At m = 2 each image ``[[p, b], [conj b, q]]`` is the row ``(p, q, Re b, Im b)``.
+The closed form ``calculus._eigh_2x2_entries`` gives the eigenvalues ``mu``
+of the decomposed field and ``u = [[c e, s e], [-s, c]]``; with ``f = f(mu)``
+
+    rho_00 = c^2 f_0 + s^2 f_1,   rho_11 = s^2 f_0 + c^2 f_1,   rho_01 = cs (f_1 - f_0) e,
+
+the moment coordinates are ``X (w (rho_00, rho_11, 2 Re rho_01, 2 Im rho_01))``
+and the Jacobian is ``-Y Y^T``.  With ``beta = conj(e) b`` for each image,
+the rows of ``Y`` are the entries of ``u* X u``,
+
+    sqrt(w g_00) d_0,  sqrt(w g_11) d_1,  sqrt(2 w g_01) Re o,  sqrt(2 w g_01) Im o,
+    d_0 = c^2 p + s^2 q - 2cs Re beta,   d_1 = s^2 p + c^2 q + 2cs Re beta,
+    o = cs (p - q) + (c^2 - s^2) Re beta + i Im beta.
+
+The weighted families at m = 2 and every field of m >= 3 take the complex
+path: the nodewise eigendecomposition, then the congruence of every image by
+``u`` (and ``v = phi u``) as one batched product per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .calculus import (
-    _check_positive, _divided_difference_exp, _rebuild, eigh_hermitian, eigvalsh_hermitian,
-    matrix_log,
+    _check_positive, _divided_difference_exp, _eigh_2x2_entries, _expm1_quotient, _real_entries,
+    _rebuild, eigh_hermitian, eigvalsh_hermitian, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
 from .operator import _check_dual_floor, MomentOperator, DualVariable, dual_from_coords
@@ -66,6 +88,12 @@ class Family:
     phi: np.ndarray | None = None
     sigma: np.ndarray | None = None
     log_sigma: np.ndarray | None = None
+
+    @cached_property
+    def log_sigma_rows(self) -> np.ndarray:
+        """``log_sigma`` as real rows (m*m, N), the layout of the real m <= 2
+        evaluations (:func:`calculus._real_entries`); built on first use."""
+        return _real_entries(self.log_sigma)
 
     @property
     def is_inverse_kind(self) -> bool:
@@ -200,7 +228,7 @@ def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError:
         coords = np.linalg.lstsq(gram, target, rcond=None)[0]
     coords = coords / row_scale
-    return coords, _check_dual_floor(eigvalsh_hermitian(_adjoint_field(op, coords, flat)))
+    return coords, _check_dual_floor(eigvalsh_hermitian(_adjoint_field(coords, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +254,11 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     coords = _dual_coords(op, lam)
     if op.m == 1:
         return _evaluate_scalar(op, coords, family, need_jacobian)
+    if op.m == 2 and family.phi is None:
+        return _evaluate_2x2(op, coords, family, need_jacobian)
     x = op.adjoint_basis
     flat = _real_rows(x)
-    a_field = _adjoint_field(op, coords, flat)
+    a_field = _adjoint_field(coords, x)
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
         min_eig = _check_dual_floor(eigs_a)
@@ -268,13 +298,13 @@ def _evaluate_scalar(op: MomentOperator, coords: np.ndarray, family: Family,
                      need_jacobian: bool) -> _PointEval:
     # The m = 1 formulas of the module docstring, with h = X (w rho) and
     # sqrt(g) = f (inverse shape) or sqrt(f) (exponential shape).
-    x = op.basis.scalar_adjoint
+    x = op.basis.real_adjoint[:, 0]
     a = coords @ x
     if family.is_inverse_kind:
         min_eig = _check_dual_floor(a[:, None])
         f = 1.0 / a
     else:
-        exponent = -a if family.log_sigma is None else family.log_sigma[:, 0, 0].real - a
+        exponent = -a if family.log_sigma is None else family.log_sigma_rows[0] - a
         min_eig = float(a.min())
         with np.errstate(over="ignore", under="ignore"):
             f = np.exp(exponent) / np.e
@@ -293,11 +323,76 @@ def _evaluate_scalar(op: MomentOperator, coords: np.ndarray, family: Family,
     return _PointEval(density.astype(complex)[:, None, None], h_coords, jac, min_eig)
 
 
+def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
+                  need_jacobian: bool) -> _PointEval:
+    # The m = 2 formulas of the module docstring, for the unweighted families
+    # (v = u), on the real rows (p, q, Re b, Im b) of the adjoint images.
+    x = op.basis.real_adjoint
+    a = _adjoint_field(coords, x)
+    if family.is_inverse_kind:
+        mu, c, s, e = _eigh_2x2_rows(a, vectors=True)
+        min_eig = _check_dual_floor(mu)
+        f = 1.0 / mu
+    else:
+        exponent = -a if family.log_sigma is None else family.log_sigma_rows - a
+        mu, c, s, e = _eigh_2x2_rows(exponent, vectors=True)
+        min_eig = float(-mu.max() if family.log_sigma is None
+                        else _eigh_2x2_rows(a, vectors=False).min())
+        with np.errstate(over="ignore", under="ignore"):
+            f = np.exp(mu) / np.e
+    f0, f1 = f[:, 0], f[:, 1]
+    cc, ss, cs = c * c, s * s, c * s
+    w = op.grid.weights
+    off = cs * (f1 - f0) * e
+    rho = np.stack((cc * f0 + ss * f1, ss * f0 + cc * f1, 2.0 * off.real, 2.0 * off.imag))
+    h_coords = _real_rows(x) @ (w * rho).reshape(-1)
+    density = np.empty((op.node_count, 2, 2), dtype=complex)
+    density[:, 0, 0] = rho[0]
+    density[:, 1, 1] = rho[1]
+    density[:, 0, 1] = off
+    density[:, 1, 0] = np.conj(off)
+
+    jac = None
+    if need_jacobian:
+        root_f = np.sqrt(f)
+        if family.is_inverse_kind:
+            root_g = (f0, f1, root_f[:, 0] * root_f[:, 1])
+        else:
+            root_g = (root_f[:, 0], root_f[:, 1],
+                      root_f[:, 1] * np.sqrt(_expm1_quotient(mu[:, 0] - mu[:, 1])))
+        # Y = T X nodewise: row k of T holds the coefficients of row k of Y
+        # in (p, q, Re b, Im b), with Re beta = Re e Re b + Im e Im b and
+        # Im beta = Re e Im b - Im e Re b
+        t = np.zeros((4, 4, op.node_count))
+        t[0, 0] = t[1, 1] = cc
+        t[0, 1] = t[1, 0] = ss
+        t[2, 0] = cs
+        t[2, 1] = -cs
+        beta_weight = np.stack((-2.0 * cs, 2.0 * cs, cc - ss))
+        t[:3, 2] = beta_weight * e.real
+        t[:3, 3] = beta_weight * e.imag
+        t[3, 2] = -e.imag
+        t[3, 3] = e.real
+        root_w = np.sqrt(w)
+        t[0] *= root_w * root_g[0]
+        t[1] *= root_w * root_g[1]
+        t[2:] *= np.sqrt(2.0 * w) * root_g[2]
+        y = _real_rows(np.einsum("kjn,ijn->ikn", t, x))
+        jac = -(y @ y.T)
+    return _PointEval(density, h_coords, jac, min_eig)
+
+
+def _eigh_2x2_rows(rows: np.ndarray, vectors: bool):
+    # the closed form on a field given as real rows (p, q, Re b, Im b)
+    b = np.ascontiguousarray(rows[2:].T).view(complex)[:, 0]
+    return _eigh_2x2_entries(rows[0], rows[1], b, vectors)
+
+
 def _real_rows(a: np.ndarray) -> np.ndarray:
-    # A C-contiguous complex stack (d, N, m, m) as d real rows, real and
-    # imaginary parts interleaved, so that Re tr(X* Y) is the dot product of
-    # two rows over the flattened (node, a, b) axis; for Hermitian X it is
-    # Re tr(X Y).
+    # A C-contiguous stack of d arrays as d flat real rows.  A complex stack
+    # (d, N, m, m) has its real and imaginary parts interleaved, so that
+    # Re tr(X* Y) is the dot product of two rows over the flattened
+    # (node, a, b) axis; for Hermitian X it is Re tr(X Y).
     return a.reshape(a.shape[0], -1).view(float)
 
 
@@ -313,9 +408,11 @@ def _dual_coords(op: MomentOperator, lam) -> np.ndarray:
     return lam.astype(float)
 
 
-def _adjoint_field(op: MomentOperator, coords: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    # L* is linear and its images of the range basis are cached on the operator
-    return (coords @ flat).view(complex).reshape(op.node_count, op.m, op.m)
+def _adjoint_field(coords: np.ndarray, images: np.ndarray) -> np.ndarray:
+    # L* is linear and its images of the range basis are cached on the
+    # operator, as the complex stack (d, N, m, m) or the real rows
+    # (d, m*m, N); the field comes in the same layout
+    return (coords @ _real_rows(images)).view(images.dtype).reshape(images.shape[1:])
 
 
 def _basis_congruence(v: np.ndarray, x: np.ndarray, scale=1.0) -> np.ndarray:

@@ -29,7 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import _check_positive, eigvalsh_hermitian, hermitian_part, matrix_log, trace_inner
+from .calculus import (
+    _check_positive, _real_entries, eigvalsh_hermitian, hermitian_part, matrix_log, trace_inner,
+)
 from .errors import PositivityError
 from .grid import SupportGrid
 
@@ -83,12 +85,12 @@ class RangeBasis:
         return self.elements.shape[0]
 
     @cached_property
-    def scalar_adjoint(self) -> np.ndarray:
-        """At m = 1, the adjoint images as real rows L*(E_i)[n], shape (d, N),
-        C-contiguous, built on first use and kept with the basis.  Dropping the
-        imaginary part is exact: the images are Hermitian parts, so a 1x1
-        image has an imaginary part of exactly 0."""
-        return np.ascontiguousarray(self.adjoint[:, :, 0, 0].real)
+    def real_adjoint(self) -> np.ndarray:
+        """The adjoint images as real rows, shape (d, m*m, N), C-contiguous,
+        built on first use and kept with the basis: (X_00) at m = 1 and
+        (X_00, X_11, Re X_01, Im X_01) at m = 2 (:func:`calculus._real_entries`).
+        The images are Hermitian parts, so these rows determine them exactly."""
+        return _real_entries(self.adjoint)
 
     def assemble(self, coords: np.ndarray) -> np.ndarray:
         """Matrix with the given real coordinates: sum_i coords[i] E_i."""

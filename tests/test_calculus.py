@@ -296,12 +296,12 @@ def test_a_non_finite_field_in_a_statecov_solve_is_a_rejected_step(monkeypatch, 
     real_field = families._adjoint_field
     calls = []
 
-    def poisoned(op_, lam, flat):
-        field = real_field(op_, lam, flat)
+    def poisoned(lam, images):
+        field = real_field(lam, images)
         calls.append(lam)
         if len(calls) == 4:  # after lam_I, the unscaled and the scaled start
             field = field.copy()
-            field[7, 0, 1] = bad
+            field[2, 7] = bad  # Re of the off-diagonal entry at node 7, in real rows
         return field
 
     monkeypatch.setattr(families, "_adjoint_field", poisoned)

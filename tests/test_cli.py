@@ -352,7 +352,8 @@ def test_every_example_round_trips_through_its_problem_file(name, tmp_path):
     assert direct.read_bytes() == loaded.read_bytes()
 
 
-def test_statecov_artifacts_are_byte_identical_across_thread_counts(tmp_path):
+@pytest.mark.parametrize("family", ["rational", "exponential"])
+def test_statecov_artifacts_are_byte_identical_across_thread_counts(tmp_path, family):
     # the m = 2 counterpart of criterion 12, whose example is m = 1
     artifacts = ("problem.json", "report.json", "density.csv", "trace.csv")
     runs = []
@@ -361,7 +362,7 @@ def test_statecov_artifacts_are_byte_identical_across_thread_counts(tmp_path):
         d = tmp_path / threads
         r = _run("example", "statecov", str(d), env=env)
         assert r.returncode == 0, r.stderr
-        r = _run("solve", "--problem", str(d / "problem.json"), "--family", "rational",
+        r = _run("solve", "--problem", str(d / "problem.json"), "--family", family,
                  "--report", str(d / "report.json"), "--density-out", str(d / "density.csv"),
                  "--trace-out", str(d / "trace.csv"), env=env)
         assert r.returncode == 0, r.stderr

@@ -1,4 +1,5 @@
 """Density families: closed-form values, Jacobians, starting points."""
+import dataclasses
 import gc
 import weakref
 
@@ -7,9 +8,12 @@ import pytest
 
 import momentropy as mp
 from momentropy import problems as pr
-from momentropy.calculus import _divided_difference_exp, eigh_hermitian, hermitian_part
+from momentropy.calculus import (
+    _SERIES_CUTOFF, _divided_difference_exp, eigh_hermitian, hermitian_part,
+)
 from momentropy.errors import DualStartNotFound, PositivityError
 from momentropy.families import _evaluate, _identity_dual
+from momentropy.operator import RangeBasis, _adjoint_of_stack
 
 
 def _single_node_op(m):
@@ -244,6 +248,27 @@ def _reference_evaluate(op, lam, family):
     return density, h_coords, jac, float(np.min(eigs_a))
 
 
+def _branch_operator(rng):
+    """An m = 2 operator with kernels G[n] (left) and G[n]* (right), so that
+    L*(lam)[n] = G[n]* lam G[n], and the Hermitian units as its range basis
+    in place of the computed one: at a diagonal lam the field is then exactly
+    diagonal (b = 0) wherever G[n] is diagonal.  At lam = I the nodes are the
+    identity (coincident eigenvalues), diag(4, 1) (the swap branch),
+    eigenvalues about 2e-5 apart (b = 0) and 6e-5 apart (b != 0), both below
+    the divided-difference series cutoff, and two generic matrices."""
+    gen = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    g = np.stack([np.eye(2), 1.5 * np.eye(2), np.diag([2.0, 1.0]), np.diag([1.0, 1.0 + 1e-5]),
+                  np.array([[1.0, 3e-5], [0.0, 1.0]]), np.eye(2) + 0.3 * gen[0],
+                  np.eye(2) + 0.3 * gen[1]]).astype(complex)
+    op = mp.build_operator(mp.discrete_grid(len(g)),
+                           mp.kernel_samples(g, np.conj(g).swapaxes(1, 2)))
+    root_half = np.sqrt(0.5)
+    units = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, root_half], [root_half, 0]],
+                      [[0, -1j * root_half], [1j * root_half, 0]]], dtype=complex)
+    assert op.d == len(units)
+    return dataclasses.replace(op, basis=RangeBasis(units, _adjoint_of_stack(op.kernels, units)))
+
+
 def _oracle_cases():
     rng = np.random.default_rng(5)
     statecov = pr.state_covariance_problem(
@@ -262,7 +287,7 @@ def _oracle_cases():
             # lam, so an inverse family gives up there
             below_floor = mp.dual_from_matrix(op, np.eye(2, dtype=complex)) \
                 if family.is_inverse_kind and op.m == 4 else None
-            yield op, family, below_floor, rng
+            yield op, family, None, below_floor, rng
     # an outer factor that is not Hermitian: rho = phi A^-1 phi*, which differs
     # from the sigma^(1/2) weighting of the same sigma = phi phi* at m > 1
     noise = rng.standard_normal((statecov.node_count, 2, 2)) \
@@ -270,24 +295,36 @@ def _oracle_cases():
     phi = np.triu(noise, 1) + np.eye(2) * (1.0 + rng.random((statecov.node_count, 1, 1)))
     family = mp.weighted_rational_family(phi=phi)
     assert np.array_equal(family.sigma, phi @ np.conj(phi).swapaxes(1, 2))
-    yield statecov, family, None, rng
-    # m = 1: a factor with a phase, and a point whose adjoint field dips
-    # below the dual floor at some nodes
+    yield statecov, family, None, None, rng
+    # m = 1: a factor with a phase; m = 1 and 2: a point whose adjoint field
+    # dips below the dual floor at some nodes
     array = pr.nonequispaced_array_problem()
     phase = np.exp(1j * rng.uniform(-np.pi, np.pi, (array.node_count, 1, 1)))
     phi = phase * (0.5 + rng.random((array.node_count, 1, 1)))
-    yield array, mp.weighted_rational_family(phi=phi), None, rng
-    start = mp.default_dual_start(array, mp.rational_family())
-    tilted = mp.dual_from_coords(array, start.coords + 2.0 * rng.standard_normal(array.d))
-    assert not mp.is_dual_feasible(array, tilted)[0]
-    yield array, mp.rational_family(), tilted, rng
+    yield array, mp.weighted_rational_family(phi=phi), None, None, rng
+    for op in (array, statecov):
+        start = mp.default_dual_start(op, mp.rational_family())
+        tilted = mp.dual_from_coords(op, start.coords + 2.0 * rng.standard_normal(op.d))
+        assert not mp.is_dual_feasible(op, tilted)[0]
+        yield op, mp.rational_family(), None, tilted, rng
+    # m = 2 at points whose fields take the closed form's special branches
+    branch = _branch_operator(rng)
+    gaps = np.diff(eigh_hermitian(mp.apply_L_adjoint(branch, np.eye(2)))[0], axis=1)[:, 0]
+    assert gaps[0] == 0.0 and 0.0 < gaps[3] < _SERIES_CUTOFF and 0.0 < gaps[4] < _SERIES_CUTOFF
+    for diagonal in ([1.0, 1.0], [1.2, 0.9]):
+        point = mp.dual_from_coords(branch, np.array(diagonal + [0.0, 0.0]))
+        field = mp.apply_L_adjoint(branch, point.matrix)
+        assert np.all(field[:4, 0, 1] == 0.0) and np.all(field[4:, 0, 1] != 0.0)
+        for name in ("rational", "exponential"):
+            yield branch, mp.family_from_name(name), point, None, rng
 
 
 def test_evaluation_matches_its_einsum_formulation():
-    # m = 1 (array), 2 (state covariance) and 4 (partial trace), every family,
-    # the dual point given as coordinates, as a DualVariable and as a matrix;
-    # below the inverse families' floor both give up at the same node
-    for op, family, below_floor, rng in _oracle_cases():
+    # m = 1 (array), 2 (state covariance and the closed form's branches) and
+    # 4 (partial trace), every family, the dual point given as coordinates, as
+    # a DualVariable and as a matrix; below the inverse families' floor both
+    # give up at the same node
+    for op, family, point, below_floor, rng in _oracle_cases():
         label = "%s m=%d" % (family.kind, op.m)
         if below_floor is not None:
             with pytest.raises(PositivityError) as ref:
@@ -296,7 +333,7 @@ def test_evaluation_matches_its_einsum_formulation():
                 _evaluate(op, below_floor, family, need_jacobian=True)
             assert got.value.node == ref.value.node, label
             continue
-        lam = _feasible_perturbed_start(op, family, rng, scale=0.3)
+        lam = point or _feasible_perturbed_start(op, family, rng, scale=0.3)
         # L* vanishes on the orthogonal complement of the range, so a matrix
         # with a component there must give the same evaluation
         noise = rng.standard_normal(lam.matrix.shape) + 1j * rng.standard_normal(lam.matrix.shape)

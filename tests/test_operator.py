@@ -108,8 +108,8 @@ def test_adjoint_pairing_identity_scalar_and_matrix(rng):
 
 def test_adjoint_basis_is_c_contiguous(tmp_path):
     # the evaluation reads it through flat real views, which need no copy; at
-    # m = 1 it reads the real parts alone, which is exact only when every
-    # imaginary part is 0
+    # m <= 2 it reads real rows of the diagonal and upper entries, which
+    # determine an image only when it is exactly Hermitian
     interval = mp.build_grid("interval1d", (0.0, 1.0), panels=2, order=2)
     ones = np.ones((interval.node_count, 1, 1), dtype=complex)
     ptrace = pr.partial_trace_problem(2, 2)
@@ -133,10 +133,13 @@ def test_adjoint_basis_is_c_contiguous(tmp_path):
     assert [op.m for op in ops] == [1, 1, 1, 4, 2, 4, 1]
     for op in ops:
         assert op.adjoint_basis.flags.c_contiguous, op.kernels.left.shape
-        if op.m == 1:
-            assert np.all(op.adjoint_basis.imag == 0.0), op.kernels.left.shape
-            assert np.array_equal(op.basis.scalar_adjoint, op.adjoint_basis[:, :, 0, 0].real)
-            assert op.basis.scalar_adjoint.flags.c_contiguous
+        if op.m <= 2:
+            x = op.adjoint_basis
+            assert np.array_equal(x, np.conj(x.swapaxes(2, 3))), op.kernels.left.shape
+            entries = [x[:, :, 0, 0].real] if op.m == 1 else [
+                x[:, :, 0, 0].real, x[:, :, 1, 1].real, x[:, :, 0, 1].real, x[:, :, 0, 1].imag]
+            assert np.array_equal(op.basis.real_adjoint, np.stack(entries, axis=1))
+            assert op.basis.real_adjoint.flags.c_contiguous
 
 
 def test_range_dimensions_match_counting_arguments():
