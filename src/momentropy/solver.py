@@ -62,11 +62,10 @@ the accepted point, solved once and reused by every retry (when that solve
 fails, no smaller step can succeed and the run ends at once); each further
 iterate costs one evaluation, at most four per step.  A step is rejected when
 an evaluation fails (an inverse-type adjoint field at the positivity floor,
-non-finite values), when the Cholesky factorisation of the symmetric part of
-the negated Jacobian fails, or when the corrector stops contracting or misses
-the path; it then halves, and a step met within three iterations doubles up
-to the clock's cap.  A collapsed step's verdict message carries the reason
-for the last rejection.  Both clocks end on R itself: tau lands on 1, and the
+non-finite values), when the Jacobian is singular, or when the corrector
+stops contracting or misses the path; it then halves, and a step met within
+three iterations doubles up to the clock's cap.  A collapsed step's verdict
+message carries the reason for the last rejection.  Both clocks end on R itself: tau lands on 1, and the
 flow clock reads s = 0 at the time its V would reach ``tol * ||R||^2``, so
 each run's last step is a corrector step onto R, and a run converges only by
 meeting it.  A start already within that threshold is the end of its path
@@ -435,17 +434,12 @@ def _eval_or_fail(op, coords, family, need_jacobian=True):
 
 
 def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # The true derivative of h is negative definite inside the feasible
-    # region for every family; Cholesky of the symmetric part of its negation
-    # (the weighted families' Jacobian is not symmetric at m > 1) doubles as
-    # the boundary detector, since approaching the dual-feasible boundary (or
-    # a singular weighted field) destroys definiteness.
-    sym = -0.5 * (flow_jac + flow_jac.T)
+    # LU, since the weighted families' Jacobian is not symmetric at m > 1;
+    # Newton needs it invertible, not definite
     try:
-        np.linalg.cholesky(sym)
+        step = np.linalg.solve(flow_jac, rhs)
     except np.linalg.LinAlgError as exc:
-        raise _StepFailure("Jacobian lost definiteness") from exc
-    step = np.linalg.solve(flow_jac, rhs)
+        raise _StepFailure("singular Jacobian") from exc
     if not np.all(np.isfinite(step)):
         raise _StepFailure("non-finite Newton step")
     return step
