@@ -31,7 +31,10 @@ indefinite inside the feasible set.
 Fields of m = 1 and the unweighted families' fields of m = 2 are evaluated in
 real arithmetic, on the operator's real adjoint rows ``RangeBasis.real_adjoint``.
 These are exact, not approximations: the cached adjoint images are Hermitian
-parts, which their diagonal and upper entries determine.
+parts, which their diagonal and upper entries determine.  They assemble the
+complex (N, m, m) density only when it is read (``family_density``, a
+converged solve's report), since the moment coordinates and the Jacobian are
+formed from the real entries.
 
 At m = 1, ``u = 1``, so the field is ``a = lam X``, the density
 ``f(a) |phi|^2`` and the Jacobian ``-Y Y^T`` with ``Y = X sqrt(w g) |phi|``.
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,6 +97,14 @@ class Family:
         """``log_sigma`` as real rows (m*m, N), the layout of the real m <= 2
         evaluations (:func:`calculus._real_entries`); built on first use."""
         return _real_entries(self.log_sigma)
+
+    @cached_property
+    def scalar_phi(self) -> tuple[np.ndarray, np.ndarray]:
+        """``|phi|^2`` and ``|phi|`` of a scalar weight phi (N, 1, 1) as
+        N-vectors, the factors of the m = 1 density and Jacobian; built on
+        first use."""
+        phi = self.phi[:, 0, 0]
+        return phi.real ** 2 + phi.imag ** 2, np.abs(phi)
 
     @property
     def is_inverse_kind(self) -> bool:
@@ -163,6 +174,11 @@ def family_from_name(name: str, sigma: np.ndarray | None = None) -> Family:
     return factory(sigma) if takes_sigma else factory()
 
 
+# Far from the target's scale the exponential shape's density overflows to
+# inf or underflows.  The three public evaluations stay silent about it; the
+# solver holds its own error state around its evaluations (solver._QUIET)
+# and rejects such a point.
+@np.errstate(over="ignore", under="ignore")
 def family_density(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """Sampled density rho_lam of the family at the dual point ``lam``.
 
@@ -173,12 +189,14 @@ def family_density(op: MomentOperator, lam, family: Family) -> np.ndarray:
     return _evaluate(op, lam, family).density
 
 
+@np.errstate(over="ignore", under="ignore")
 def h_map(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """Moment image h(lam) = L(rho_lam), an n_left x n_right matrix assembled
     from the evaluation's range coordinates: the moment the solver matches."""
     return op.basis.assemble(_evaluate(op, lam, family).h_coords)
 
 
+@np.errstate(over="ignore", under="ignore")
 def flow_jacobian(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """True Frechet derivative of h_map at ``lam``, in range coordinates."""
     return _evaluate(op, lam, family, need_jacobian=True).flow_jacobian
@@ -209,36 +227,27 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
 
 def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float]:
     """Range coordinates of the least-squares solution lam_I of L*(lam) = I
-    and the smallest nodewise eigenvalue of L*(lam_I); PositivityError unless
-    that eigenvalue clears the inverse families' dual floor.
-
-    Each adjoint image is divided by its largest entry before the Gram system
-    is formed, so that system, whose entries scale as the fourth power of the
-    kernels, neither underflows nor overflows.
-    """
-    x = op.adjoint_basis
-    w = op.grid.weights[:, None, None]
-    flat = _real_rows(x)
-    row_scale = np.abs(flat).max(axis=1)
-    unit_rows = flat / row_scale[:, None]
-    gram = unit_rows @ (_real_rows(w * x) / row_scale[:, None]).T
-    target = unit_rows @ (w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
-    try:
-        coords = np.linalg.solve(gram, target)
-    except np.linalg.LinAlgError:
-        coords = np.linalg.lstsq(gram, target, rcond=None)[0]
-    coords = coords / row_scale
-    return coords, _check_dual_floor(eigvalsh_hermitian(_adjoint_field(coords, x)))
+    and the smallest nodewise eigenvalue of L*(lam_I), both kept with the
+    operator (:attr:`MomentOperator.identity_dual`); PositivityError unless
+    that eigenvalue clears the inverse families' dual floor."""
+    coords, eigs = op.identity_dual
+    return coords, _check_dual_floor(eigs)
 
 
 # ---------------------------------------------------------------------------
 # shared evaluation machinery (also used by the continuation solver)
 
 class _PointEval(NamedTuple):
-    density: np.ndarray          # (N, m, m)
+    rho: np.ndarray | Callable[[], np.ndarray]  # the density, or what assembles it
     h_coords: np.ndarray         # (d,) range coordinates of L(density)
     flow_jacobian: np.ndarray | None  # (d, d) true derivative, when requested
     min_eig: float               # min eigenvalue of L*(lam) over the field
+
+    @property
+    def density(self) -> np.ndarray:
+        """The density (N, m, m).  The real m <= 2 evaluations assemble it
+        on each read, since only a converged run and family_density read it."""
+        return self.rho() if callable(self.rho) else self.rho
 
 
 def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = False) -> _PointEval:
@@ -271,8 +280,7 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
         mu, u = eigh_hermitian(exponent)
         min_eig = float(-mu.max() if family.log_sigma is None
                         else eigvalsh_hermitian(a_field).min())
-        with np.errstate(over="ignore", under="ignore"):
-            f = np.exp(mu) / np.e
+        f = np.exp(mu) / np.e
         if need_jacobian:
             root_g = np.sqrt(_divided_difference_exp(mu) / np.e)
 
@@ -306,21 +314,20 @@ def _evaluate_scalar(op: MomentOperator, coords: np.ndarray, family: Family,
     else:
         exponent = -a if family.log_sigma is None else family.log_sigma_rows[0] - a
         min_eig = float(a.min())
-        with np.errstate(over="ignore", under="ignore"):
-            f = np.exp(exponent) / np.e
+        f = np.exp(exponent) / np.e
     w = op.grid.weights
-    phi = None if family.phi is None else family.phi[:, 0, 0]
-    density = f if phi is None else f * (phi.real ** 2 + phi.imag ** 2)
+    phi_sq, phi_abs = (None, None) if family.phi is None else family.scalar_phi
+    density = f if phi_sq is None else f * phi_sq
     h_coords = x @ (w * density)
 
     jac = None
     if need_jacobian:
         scale = np.sqrt(w) * (f if family.is_inverse_kind else np.sqrt(f))
-        if phi is not None:
-            scale *= np.abs(phi)
+        if phi_abs is not None:
+            scale *= phi_abs
         y = x * scale
         jac = -(y @ y.T)
-    return _PointEval(density.astype(complex)[:, None, None], h_coords, jac, min_eig)
+    return _PointEval(lambda: density.astype(complex)[:, None, None], h_coords, jac, min_eig)
 
 
 def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
@@ -338,19 +345,21 @@ def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
         mu, c, s, e = _eigh_2x2_rows(exponent, vectors=True)
         min_eig = float(-mu.max() if family.log_sigma is None
                         else _eigh_2x2_rows(a, vectors=False).min())
-        with np.errstate(over="ignore", under="ignore"):
-            f = np.exp(mu) / np.e
+        f = np.exp(mu) / np.e
     f0, f1 = f[:, 0], f[:, 1]
     cc, ss, cs = c * c, s * s, c * s
     w = op.grid.weights
     off = cs * (f1 - f0) * e
     rho = np.stack((cc * f0 + ss * f1, ss * f0 + cc * f1, 2.0 * off.real, 2.0 * off.imag))
     h_coords = _real_rows(x) @ (w * rho).reshape(-1)
-    density = np.empty((op.node_count, 2, 2), dtype=complex)
-    density[:, 0, 0] = rho[0]
-    density[:, 1, 1] = rho[1]
-    density[:, 0, 1] = off
-    density[:, 1, 0] = np.conj(off)
+
+    def density():
+        out = np.empty((op.node_count, 2, 2), dtype=complex)
+        out[:, 0, 0] = rho[0]
+        out[:, 1, 1] = rho[1]
+        out[:, 0, 1] = off
+        out[:, 1, 0] = np.conj(off)
+        return out
 
     jac = None
     if need_jacobian:

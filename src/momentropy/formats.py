@@ -286,10 +286,8 @@ def load_problem(path: str) -> LoadedProblem:
 def _build_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
     mode = obj.get("mode")
     if mode == "samples":
-        def stacked(objs):
-            return np.stack([matrix_from_obj(o) for o in objs])
-        return build_operator(grid, kernel_samples(stacked(_value(obj, "left", "a list")),
-                                                   stacked(_value(obj, "right", "a list"))))
+        return build_operator(grid, kernel_samples(_matrix_stack(_value(obj, "left", "a list")),
+                                                   _matrix_stack(_value(obj, "right", "a list"))))
     if mode != "builtin":
         raise ValueError(f"kernel mode must be 'samples' or 'builtin', not {mode!r}")
     name = obj.get("name")
@@ -301,6 +299,27 @@ def _build_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:
     if op.node_count != grid.node_count:  # partial-trace builds its own discrete grid
         raise ValueError("discrete grid count disagrees with the traced dimension")
     return op
+
+
+def _matrix_stack(objs: list) -> np.ndarray:
+    """Matrix objects of one shape as an (N, rows, cols) array, from one array
+    conversion of all their data.  Anything else (a malformed object, data
+    that are not all numbers, mixed shapes, non-finite entries) is read
+    matrix by matrix with :func:`matrix_from_obj`, whose error it gives."""
+    try:
+        data = np.array([o["data"] for o in objs])
+        # with their types, as 2 and 2.0 are one element of a set
+        shapes = {(o["rows"], o["cols"], type(o["rows"]), type(o["cols"])) for o in objs}
+    except (KeyError, TypeError, ValueError):
+        shapes = ()
+    # numpy would read a string or None as a number where complex() refuses
+    # it; such data convert to a string or object array and take the slow path
+    if len(shapes) == 1 and data.dtype.kind in "biuf" and data.ndim == 3 and data.shape[2] == 2:
+        (rows, cols, *types), = shapes
+        if (types == [int, int] and rows > 0 and rows * cols == data.shape[1]
+                and np.isfinite(data).all()):
+            return data.astype(float).view(complex).reshape(len(objs), rows, cols)
+    return np.stack([matrix_from_obj(o) for o in objs])
 
 
 def _statecov_kernels(grid: SupportGrid, obj: dict) -> MomentOperator:

@@ -141,6 +141,14 @@ class MomentOperator:
     def d(self) -> int:
         return self.basis.dim
 
+    @cached_property
+    def identity_dual(self) -> tuple[np.ndarray, np.ndarray]:
+        """Range coordinates of the least-squares solution lam_I of L*(lam) = I,
+        read-only, and the nodewise eigenvalues (N, m) of L*(lam_I); computed
+        on first use and kept with the operator, which every solve and default
+        start on it reads, whether or not L*(lam_I) is positive."""
+        return _solve_identity_dual(self)
+
 
 @dataclass(frozen=True, eq=False)
 class DualVariable:
@@ -314,6 +322,30 @@ def _check_dual_floor(eigs: np.ndarray) -> float:
     PositivityError unless it exceeds 1e-10 times the field's mean eigenvalue."""
     return _check_positive(eigs, _DUAL_FLOOR_RTOL * max(float(eigs.sum()) / eigs.size, 0.0),
                            "adjoint field near-singular")
+
+
+def _solve_identity_dual(op: MomentOperator) -> tuple[np.ndarray, np.ndarray]:
+    """:attr:`MomentOperator.identity_dual`, computed.
+
+    Each adjoint image is divided by its largest entry before the Gram system
+    is formed, so that system, whose entries scale as the fourth power of the
+    kernels, neither underflows nor overflows.
+    """
+    x = op.adjoint_basis
+    w = op.grid.weights[:, None, None]
+    flat = x.reshape(op.d, -1).view(float)
+    row_scale = np.abs(flat).max(axis=1)
+    unit_rows = flat / row_scale[:, None]
+    gram = unit_rows @ ((w * x).reshape(op.d, -1).view(float) / row_scale[:, None]).T
+    target = unit_rows @ (w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
+    try:
+        coords = np.linalg.solve(gram, target)
+    except np.linalg.LinAlgError:
+        coords = np.linalg.lstsq(gram, target, rcond=None)[0]
+    coords = coords / row_scale
+    coords.flags.writeable = False
+    field = (coords @ flat).view(complex).reshape(x.shape[1:])
+    return coords, eigvalsh_hermitian(field)
 
 
 def _adjoint_of_stack(kernels: KernelSamples, elements: np.ndarray) -> np.ndarray:

@@ -41,13 +41,14 @@ positive and finite, and on operators with no strictly positive L*(lam_I).
 An explicit start is never rescaled.
 
 Every accepted point x, the start included, is tested for a certificate at
-the cost of one dot product.  Once per solve the least-squares identity dual
-lam_I (L*(lam_I) = I as nearly as the range allows) is computed, with
-a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  When p_I < 0, lam_I itself
-is the candidate at step 0, checked before the start is evaluated.  At x,
-whose evaluation holds min_eig = min eig L*(x), the point y = x + delta lam_I
-with delta = max(0, -min_eig) / a_I has L*(y) >= 0, and <y, R> = <x, R> +
-delta p_I.
+the cost of one dot product.  Once per operator the least-squares identity
+dual lam_I (L*(lam_I) = I as nearly as the range allows) and the eigenvalues
+of L*(lam_I) are computed and kept with it, for every solve on it; a solve
+takes a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  When p_I < 0, lam_I
+itself is the candidate at step 0, checked before the start is evaluated.
+At x, whose evaluation holds min_eig = min eig L*(x), the point
+y = x + delta lam_I with delta = max(0, -min_eig) / a_I has L*(y) >= 0, and
+<y, R> = <x, R> + delta p_I.
 When that margin is negative, y is checked in full: it is a certificate
 when <y, R> lies below -1e-9 ||R|| ||y|| and the eigenvalues of L*(y) at
 every node are above -1e-12 times the largest, so that rounding in delta
@@ -64,12 +65,15 @@ iterate costs one evaluation, at most four per step.  A step is rejected when
 an evaluation fails (an inverse-type adjoint field at the positivity floor,
 non-finite values), when the Jacobian is singular, or when the corrector
 stops contracting or misses the path; it then halves, and a step met within
-three iterations doubles up to the clock's cap.  A collapsed step's verdict
-message carries the reason for the last rejection.  Both clocks end on R itself: tau lands on 1, and the
-flow clock reads s = 0 at the time its V would reach ``tol * ||R||^2``, so
-each run's last step is a corrector step onto R, and a run converges only by
-meeting it.  A start already within that threshold is the end of its path
-on both clocks, and the run converges there without a step.
+three iterations doubles up to the clock's cap.  numpy's error state is set
+once per trial step, so a far-off iterate's overflow is silent and the
+finiteness checks reject it.  A collapsed step's verdict message carries the
+reason for the last rejection.  Both clocks end on R itself: tau lands on 1,
+and the flow clock reads s = 0 at the time its V would reach
+``tol * ||R||^2``, so each run's last step is a corrector step onto R, and a
+run converges only by meeting it.  A start already within that threshold is
+the end of its path on both clocks, and the run converges there without a
+step.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -118,6 +122,9 @@ _CERTIFICATE_RTOL = 1e-9
 _PSD_RTOL = 1e-12
 # Relative residual above which R is rejected as lying outside the range.
 _RANGE_RESIDUAL_TOL = 1e-8
+# numpy's error state around a run's evaluations: a far-off point's field,
+# density and norms may overflow, and the finiteness checks reject it.
+_QUIET = dict(invalid="ignore", over="ignore", under="ignore")
 
 
 @dataclass(frozen=True)
@@ -303,7 +310,8 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             # scale the default start to R, with c the least-squares fit of h(lam)
             # to R: h(lam/c) = c h(lam) (inverse), and h(lam - ln(c) lam_I) = c h(lam)
             # (exponential) when L*(lam_I) = I, and nearly so when it is near I
-            ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
+            with np.errstate(**_QUIET):
+                ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
             if family.is_inverse_kind:
                 a_i = ev0.min_eig
             # h is divided by its largest entry first, so ||h||^2 stays in range
@@ -313,7 +321,8 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 c = float(r_coords @ unit) / float(unit @ unit) / peak
             if c > 0.0 and math.isfinite(c):
                 x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
-        ev = _eval_or_fail(op, x, family)
+        with np.errstate(**_QUIET):
+            ev = _eval_or_fail(op, x, family)
     except _REJECTIONS as exc:
         status, message = ((STATUS_INCONCLUSIVE, "start evaluation failed: %s" % exc)
                            if certificate is None else
@@ -339,7 +348,9 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     def clock(t):
         return 0.0 if t == t_land else decay(t)
 
-    lam_norm = math.hypot(*x)  # scaled inside, so a far-off point's norm stays finite
+    # scaled inside, so a far-off point's norm stays finite; Python floats
+    # reach math.hypot faster than numpy scalars
+    lam_norm = math.hypot(*x.tolist())
     lam_max = _LAMBDA_MAX * max(1.0, lam_norm)
     trace = [(t, v, ev.min_eig, lam_norm)]
 
@@ -368,7 +379,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             # one solve per accepted point, reused by every retry from it: the
             # path tangent and the Newton step back onto the point's own target
             held = _solve_flow_system(ev.flow_jacobian,
-                                      np.column_stack([span, r_coords + s * span - ev.h_coords]))
+                                      np.array((span, r_coords + s * span - ev.h_coords)).T)
         except _REJECTIONS as exc:
             # every halving would fail the same way, so collapse at once
             reason, dt = str(exc), 0.0
@@ -391,7 +402,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         dt = t_new - t
         x, ev, t = x_new, ev_new, t_new
         v = _mismatch(r_coords, ev.h_coords)
-        lam_norm = math.hypot(*x)
+        lam_norm = math.hypot(*x.tolist())
         trace.append((t, v, ev.min_eig, lam_norm))
         if used <= _DOUBLING_ITERATIONS:
             dt = min(2.0 * dt, dt_cap)
@@ -424,11 +435,11 @@ def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
 
 def _eval_or_fail(op, coords, family, need_jacobian=True):
     # for the inverse-type families this raises PositivityError, naming the
-    # node, when the adjoint field drops to the positivity floor
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        ev = _evaluate(op, coords, family, need_jacobian=need_jacobian)
-    if not np.all(np.isfinite(ev.h_coords)) or (
-            need_jacobian and not np.all(np.isfinite(ev.flow_jacobian))):
+    # node, when the adjoint field drops to the positivity floor; callers
+    # hold numpy's error state at _QUIET
+    ev = _evaluate(op, coords, family, need_jacobian=need_jacobian)
+    if not np.isfinite(ev.h_coords).all() or (
+            need_jacobian and not np.isfinite(ev.flow_jacobian).all()):
         raise _StepFailure("non-finite values in evaluation")
     return ev
 
@@ -440,27 +451,28 @@ def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         step = np.linalg.solve(flow_jac, rhs)
     except np.linalg.LinAlgError as exc:
         raise _StepFailure("singular Jacobian") from exc
-    if not np.all(np.isfinite(step)):
+    if not np.isfinite(step).all():
         raise _StepFailure("non-finite Newton step")
     return step
 
 
-@np.errstate(over="ignore")  # a far-off iterate's norms may overflow; it is rejected
+@np.errstate(**_QUIET)  # entered once per trial step: its evaluations, solves and norms
 def _corrector(op, family, x, step, target, on_path_tol):
     """Newton on h(lam) = target from ``x`` whose first step is ``step``.
 
     Returns the point met within ``on_path_tol``, its evaluation and the
     iteration count; raises one of ``_REJECTIONS`` when the iteration fails.
     """
+    # the norms are sqrt(v @ v), np.linalg.norm's bits on 1-D float64
     for used in range(1, _CORRECTOR_ITERATIONS + 1):
         x = x + step
         ev = _eval_or_fail(op, x, family)
         defect = target - ev.h_coords
-        if float(np.linalg.norm(defect)) <= on_path_tol:
+        if math.sqrt(defect @ defect) <= on_path_tol:
             return x, ev, used
         if used < _CORRECTOR_ITERATIONS:
             next_step = _solve_flow_system(ev.flow_jacobian, defect)
-            if np.linalg.norm(next_step) > 0.5 * np.linalg.norm(step):
+            if math.sqrt(next_step @ next_step) > 0.5 * math.sqrt(step @ step):
                 raise _StepFailure("corrector stopped contracting")
             step = next_step
     raise _StepFailure("corrector missed the path after %d iterations" % _CORRECTOR_ITERATIONS)

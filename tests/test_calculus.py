@@ -299,14 +299,16 @@ def test_a_non_finite_field_in_a_statecov_solve_is_a_rejected_step(monkeypatch, 
     def poisoned(lam, images):
         field = real_field(lam, images)
         calls.append(lam)
-        if len(calls) == 4:  # after lam_I, the unscaled and the scaled start
+        # after the unscaled and the scaled start: the clean solve left lam_I
+        # with the operator
+        if len(calls) == 3:
             field = field.copy()
             field[2, 7] = bad  # Re of the off-diagonal entry at node 7, in real rows
         return field
 
     monkeypatch.setattr(families, "_adjoint_field", poisoned)
     report = mp.solve(op, moment, mp.family_from_name(name))
-    assert len(calls) > 4
+    assert len(calls) > 3
     assert report.status == "Converged", report.message
     assert report.trace[1][0] < clean.trace[1][0]  # the first step was shortened
 

@@ -265,3 +265,77 @@ def test_problem_loader_rejects_unknown_builtin(tmp_path):
     fm.write_problem(path, dict(good, rho_true=5))
     with pytest.raises(ValueError, match="rho_true"):
         fm.load_problem(path)
+
+
+def _samples_problem(tmp_path, edit=None):
+    """A samples-mode problem file on three nodes of 2x2 kernels, its left
+    kernel objects passed through ``edit`` first; returns its path and the
+    (edited) left kernel objects."""
+    grid = mp.discrete_grid(3)
+    left = np.stack([np.eye(2), np.diag([1.0, -1.0]), [[0.5, 2j], [-0.0, 1.5]]]).astype(complex)
+    op = mp.build_operator(grid, mp.kernel_samples(left, left))
+    obj = fm.problem_to_obj(grid, fm.samples_kernels_obj(op), np.eye(2, dtype=complex))
+    obj = json.loads(json.dumps(obj))
+    if edit is not None:
+        edit(obj["kernels"]["left"])
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    return path, obj["kernels"]["left"]
+
+
+def test_samples_kernels_read_as_one_array_match_the_per_matrix_reader(tmp_path, monkeypatch):
+    # one array conversion per side gives the bits of matrix_from_obj on
+    # each node, the sign of a negative zero included
+    path, objs = _samples_problem(tmp_path)
+    want = np.stack([fm.matrix_from_obj(o) for o in objs])
+    kernels = fm.load_problem(path).operator.kernels
+    for got in (kernels.left, kernels.right):
+        assert got.tobytes() == want.tobytes()
+    assert np.signbit(kernels.left[2, 1, 0].real)
+    # well-formed objects never reach the per-matrix reader, and JSON
+    # integers and booleans read as numbers, as complex() reads them
+    objs[0]["data"] = [[1, 0], [False, 0], [0, 0], [True, 0.0]]
+    want = np.stack([fm.matrix_from_obj(o) for o in objs])
+    monkeypatch.setattr(fm, "matrix_from_obj", None)
+    assert fm._matrix_stack(objs).tobytes() == want.tobytes()
+
+
+def _drop(key):
+    return lambda left: left[1].pop(key)
+
+
+def _set(node, **values):
+    return lambda left: left[node].update(values)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # numpy reads "1" and None as numbers where complex(re, im) refuses them
+    (lambda left: left[1]["data"][0].__setitem__(0, "1"), "malformed matrix object"),
+    (lambda left: left[1]["data"][0].__setitem__(1, None), "malformed matrix object"),
+    (lambda left: left[2]["data"].__setitem__(3, [1.0]), "malformed matrix object"),
+    (lambda left: left[2]["data"].__setitem__(3, [1.0, 0.0, 2.0]), "malformed matrix object"),
+    (_drop("data"), "malformed matrix object"),
+    (_drop("rows"), "'rows' in problem file must be an integer, not None"),
+    (_drop("cols"), "'cols' in problem file must be an integer, not None"),
+    (_set(1, rows=2.0), "'rows' in problem file must be an integer, not 2.0"),
+    (_set(2, cols=True, rows=4), "'cols' in problem file must be an integer, not True"),
+    (_set(1, rows=1, cols=1, data=[[1.0, 0.0]]), "all input arrays must have the same shape"),
+    (_set(0, rows=1, cols=4), "all input arrays must have the same shape"),
+    (_set(2, cols=3), "matrix data length 4 does not match 2 x 3"),
+    (lambda left: left[1]["data"].pop(), "matrix data length 3 does not match 2 x 2"),
+    (lambda left: left[1]["data"][2].__setitem__(1, math.nan), "non-finite"),
+    (lambda left: left[0]["data"][0].__setitem__(0, -math.inf), "non-finite"),
+])
+def test_a_malformed_samples_kernel_keeps_its_message_and_exit_code(tmp_path, capsys,
+                                                                    edit, message):
+    # each error is the one the per-matrix reader gives, and the CLI's exit 3
+    from momentropy import cli
+    path, objs = _samples_problem(tmp_path, edit)
+    with pytest.raises(ValueError) as want:
+        np.stack([fm.matrix_from_obj(o) for o in objs])
+    with pytest.raises(ValueError) as got:
+        fm.load_problem(path)
+    assert str(got.value) == str(want.value)
+    assert message in str(got.value)
+    assert cli.main(["solve", "--problem", str(path)]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % want.value

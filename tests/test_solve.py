@@ -10,6 +10,7 @@ from momentropy import formats as fm
 from momentropy import operator as operator_module
 from momentropy import problems as pr
 from momentropy import solver as solver_module
+from momentropy.errors import DualStartNotFound
 from momentropy.solver import (
     STATUS_CONVERGED,
     STATUS_INCONCLUSIVE,
@@ -201,6 +202,51 @@ def test_the_flow_system_needs_an_invertible_not_a_definite_jacobian():
                                   np.linalg.solve(flow_jac, rhs))
     with pytest.raises(solver_module._StepFailure, match="^singular Jacobian$"):
         solver_module._solve_flow_system(np.zeros((2, 2)), rhs)
+
+
+@pytest.mark.parametrize("where", ["h_coords", "flow_jacobian"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_evaluation_or_newton_step_is_a_step_failure(array_problem, monkeypatch,
+                                                                   where, bad):
+    op = array_problem[0]
+    family = mp.exponential_family()
+    evaluate = solver_module._evaluate
+
+    def poisoned(*args, **kwargs):
+        ev = evaluate(*args, **kwargs)
+        value = getattr(ev, where).copy()
+        value.flat[value.size // 2] = bad
+        return ev._replace(**{where: value})
+
+    monkeypatch.setattr(solver_module, "_evaluate", poisoned)
+    with pytest.raises(solver_module._StepFailure, match="^non-finite values in evaluation$"):
+        solver_module._eval_or_fail(op, np.zeros(op.d), family)
+    # the right-hand side reaches the step unchanged through an identity
+    rhs = np.ones((3, 2))
+    rhs[1, 1] = bad
+    with pytest.raises(solver_module._StepFailure, match="^non-finite Newton step$"):
+        solver_module._solve_flow_system(np.eye(3), rhs)
+
+
+def test_an_overflowing_iterate_is_rejected_without_a_warning(array_problem):
+    # the suite turns a RuntimeWarning into an error; the corrector's one
+    # error state covers its evaluations, its Newton steps and its norms
+    op, _rho, moment = array_problem
+    lam_i = mp.default_dual_start(op, mp.rational_family()).coords
+    r_coords = op.basis.coords_of(moment)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # exp(1e200) overflows the density: the first iterate is rejected
+        with pytest.raises(solver_module._StepFailure,
+                           match="^non-finite values in evaluation$"):
+            solver_module._corrector(op, mp.exponential_family(), np.zeros(op.d),
+                                     -1e200 * lam_i, r_coords, 1e-10)
+        # a target near 1e200 overflows the defect's and the Newton step's
+        # squared norms, which leaves the step no shorter than the zero step
+        with pytest.raises(solver_module._StepFailure,
+                           match="^corrector stopped contracting$"):
+            solver_module._corrector(op, mp.rational_family(), lam_i, np.zeros(op.d),
+                                     1e200 * r_coords, 1e-10)
 
 
 @pytest.mark.parametrize("solver, h_min", [(mp.solve, "1e-12"), (mp.solve_tau, "1e-06")])
@@ -507,6 +553,53 @@ def test_a_point_mass_target_is_never_certified(array_problem, monkeypatch):
         report = solver(op, moment, mp.exponential_family())
         assert report.status == "DivergedCertified"
         assert -1e-15 < report.certificate.margin < 0.0
+
+
+def test_the_identity_dual_is_computed_once_per_operator(monkeypatch):
+    # lam_I and the eigenvalues of L*(lam_I) are kept with the operator: its
+    # solves on both clocks and the rational default start all read them
+    calls = []
+    compute = operator_module._solve_identity_dual
+
+    def counted(op):
+        calls.append(op)
+        return compute(op)
+
+    monkeypatch.setattr(operator_module, "_solve_identity_dual", counted)
+    op = pr.nonequispaced_array_problem()
+    moment = mp.apply_L(op, pr.two_bump_demo_density(op.grid))
+    for name in ("exponential", "rational"):
+        for solver in (mp.solve, mp.solve_tau):
+            assert solver(op, moment, mp.family_from_name(name)).status == STATUS_CONVERGED
+    start = mp.default_dual_start(op, mp.rational_family())
+    assert calls == [op]
+    assert np.array_equal(start.coords, op.identity_dual[0])
+    assert not op.identity_dual[0].flags.writeable
+    # the partial trace has no strictly positive L*(lam_I), and that is kept too
+    op = pr.partial_trace_problem(2, 2)
+    moment = np.diag([0.5, -0.5]).astype(complex)
+    for solver in (mp.solve, mp.solve_tau):
+        assert solver(op, moment, mp.exponential_family()).status == "DivergedCertified"
+    for _ in range(2):
+        with pytest.raises(DualStartNotFound):
+            mp.default_dual_start(op, mp.rational_family())
+    assert calls[1:] == [op]
+
+
+@pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
+@pytest.mark.parametrize("name", ["rational", "exponential"])
+def test_a_used_operator_solves_as_a_fresh_one(solver, name):
+    # what an operator keeps between solves moves no point of a path
+    used = pr.nonequispaced_array_problem()
+    moment = mp.apply_L(used, pr.two_bump_demo_density(used.grid))
+    family = mp.family_from_name(name)
+    for _ in range(2):
+        again = solver(used, moment, family)
+    fresh = solver(pr.nonequispaced_array_problem(), moment, family)
+    assert again.status == fresh.status == STATUS_CONVERGED
+    assert np.array(again.trace).tobytes() == np.array(fresh.trace).tobytes()
+    assert again.lambda_hat.coords.tobytes() == fresh.lambda_hat.coords.tobytes()
+    assert again.density.tobytes() == fresh.density.tobytes()
 
 
 def test_a_partial_trace_target_is_certified_without_an_identity_dual(assert_certified):
