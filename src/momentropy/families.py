@@ -99,6 +99,16 @@ class Family:
         return _real_entries(self.log_sigma)
 
     @cached_property
+    def reference_log(self) -> np.ndarray | None:
+        """log sigma of the exponential families with a reference sigma, for
+        the relative entropy a converged run reports: the prior family's
+        ``log_sigma``, computed on first use for the weighted one; None for
+        the other families."""
+        if self.sigma is None or self.is_inverse_kind:
+            return None
+        return matrix_log(self.sigma) if self.log_sigma is None else self.log_sigma
+
+    @cached_property
     def scalar_phi(self) -> tuple[np.ndarray, np.ndarray]:
         """``|phi|^2`` and ``|phi|`` of a scalar weight phi (N, 1, 1) as
         N-vectors, the factors of the m = 1 density and Jacobian; built on

@@ -19,7 +19,9 @@ moments form a cone inside the *range subspace* of L, the orthogonal
 complement of ker L*.  An orthonormal basis of it is computed once per
 operator from one L* pass over the unit matrices of the moment space, which
 also gives the cached L* images of the basis.  All coordinates used by the
-continuation solver live in that basis.
+continuation solver live in that basis.  The identity dual lam_I, which
+minimises sum_n w_n ||L*(lam)[n] - I||_F^2 over the range, is one
+least-squares solve on those images, kept with the operator.
 """
 
 from __future__ import annotations
@@ -143,10 +145,11 @@ class MomentOperator:
 
     @cached_property
     def identity_dual(self) -> tuple[np.ndarray, np.ndarray]:
-        """Range coordinates of the least-squares solution lam_I of L*(lam) = I,
-        read-only, and the nodewise eigenvalues (N, m) of L*(lam_I); computed
-        on first use and kept with the operator, which every solve and default
-        start on it reads, whether or not L*(lam_I) is positive."""
+        """Range coordinates of the weighted least-squares solution lam_I of
+        L*(lam) = I, read-only, and the nodewise eigenvalues (N, m) of
+        L*(lam_I); computed on first use and kept with the operator, which
+        every solve and default start on it reads, whether or not L*(lam_I)
+        is positive."""
         return _solve_identity_dual(self)
 
 
@@ -327,24 +330,18 @@ def _check_dual_floor(eigs: np.ndarray) -> float:
 def _solve_identity_dual(op: MomentOperator) -> tuple[np.ndarray, np.ndarray]:
     """:attr:`MomentOperator.identity_dual`, computed.
 
-    Each adjoint image is divided by its largest entry before the Gram system
-    is formed, so that system, whose entries scale as the fourth power of the
-    kernels, neither underflows nor overflows.
+    lam_I minimises sum_n w_n ||L*(lam)[n] - I||_F^2: one SVD least-squares
+    solve on the sqrt(w)-weighted real rows of the adjoint images, which never
+    forms their Gram matrix (entries of the kernels' fourth power) and so
+    needs no scaling for any kernel size.
     """
     x = op.adjoint_basis
-    w = op.grid.weights[:, None, None]
-    flat = x.reshape(op.d, -1).view(float)
-    row_scale = np.abs(flat).max(axis=1)
-    unit_rows = flat / row_scale[:, None]
-    gram = unit_rows @ ((w * x).reshape(op.d, -1).view(float) / row_scale[:, None]).T
-    target = unit_rows @ (w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
-    try:
-        coords = np.linalg.solve(gram, target)
-    except np.linalg.LinAlgError:
-        coords = np.linalg.lstsq(gram, target, rcond=None)[0]
-    coords = coords / row_scale
+    root_w = np.sqrt(op.grid.weights)[:, None, None]
+    rows = (root_w * x).reshape(op.d, -1).view(float)
+    target = (root_w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
+    coords = np.linalg.lstsq(rows.T, target, rcond=None)[0]
     coords.flags.writeable = False
-    field = (coords @ flat).view(complex).reshape(x.shape[1:])
+    field = (coords @ x.reshape(op.d, -1).view(float)).view(complex).reshape(x.shape[1:])
     return coords, eigvalsh_hermitian(field)
 
 

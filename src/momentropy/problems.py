@@ -292,24 +292,16 @@ def validate_state_covariance(moment: np.ndarray, model: StateSpaceModel) -> Sta
 
 
 def _solve_displacement(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # least squares over H: the images B U + (B U)* of the real and imaginary
+    # unit matrices U (m x n), as real rows, against S
     n, m = b.shape
-    columns = []
-    units = []
-    for a in range(m):
-        for c in range(n):
-            for scalar in (1.0, 1j):
-                h = np.zeros((m, n), dtype=complex)
-                h[a, c] = scalar
-                units.append(h)
-                img = b @ h + np.conj(h.T) @ np.conj(b.T)
-                columns.append(np.concatenate([img.real.ravel(), img.imag.ravel()]))
-    mat = np.column_stack(columns)
-    rhs = np.concatenate([s.real.ravel(), s.imag.ravel()])
-    x = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-    h = np.zeros((m, n), dtype=complex)
-    for coeff, unit in zip(x, units):
-        h += coeff * unit
-    return h
+    eye = np.eye(m * n).reshape(-1, m, n)
+    units = np.concatenate([eye, 1j * eye])
+    images = b @ units
+    images = images + np.conj(np.swapaxes(images, -1, -2))
+    coeffs = np.linalg.lstsq(images.reshape(len(units), -1).view(float).T,
+                             s.reshape(-1).view(float), rcond=None)[0]
+    return np.tensordot(coeffs, units, axes=1)
 
 
 def herglotz_interpolant(density: np.ndarray, grid: SupportGrid, z) -> np.ndarray:

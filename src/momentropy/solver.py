@@ -44,17 +44,20 @@ Every accepted point x, the start included, is tested for a certificate at
 the cost of one dot product.  Once per operator the least-squares identity
 dual lam_I (L*(lam_I) = I as nearly as the range allows) and the eigenvalues
 of L*(lam_I) are computed and kept with it, for every solve on it; a solve
-takes a_I = min eig L*(lam_I) and p_I = <lam_I, R>.  When p_I < 0, lam_I
-itself is the candidate at step 0, checked before the start is evaluated.
-At x, whose evaluation holds min_eig = min eig L*(x), the point
-y = x + delta lam_I with delta = max(0, -min_eig) / a_I has L*(y) >= 0, and
-<y, R> = <x, R> + delta p_I.
+of any family, from any start, takes a_I = min eig L*(lam_I) and
+p_I = <lam_I, R> / ||R||.  The tests pair dual points with R / ||R||,
+computed once per solve, so that no size of R under- or overflows them.
+When p_I < 0, lam_I itself is the candidate at step 0, checked before the
+start is evaluated.  At x, whose evaluation holds min_eig = min eig L*(x),
+the point y = x + delta lam_I with delta = max(0, -min_eig) / a_I has
+L*(y) >= 0, and <y, R> / ||R|| = <x, R> / ||R|| + delta p_I.  For the
+inverse families delta = 0, since their points are strictly dual-feasible.
 When that margin is negative, y is checked in full: it is a certificate
-when <y, R> lies below -1e-9 ||R|| ||y|| and the eigenvalues of L*(y) at
-every node are above -1e-12 times the largest, so that rounding in delta
-cannot certify; a y that fails the check is dropped and the run goes on.
-Where L*(lam_I) is not strictly positive, only points with min_eig >= 0 are
-tested, with y = x.
+when y is not 0, <y, R> lies below -1e-9 ||R|| ||y|| and the eigenvalues of
+L*(y) at every node are above -1e-12 times the largest, so that rounding in
+delta cannot certify; a y that fails the check is dropped and the run goes
+on.  Where L*(lam_I) is not strictly positive, only points with
+min_eig >= 0 are tested, with y = x.
 
 Both clocks share one path follower, so every accepted point lies on the
 path.  A trial step from t to t + dt is Newton's method on
@@ -86,7 +89,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import eigvalsh_hermitian, matrix_log
+from .calculus import eigvalsh_hermitian
 from .errors import PositivityError
 from .families import Family, _evaluate, _identity_dual, default_dual_start
 from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
@@ -291,37 +294,34 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                          "moment lies outside the operator range "
                          "(relative residual %.3e)" % (residual / scale))
 
-    # lam_I and a_I = min eig L*(lam_I) for the certificate test; lam_I is
-    # the inverse families' default start, and a_I comes from its evaluation
     x = start.coords.copy() if start is not None else default_dual_start(op, family).coords
-    if start is None and family.is_inverse_kind:
-        lam_i, a_i = x, None
-    else:
-        try:
-            lam_i, a_i = _identity_dual(op)
-        except PositivityError:
-            # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
-            lam_i, a_i = None, math.inf
-    p_i = 0.0 if lam_i is None else float(r_coords @ lam_i)
-    # L*(lam_I) > 0, so lam_I separates R when <lam_I, R> < 0, start or no start
-    certificate = _certificate(op, lam_i, r_coords, 0) if p_i < 0.0 else None
+    # lam_I and a_I = min eig L*(lam_I), the same for every family and start
     try:
-        if start is None and lam_i is not None:
-            # scale the default start to R, with c the least-squares fit of h(lam)
-            # to R: h(lam/c) = c h(lam) (inverse), and h(lam - ln(c) lam_I) = c h(lam)
-            # (exponential) when L*(lam_I) = I, and nearly so when it is near I
-            with np.errstate(**_QUIET):
-                ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
-            if family.is_inverse_kind:
-                a_i = ev0.min_eig
-            # h is divided by its largest entry first, so ||h||^2 stays in range
-            peak, c = float(np.abs(ev0.h_coords).max()), 0.0
-            if peak > 0.0:
-                unit = ev0.h_coords / peak
-                c = float(r_coords @ unit) / float(unit @ unit) / peak
-            if c > 0.0 and math.isfinite(c):
-                x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
+        lam_i, a_i = _identity_dual(op)
+    except PositivityError:
+        # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
+        lam_i, a_i = None, math.inf
+    # R / ||R||, so that the certificate tests neither under- nor overflow
+    # with the size of R
+    r_norm = math.hypot(*r_coords.tolist())
+    r_unit = r_coords / r_norm if r_norm > 0.0 else r_coords
+    p_i = 0.0 if lam_i is None else float(r_unit @ lam_i)
+    # L*(lam_I) > 0, so lam_I separates R when <lam_I, R> < 0, start or no start
+    certificate = _certificate(op, lam_i, r_unit, 0) if p_i < 0.0 else None
+    try:
         with np.errstate(**_QUIET):
+            if start is None and lam_i is not None:
+                # scale the default start to R, with c the least-squares fit of h(lam)
+                # to R: h(lam/c) = c h(lam) (inverse), and h(lam - ln(c) lam_I) = c h(lam)
+                # (exponential) when L*(lam_I) = I, and nearly so when it is near I
+                ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
+                # h is divided by its largest entry first, so ||h||^2 stays in range
+                peak, c = float(np.abs(ev0.h_coords).max()), 0.0
+                if peak > 0.0:
+                    unit = ev0.h_coords / peak
+                    c = float(r_coords @ unit) / float(unit @ unit) / peak
+                if c > 0.0 and math.isfinite(c):
+                    x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
             ev = _eval_or_fail(op, x, family)
     except _REJECTIONS as exc:
         status, message = ((STATUS_INCONCLUSIVE, "start evaluation failed: %s" % exc)
@@ -359,8 +359,8 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         # _certificate checks a candidate in full
         if certificate is None and (lam_i is not None or ev.min_eig >= 0.0):
             delta = max(0.0, -ev.min_eig / a_i)
-            if float(r_coords @ x) + delta * p_i < 0.0:
-                certificate = _certificate(op, x + delta * lam_i if delta else x, r_coords,
+            if float(r_unit @ x) + delta * p_i < 0.0:
+                certificate = _certificate(op, x + delta * lam_i if delta else x, r_unit,
                                            len(trace) - 1)
         if certificate is not None:
             status, message = STATUS_DIVERGED_CERTIFIED, _certified_message(certificate, t)
@@ -410,11 +410,12 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     return _finalise(op, family, status, x, ev, v, trace, message, certificate, is_flow)
 
 
-def _certificate(op, y, r_coords, step) -> Certificate | None:
-    """The certificate at dual coordinates y, or None unless <y, R> lies below
-    -_CERTIFICATE_RTOL ||R|| ||y|| and L*(y) is positive semidefinite at
-    every node, both checked here."""
-    margin = float(r_coords @ y) / (float(np.linalg.norm(r_coords)) * math.hypot(*y))
+def _certificate(op, y, r_unit, step) -> Certificate | None:
+    """The certificate at dual coordinates y, or None unless y is not zero,
+    <y, R> lies below -_CERTIFICATE_RTOL ||R|| ||y|| and L*(y) is positive
+    semidefinite at every node, all checked here; ``r_unit`` is R / ||R||."""
+    y_norm = math.hypot(*y.tolist())
+    margin = float(r_unit @ y) / y_norm if y_norm > 0.0 else 0.0
     if not margin < -_CERTIFICATE_RTOL:
         return None
     dual = dual_from_coords(op, y)
@@ -491,10 +492,7 @@ def _finalise(op, family, status, x, ev, v, trace, message,
     if status == STATUS_CONVERGED:
         density = ev.density
         try:
-            # the relative entropy is reported for the exponential sigma families
-            log_sigma = family.log_sigma
-            if log_sigma is None and family.sigma is not None and not family.is_inverse_kind:
-                log_sigma = matrix_log(family.sigma)
+            log_sigma = family.reference_log
             entropy_burg, entropy_vn, entropy_rel = _operator._entropies(
                 density, op.grid, log_sigma)
             if family.is_inverse_kind:

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
+import itertools
 import json
 import os
 import subprocess
@@ -91,15 +92,16 @@ def test_usage_errors_show_usage_text(scalar_bundle):
 
 
 def test_infeasible_moment_exits_with_divergence_code(scalar_bundle, tmp_path):
+    # ||R||^2 underflows at -1e-200; the certificate test does not form it
     obj = json.loads((scalar_bundle / "problem.json").read_text())
-    obj["moment"]["data"] = [[-1.0, 0.0]]
     obj.pop("rho_true", None)
     bad = tmp_path / "problem.json"
-    bad.write_text(fm.dumps_canonical(obj))
-    for family in ("rational", "exponential"):
+    for moment, family in itertools.product((-1.0, -1e-200), ("rational", "exponential")):
+        obj["moment"]["data"] = [[moment, 0.0]]
+        bad.write_text(fm.dumps_canonical(obj))
         r = _run("solve", "--problem", str(bad), "--family", family,
                  "--report", str(tmp_path / ("r_%s.json" % family)))
-        assert r.returncode == 2, (family, r.stderr)
+        assert r.returncode == 2, (moment, family, r.stderr)
         report = json.loads((tmp_path / ("r_%s.json" % family)).read_text())
         assert report["status"] == "DivergedCertified"
         assert r.stderr.startswith("DivergedCertified: separating certificate at step ")

@@ -46,7 +46,7 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
 def test_the_spans_the_benchmark_tracer_wraps_fire():
     # a wrapped name that stays bound but is no longer called loses its
     # per-layer metric too.  operator.entropy is left out: it has not fired
-    # since the solver's finalise moved to operator._entropies (ROADMAP item 5)
+    # since the solver's finalise moved to operator._entropies (ROADMAP item 7)
     # The array target is not a multiple of the default start's moment, so
     # each default-start run takes steps.
     tracer = _tracing().Tracer()

@@ -181,8 +181,9 @@ def test_default_start_reaches_the_identity_adjoint_field(array_problem):
 
 @pytest.mark.parametrize("size", [1.0, 1e-60, 1e-105, 1e100])
 def test_the_identity_dual_does_not_depend_on_the_kernel_size(size):
-    # the Gram matrix of the adjoint images scales as size^4, which
-    # underflows at 1e-105 and overflows at 1e100; lam_I = 1 / size^2
+    # lam_I = 1 / size^2; the Gram matrix of the adjoint images, which the
+    # least-squares solve never forms, would underflow at 1e-105 and
+    # overflow at 1e100
     grid = mp.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
     kernels = np.full((grid.node_count, 1, 1), size, dtype=complex)
     op = mp.build_operator(grid, mp.kernel_samples(kernels, kernels))

@@ -309,6 +309,24 @@ def test_dual_feasibility_uses_the_inverse_family_floor():
         mp.family_density(op, lam, mp.rational_family())
 
 
+@pytest.mark.parametrize("example", sorted(fm.EXAMPLES))
+def test_the_identity_dual_is_the_weighted_least_squares_solution(example):
+    # lam_I minimises sum_n w_n ||L*(lam)[n] - I||^2 over the range, so the
+    # residual field is orthogonal to every cached adjoint image X_i in the
+    # weighted pairing sum_n w_n Re tr(X_i (L*(lam_I) - I)); this holds on
+    # the partial trace too, where L*(lam_I) is far from I
+    op = fm.example_problem(example)[0]
+    coords, eigs = op.identity_dual
+    images = op.adjoint_basis
+    field = np.einsum("i,inab->nab", coords, images)
+    w = op.grid.weights
+    pairing = np.einsum("n,inab,nba->i", w, images, field - np.eye(op.m)).real
+    scale = np.einsum("n,in,n->i", w, np.linalg.norm(images, axis=(2, 3)),
+                      np.linalg.norm(field, axis=(1, 2)) + np.sqrt(op.m))
+    assert np.all(np.abs(pairing) <= 1e-13 * scale), np.abs(pairing / scale).max()
+    assert np.allclose(eigs, np.linalg.eigvalsh(field), rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # entropy integrals
 

@@ -321,17 +321,17 @@ def test_pairing_is_the_dual_point_against_the_matched_moment(array_problem):
 
 def test_finalise_decomposes_the_density_once(array_problem, monkeypatch):
     # the Burg, von Neumann and relative entropies share one eigendecomposition
-    # of the converged density, and the prior family's log sigma is reused
+    # of the converged density, and log sigma is computed once per family: by
+    # the prior family's factory, by the weighted family's first report
     op, _rho, _moment = array_problem
     sigma = pr.bump_mixture_density(op.grid, 1.0, bumps=((1.5, 0.4, 0.6),))
-    family = mp.prior_exponential_family(sigma)
-    lam = mp.default_dual_start(op, family)
-    ev = solver_module._evaluate(op, lam, family)
+    families = [(mp.prior_exponential_family(sigma), 0), (mp.weighted_exponential_family(sigma), 1)]
     calls = []
 
     def counted(original):
         def wrapper(matrix):
-            calls.append(np.array_equal(matrix, ev.density))
+            calls.append("density" if np.array_equal(matrix, ev.density)
+                         else "sigma" if np.array_equal(matrix, sigma) else "other")
             return original(matrix)
         return wrapper
 
@@ -339,10 +339,15 @@ def test_finalise_decomposes_the_density_once(array_problem, monkeypatch):
         for name in ("eigh_hermitian", "eigvalsh_hermitian"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    report = solver_module._finalise(op, family, STATUS_CONVERGED, lam.coords, ev, 0.0,
-                                     [], "", fit_slope=False)
-    assert calls.count(True) == 1
-    assert report.entropy_value == mp.entropy(ev.density, op.grid, "relative", sigma=sigma)
+    for family, sigma_logs in families:
+        lam = mp.default_dual_start(op, family)
+        ev = solver_module._evaluate(op, lam, family)
+        calls.clear()
+        for _ in range(2):
+            report = solver_module._finalise(op, family, STATUS_CONVERGED, lam.coords, ev, 0.0,
+                                             [], "", fit_slope=False)
+        assert calls.count("density") == 2 and calls.count("sigma") == sigma_logs, family.kind
+        assert report.entropy_value == mp.entropy(ev.density, op.grid, "relative", sigma=sigma)
 
 
 def test_time_horizon_is_honoured(array_problem):
@@ -704,7 +709,7 @@ def test_infeasible_targets_are_certified_at_every_size(array_problem, scalar_op
                              report.certificate.dual.matrix)
 
 
-@pytest.mark.parametrize("size", [1e-60, 1e-105, 1e100])
+@pytest.mark.parametrize("size", [1.0, 1e-60, 1e-105, 1e100])
 @pytest.mark.parametrize("name", ["rational", "exponential"])
 def test_verdicts_do_not_depend_on_the_kernel_size(assert_certified, size, name):
     # R = 2 is the moment of the density 2 / size^2, whose rational dual is
@@ -719,11 +724,14 @@ def test_verdicts_do_not_depend_on_the_kernel_size(assert_certified, size, name)
         assert len(report.trace) == len(base.trace)
         resid = abs(mp.apply_L(op, report.density)[0, 0] - 2.0) / 2.0
         assert resid <= 1e-9
-        # lam_I certifies the negative target at the start, also at 1e100,
-        # where the start itself cannot be evaluated (see below)
-        negative = solver(op, -target, family)
-        assert_certified(op, -target, negative.status, negative.certificate.dual.matrix)
-        assert negative.certificate.step == 0
+        # lam_I certifies the negative targets at the start, also at 1e100,
+        # where the start itself cannot be evaluated (see below), and where
+        # ||R||^2 or <y, R> underflows; <y, R> is checked against -2, a
+        # positive multiple of each
+        for value in (-2.0, -1e-200, -1e-300):
+            negative = solver(op, np.array([[value]], dtype=complex), family)
+            assert_certified(op, -target, negative.status, negative.certificate.dual.matrix)
+            assert negative.certificate.step == 0
 
 
 @pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
@@ -757,6 +765,16 @@ def test_a_certificate_at_lam_i_stands_when_the_start_fails(assert_certified, so
         assert_certified(op, target, report.status, report.certificate.dual.matrix)
         assert report.certificate.step == 0
         assert report.trace == [] and np.isnan(report.V_final)
+
+
+def test_the_zero_dual_point_is_no_certificate(scalar_op):
+    # y = x + delta lam_I cancels to 0 where x is a negative multiple of lam_I
+    # and L*(lam_I) is constant; 0 separates nothing, whatever the screen's
+    # rounding, and its margin is not 0 / 0
+    lam_i = scalar_op.identity_dual[0]
+    r_unit = -lam_i / np.linalg.norm(lam_i)
+    assert solver_module._certificate(scalar_op, np.zeros(scalar_op.d), r_unit, 0) is None
+    assert solver_module._certificate(scalar_op, lam_i, r_unit, 0).margin == -1.0
 
 
 @pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
