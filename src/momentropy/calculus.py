@@ -12,7 +12,8 @@ closed form takes the entries ``p, q, b`` of each matrix
 given as real rows through the same formula, without a complex stack.  Every
 positive-definiteness test in the package compares eigenvalues with its
 floor through :func:`_check_positive`, which names the node of a field that
-fails.
+fails, and every density, sigma or phi that enters it passes
+:func:`_sampled_field`.
 
 The two central operations are the order-scrambled product
 
@@ -259,6 +260,21 @@ def _square(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     return a
+
+
+def _sampled_field(values, name: str, nodes: int | None = None, m: int | None = None) -> np.ndarray:
+    """``values`` as a C-contiguous complex (N, m, m) field of square matrices,
+    every entry finite, N equal to ``nodes`` and m to ``m`` where given;
+    otherwise ValueError naming ``name``."""
+    field = np.asarray(values, dtype=complex)
+    if (field.ndim != 3 or field.shape[1] != field.shape[2]
+            or nodes not in (None, field.shape[0]) or m not in (None, field.shape[1])):
+        want = "(%s, %s, %s)" % (nodes or "N", m or "m", m or "m")
+        raise ValueError("%s has shape %s; %s %s" % (
+            name, field.shape, "this operator needs" if m else "expected", want))
+    if not np.isfinite(field).all():
+        raise ValueError("%s has non-finite entries" % name)
+    return np.ascontiguousarray(field)
 
 
 def _check_positive(w: np.ndarray, floor: float | None = None,

@@ -25,6 +25,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
+import functools
 import json
 import sys
 
@@ -77,6 +78,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every main call of a process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="momentropy",

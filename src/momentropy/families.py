@@ -68,7 +68,7 @@ import numpy as np
 
 from .calculus import (
     _check_positive, _divided_difference_exp, _eigh_2x2_entries, _expm1_quotient, _real_entries,
-    _rebuild, eigh_hermitian, eigvalsh_hermitian, matrix_log,
+    _rebuild, _sampled_field, eigh_hermitian, eigvalsh_hermitian, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
 from .operator import _check_dual_floor, MomentOperator, DualVariable, dual_from_coords
@@ -136,29 +136,36 @@ def weighted_rational_family(phi: np.ndarray | None = None, sigma: np.ndarray | 
 
     Provide either the factor ``phi`` directly (any invertible square field)
     or a positive reference ``sigma``, in which case phi = sigma^(1/2).
+    Each is a finite (N, m, m) field, else ValueError; a phi that is singular
+    at a node, or a sigma that is not positive definite there, raises
+    :class:`PositivityError` naming the node.
     """
+    if sigma is not None:
+        sigma = _sampled_field(sigma, "sigma")
     if phi is None:
         if sigma is None:
             raise ValueError("weighted_rational needs phi or sigma")
-        phi = _sqrt_field(np.asarray(sigma, dtype=complex))
-        sigma = np.asarray(sigma, dtype=complex)
+        phi = _sqrt_field(sigma)
     else:
-        phi = np.asarray(phi, dtype=complex)
+        phi = _sampled_field(phi, "phi")
+        phi_phi = phi @ np.conj(np.swapaxes(phi, -1, -2))
+        _check_positive(eigvalsh_hermitian(phi_phi), 0.0, "phi not invertible")
         if sigma is None:
-            sigma = phi @ np.conj(np.swapaxes(phi, -1, -2))
-    _validate_field(phi, "phi")
+            sigma = phi_phi
     return Family("weighted_rational", phi=phi, sigma=sigma)
 
 
 def weighted_exponential_family(sigma: np.ndarray) -> Family:
-    sigma = np.asarray(sigma, dtype=complex)
-    _validate_field(sigma, "sigma")
+    """Weighted exponential family rho = (1/e) phi exp(-A) phi*, phi = sigma^(1/2),
+    for a finite (N, m, m) field ``sigma``, positive definite at every node."""
+    sigma = _sampled_field(sigma, "sigma")
     return Family("weighted_exponential", phi=_sqrt_field(sigma), sigma=sigma)
 
 
 def prior_exponential_family(sigma: np.ndarray) -> Family:
-    sigma = np.asarray(sigma, dtype=complex)
-    _validate_field(sigma, "sigma")
+    """Prior exponential family rho = (1/e) exp(log sigma - A), for a finite
+    (N, m, m) field ``sigma``, positive definite at every node."""
+    sigma = _sampled_field(sigma, "sigma")
     return Family("prior_exponential", sigma=sigma, log_sigma=matrix_log(sigma))
 
 
@@ -451,8 +458,3 @@ def _sqrt_field(sigma: np.ndarray) -> np.ndarray:
     w, u = eigh_hermitian(sigma)
     _check_positive(w, 0.0, "sigma not positive definite")
     return _rebuild(np.sqrt(w), u)
-
-
-def _validate_field(field: np.ndarray, name: str) -> None:
-    if field.ndim != 3 or field.shape[-1] != field.shape[-2]:
-        raise ValueError(f"{name} must be a sampled field of square matrices (N, m, m)")

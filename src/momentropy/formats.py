@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .calculus import as_hermitian
+from .calculus import _sampled_field, as_hermitian
 from .grid import SupportGrid, build_grid, discrete_grid
 from .operator import MomentOperator, apply_L, build_operator, kernel_samples
 from . import problems as _problems
@@ -102,7 +103,7 @@ def matrix_to_obj(matrix: np.ndarray) -> dict:
 def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
         flat = np.array([complex(re, im) for re, im in obj["data"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: a 400-digit int
         raise ValueError("malformed matrix object: needs rows/cols and [re, im] data") from exc
     rows, cols = _value(obj, "rows", "an integer"), _value(obj, "cols", "an integer")
     if flat.size != rows * cols:
@@ -120,9 +121,7 @@ _CSV_BLOCK_ROWS = 256
 
 
 def write_density_csv(path: str, density: np.ndarray, grid: SupportGrid) -> None:
-    rho = np.ascontiguousarray(density, dtype=complex)
-    if rho.ndim != 3 or rho.shape[0] != grid.node_count:
-        raise ValueError("density must have shape (node_count, m, m)")
+    rho = _sampled_field(density, "density", grid.node_count)
     # re/im pairs in row-major order are the complex entries' float view
     _write_table(path, np.hstack([grid.nodes, rho.reshape(grid.node_count, -1).view(float)]))
 
@@ -217,10 +216,14 @@ _JSON_TYPES = {"an integer": int, "a number": (int, float), "a string": str,
 
 
 def json_typed(value, kind: str, what: str):
-    """``value`` if its JSON type is ``kind``, else a ValueError naming ``what``."""
+    """``value`` if its JSON type is ``kind`` and, for a number, it is finite;
+    else a ValueError naming ``what``."""
     expected = _JSON_TYPES[kind]
-    # JSON true and false load as bool, which Python counts as an int too
-    if not isinstance(value, expected) or isinstance(value, bool) and expected is not bool:
+    # JSON true and false load as bool, which Python counts as an int too;
+    # json.load reads NaN, Infinity and 1e400 as floats that are not finite,
+    # and an integer of 400 digits as an int that no float holds
+    if (not isinstance(value, expected) or isinstance(value, bool) and expected is not bool
+            or kind == "a number" and not abs(value) <= sys.float_info.max):
         raise ValueError(f"{what} must be {kind}, not {value!r}")
     return value
 

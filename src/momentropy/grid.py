@@ -9,8 +9,9 @@ Three support kinds are handled:
 * ``discrete`` — a finite index set with unit weights, where integrals
   degenerate to plain sums.
 
-Weights are strictly positive and sum to the geometric measure of the support
-(interval length, rectangle area, or point count).
+Bounds and weights are finite.  Weights are strictly positive and sum to the
+geometric measure of the support (interval length, rectangle area, or point
+count).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class SupportGrid:
             raise ValueError("nodes must be (N, k) and weights (N,)")
         if self.nodes.shape[0] != self.weights.shape[0]:
             raise ValueError("nodes and weights disagree on node count")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be strictly positive")
+        if not np.all((self.weights > 0.0) & (self.weights < np.inf)):  # NaN fails both
+            raise ValueError("quadrature weights must be finite and strictly positive")
 
     @property
     def node_count(self) -> int:
@@ -75,6 +76,8 @@ def build_grid(kind: str, bounds, panels: int = 32, order: int = 5) -> SupportGr
         raise ValueError("quadrature order must be in 2..10")
     if int(panels) < 1:
         raise ValueError("need at least one panel")
+    if not np.isfinite(np.asarray(bounds, dtype=float)).all():
+        raise ValueError(f"grid bounds must be finite, not {bounds!r}")
     if kind == "interval1d":
         lo, hi = map(float, bounds)
         x, w = _panelised_gauss(lo, hi, int(panels), int(order))

@@ -32,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import (
-    _check_positive, _real_entries, eigvalsh_hermitian, hermitian_part, matrix_log, trace_inner,
+    _check_positive, _real_entries, _sampled_field, eigvalsh_hermitian, hermitian_part, matrix_log,
+    trace_inner,
 )
 from .errors import PositivityError
 from .grid import SupportGrid
@@ -55,11 +56,13 @@ class KernelSamples:
 
 
 def kernel_samples(left: np.ndarray, right: np.ndarray) -> KernelSamples:
-    """Validate shapes and build a :class:`KernelSamples`."""
+    """Validate shapes and finiteness and build a :class:`KernelSamples`."""
     left = np.ascontiguousarray(left, dtype=complex)
     right = np.ascontiguousarray(right, dtype=complex)
     if left.ndim != 3 or right.ndim != 3:
         raise ValueError("kernel sample arrays must be 3-d (node, row, col)")
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise ValueError("kernel samples hold non-finite entries")
     if left.shape[0] != right.shape[0]:
         raise ValueError("left/right kernels disagree on node count")
     if left.shape[2] != right.shape[1]:
@@ -222,7 +225,7 @@ def compute_range_basis(grid: SupportGrid, kernels: KernelSamples) -> RangeBasis
 
 def apply_L(op: MomentOperator, density: np.ndarray) -> np.ndarray:
     """Moment matrix of a sampled density: sum_n w_n G_left[n] rho[n] G_right[n]."""
-    rho = _validate_density(op, density)
+    rho = _sampled_field(density, "density", op.node_count, op.m)
     return np.einsum(
         "n,nab,nbc,ncd->ad", op.grid.weights, op.kernels.left, rho, op.kernels.right,
         optimize=True,
@@ -287,17 +290,12 @@ def entropy(density: np.ndarray, grid: SupportGrid, kind: str, sigma: np.ndarray
     positive definite (PositivityError names the node with the smallest
     eigenvalue).
     """
-    rho = np.asarray(density, dtype=complex)
-    if rho.ndim != 3 or rho.shape[0] != grid.node_count:
-        raise ValueError("density must have shape (node_count, m, m)")
+    rho = _sampled_field(density, "density", grid.node_count)
     log_sigma = None
     if kind == "relative":
         if sigma is None:
             raise ValueError("relative entropy needs the reference density sigma")
-        sigma = np.asarray(sigma, dtype=complex)
-        if sigma.shape != rho.shape:
-            raise ValueError("sigma must match the density's shape")
-        log_sigma = matrix_log(sigma)
+        log_sigma = matrix_log(_sampled_field(sigma, "sigma", *rho.shape[:2]))
     values = dict(zip(("burg", "vonneumann", "relative"), _entropies(rho, grid, log_sigma)))
     if kind not in values:
         raise ValueError(f"unknown entropy kind {kind!r}")
@@ -352,15 +350,6 @@ def _adjoint_of_stack(kernels: KernelSamples, elements: np.ndarray) -> np.ndarra
         optimize=True,
     )
     return hermitian_part(out)
-
-
-def _validate_density(op: MomentOperator, density: np.ndarray) -> np.ndarray:
-    rho = np.asarray(density, dtype=complex)
-    if rho.shape != (op.node_count, op.m, op.m):
-        raise ValueError(
-            "density shape %s, expected %s" % (rho.shape, (op.node_count, op.m, op.m))
-        )
-    return rho
 
 
 def _as_matrix(op: MomentOperator, lam) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _check_positive, eigvalsh_hermitian, hermitian_part
+from .calculus import _check_positive, _sampled_field, eigvalsh_hermitian, hermitian_part
 from .grid import SupportGrid, build_grid, discrete_grid
 from .operator import MomentOperator, build_operator, kernel_samples
 
@@ -317,9 +317,7 @@ def herglotz_interpolant(density: np.ndarray, grid: SupportGrid, z) -> np.ndarra
     """
     if grid.dim != 1:
         raise ValueError("the interpolant is defined over circle densities (1-D grid)")
-    rho = np.asarray(density, dtype=complex)
-    if rho.ndim != 3 or rho.shape[0] != grid.node_count:
-        raise ValueError("density must have shape (node_count, m, m)")
+    rho = _sampled_field(density, "density", grid.node_count)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(np.abs(z_arr) > 1.0 - 1e-6):
         raise ValueError("evaluation points must satisfy |z| <= 1 - 1e-6")

@@ -89,9 +89,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import eigvalsh_hermitian
+from .calculus import _sampled_field, eigvalsh_hermitian
 from .errors import PositivityError
-from .families import Family, _evaluate, _identity_dual, default_dual_start
+from .families import Family, _adjoint_field, _evaluate, _identity_dual, default_dual_start
 from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
 from . import operator as _operator
 
@@ -194,7 +194,10 @@ class SolveReport:
     ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace; a run
     whose start could not be evaluated has that start as ``lambda_hat``, a
     NaN ``V_final``, an empty trace and, when lam_I separates R, lam_I as its
-    certificate at step 0.
+    certificate at step 0.  Malformed input gets no report: a non-finite
+    moment, a start of the wrong shape or with a non-finite coordinate, and a
+    family's sigma (phi for the weighted rational family) that is not a
+    finite (N, m, m) field of this operator raise ValueError.
     """
 
     status: str
@@ -280,12 +283,14 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         )
     # inputs built for another problem meet the operator here, once per solve;
     # the weighted rational family is named by its factor phi, the others by sigma
-    weight = ("phi", family.phi) if family.kind == "weighted_rational" else ("sigma", family.sigma)
-    for name, value, shape in (weight + ((op.node_count, op.m, op.m),),
-                               ("start", None if start is None else start.coords, (op.d,))):
-        if value is not None and np.shape(value) != shape:
-            raise ValueError("%s has shape %s; this operator needs %s"
-                             % (name, np.shape(value), shape))
+    name = "phi" if family.kind == "weighted_rational" else "sigma"
+    if getattr(family, name) is not None:
+        _sampled_field(getattr(family, name), name, op.node_count, op.m)
+    if start is not None and np.shape(start.coords) != (op.d,):
+        raise ValueError("start has shape %s; this operator needs %s"
+                         % (np.shape(start.coords), (op.d,)))
+    if start is not None and not np.isfinite(start.coords).all():
+        raise ValueError("start has non-finite coordinates")
 
     r_coords, residual = project_to_range(op, moment)
     scale = max(float(np.linalg.norm(moment)), 1e-300)
@@ -418,11 +423,12 @@ def _certificate(op, y, r_unit, step) -> Certificate | None:
     margin = float(r_unit @ y) / y_norm if y_norm > 0.0 else 0.0
     if not margin < -_CERTIFICATE_RTOL:
         return None
-    dual = dual_from_coords(op, y)
-    eigs = eigvalsh_hermitian(_operator.apply_L_adjoint(op, dual.matrix))
+    # L*(y) from the operator's cached images of the range basis
+    eigs = eigvalsh_hermitian(_adjoint_field(y, op.adjoint_basis))
     if eigs.min() < -_PSD_RTOL * eigs.max():
         return None
-    return Certificate(dual=dual, margin=margin, node=int(np.argmin(eigs.min(axis=1))), step=step)
+    return Certificate(dual=dual_from_coords(op, y), margin=margin,
+                       node=int(np.argmin(eigs.min(axis=1))), step=step)
 
 
 def _certified_message(cert: Certificate, t: float) -> str:

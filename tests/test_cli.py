@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,28 @@ def test_weighted_family_requires_sigma(array_bundle, tmp_path):
               "--family", "prior-exponential", "--sigma", str(sigma))
     assert r2.returncode == 3
     assert "error: sigma has shape (160, 2, 2); this operator needs (160, 1, 1)" in r2.stderr
+
+
+@pytest.mark.parametrize("section, key, value", [("grid", "bounds", [0.0, float("inf")]),
+                                                ("kernels", "positions", [0.0, float("nan")]),
+                                                ("kernels", "wavenumber", float("nan")),
+                                                ("kernels", "wavenumber", 10 ** 400),
+                                                ("config", "tol", float("nan"))])
+def test_a_non_finite_number_in_an_input_file_is_refused_by_key(array_bundle, tmp_path, capsys,
+                                                               section, key, value):
+    # json.load reads NaN and Infinity, and no such number may reach numpy
+    raw = json.loads((array_bundle / "problem.json").read_text())
+    config = {}
+    (config if section == "config" else raw[section])[key] = value
+    problem, config_path = tmp_path / "problem.json", tmp_path / "config.json"
+    problem.write_text(json.dumps(raw))  # writes NaN and Infinity
+    config_path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["solve", "--problem", str(problem), "--config", str(config_path)])
+    assert code == 3 and caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "must be a number" in err
 
 
 def test_bell_example_moment_is_maximally_mixed(tmp_path):

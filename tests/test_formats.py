@@ -233,7 +233,8 @@ def test_problem_loader_rejects_unknown_builtin(tmp_path):
         fm.write_problem(path, bad)
         with pytest.raises(ValueError):
             fm.load_problem(path)
-    for data in ([1], [[1.0]], [["x", 0.0]], [[1.0, 0.0, 2.0]], 5, [[1.0], [0.0, 1.0]]):
+    for data in ([1], [[1.0]], [["x", 0.0]], [[1.0, 0.0, 2.0]], 5, [[1.0], [0.0, 1.0]],
+                 [[10 ** 400, 0.0]]):
         with pytest.raises(ValueError):
             fm.matrix_from_obj({"rows": 1, "cols": 1, "data": data})
     # rows and cols are JSON integers, not numbers that int() would accept

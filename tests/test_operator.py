@@ -57,6 +57,25 @@ def test_grid_parameter_validation():
         mp.build_grid("interval1d", (0.0, 1.0), panels=0)
     with pytest.raises(ValueError):
         mp.build_grid("unknown-kind", (0.0, 1.0))
+    # non-finite bounds are refused before any node is computed, with no
+    # RuntimeWarning; so are non-finite weights
+    for kind, bounds in (("interval1d", (0.0, np.inf)), ("interval1d", (np.nan, 1.0)),
+                         ("rectangle2d", ((0.0, 1.0), (-np.inf, 1.0)))):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            mp.build_grid(kind, bounds)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            mp.SupportGrid("discrete", np.zeros((2, 1)), np.array([1.0, bad]))
+
+
+def test_kernel_samples_must_be_finite():
+    ones = np.ones((4, 1, 1), dtype=complex)
+    for bad in (np.nan, np.inf):
+        broken = ones.copy()
+        broken[2] = bad
+        for left, right in ((broken, ones), (ones, broken)):
+            with pytest.raises(ValueError, match="non-finite"):
+                mp.kernel_samples(left, right)
 
 
 def test_discrete_grid_has_unit_weights_and_zero_dimension():

@@ -10,7 +10,7 @@ from momentropy import formats as fm
 from momentropy import operator as operator_module
 from momentropy import problems as pr
 from momentropy import solver as solver_module
-from momentropy.errors import DualStartNotFound
+from momentropy.errors import DualStartNotFound, PositivityError
 from momentropy.solver import (
     STATUS_CONVERGED,
     STATUS_INCONCLUSIVE,
@@ -296,6 +296,81 @@ def test_non_finite_moments_and_options_are_rejected(scalar_op, array_problem):
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 mp.SolveConfig(**{name: bad})
+
+
+def _field_readers(op, tmp_path):
+    # every entry of a sampled field into the package, by the name it refuses
+    ones = np.ones((op.node_count, op.m, op.m), dtype=complex)
+    return {
+        "sigma": (mp.weighted_exponential_family, mp.prior_exponential_family,
+                  lambda sigma: mp.weighted_rational_family(sigma=sigma),
+                  lambda sigma: mp.weighted_rational_family(phi=ones, sigma=sigma)),
+        "phi": (lambda phi: mp.weighted_rational_family(phi=phi),),
+        "density": (lambda rho: mp.apply_L(op, rho), lambda rho: mp.entropy(rho, op.grid, "burg"),
+                    lambda rho: fm.write_density_csv(tmp_path / "rho.csv", rho, op.grid),
+                    lambda rho: pr.herglotz_interpolant(rho, op.grid, 0.5)),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["sigma", "phi", "density", "start"])
+def test_a_non_finite_field_or_start_is_refused_by_name(array_problem, tmp_path, name, bad):
+    op, _rho, moment = array_problem
+    if name == "start":
+        coords = np.full(op.d, bad)
+        for solver in (mp.solve, mp.solve_tau):
+            with pytest.raises(ValueError, match="^start has non-finite"):
+                solver(op, moment, mp.exponential_family(),
+                       start=mp.DualVariable(coords, np.zeros((op.n_left, op.n_right))))
+        return
+    field = np.ones((op.node_count, op.m, op.m), dtype=complex)
+    field[3] = bad
+    for read in _field_readers(op, tmp_path)[name]:
+        with pytest.raises(ValueError, match="^%s has non-finite entries$" % name):
+            read(field)
+
+
+def test_a_field_of_non_square_matrices_is_refused(array_problem, tmp_path):
+    # read_density_csv refuses such a field, so no reader may take it
+    op = array_problem[0]
+    for read in _field_readers(op, tmp_path)["density"]:
+        with pytest.raises(ValueError, match=r"^density has shape \(160, 1, 2\)"):
+            read(np.ones((op.node_count, 1, 2), dtype=complex))
+    assert not (tmp_path / "rho.csv").exists()
+
+
+def test_a_singular_phi_is_refused_at_its_node(array_problem):
+    # phi = 0 at a node makes every density of the family vanish there, so
+    # no run on it may end Converged
+    op, _rho, moment = array_problem
+    phi = np.ones((op.node_count, 1, 1), dtype=complex)
+    phi[3] = 0.0
+    with pytest.raises(PositivityError, match="phi not invertible at node 3") as err:
+        mp.solve(op, moment, mp.weighted_rational_family(phi=phi))
+    assert err.value.node == 3
+
+
+def test_a_solve_never_applies_the_adjoint_to_the_kernels(array_problem, scalar_op, monkeypatch,
+                                                          assert_certified):
+    # the certificate check reads L*(y) from the operator's cached images
+    op, _rho, moment = array_problem
+    targets = ((scalar_op, np.array([[-2.0]], dtype=complex)), (op, _flipped_array_moment(op)))
+
+    def refuse(*args):
+        raise AssertionError("L* applied to the kernels")
+
+    monkeypatch.setattr(operator_module, "_adjoint_of_stack", refuse)
+    certified = []
+    for name in ("rational", "exponential"):
+        family = mp.family_from_name(name)
+        assert mp.solve(op, moment, family).status == STATUS_CONVERGED
+        for solver in (mp.solve, mp.solve_tau):
+            for problem_op, target in targets:
+                report = solver(problem_op, target, family)
+                certified.append((problem_op, target, report))
+    monkeypatch.undo()
+    for problem_op, target, report in certified:
+        assert_certified(problem_op, target, report.status, report.certificate.dual.matrix)
 
 
 def test_relative_entropy_is_reported_for_the_sigma_families(array_problem):
