@@ -20,24 +20,26 @@ families extremise a Burg-type entropy and require ``lam`` to stay strictly
 dual-feasible; the exponential families are defined for every ``lam`` and
 extremise von Neumann / relative entropies.
 
-``flow_jacobian`` returns the true Frechet derivative of ``h_map`` in range
-coordinates, which is what the continuation solver inverts.  For the
-unweighted families, and for every family at m = 1, it is ``-Y Y^T`` with
-linearly independent rows where ``g > 0`` at every node (L* is injective on
-the range), so it is symmetric and, there, negative definite.  The weighted
+Every family evaluates with one formula, since only the moment side sees the
+weight: the field contracts with the adjoint images ``X_i = L*(E_i)`` of the
+range basis, and the moment coordinates ``sum_n w_n Re tr(X~_i f(M))`` with
+``X~_i = phi* X_i phi`` (``X~ = X`` without a weight; ``Family.moment_basis``).
+``flow_jacobian``, the true Frechet derivative of ``h_map`` in range
+coordinates that the continuation solver inverts, is ``-Z Y^T``, with ``Z``
+built from ``X~`` by the coefficients that build ``Y`` from ``X``.  So it is
+symmetric only where ``X~ = X`` (the unweighted families, where ``Z`` is
+``Y``) or at m = 1 (``X~ = |phi|^2 X``), and there negative definite where
+``g > 0`` at every node, as L* is injective on the range.  The weighted
 families' Jacobian at m > 1 is not symmetric, and its symmetric part can be
 indefinite inside the feasible set.
 
-Fields of m = 1 and the unweighted families' fields of m = 2 are evaluated in
-real arithmetic, on the operator's real adjoint rows ``RangeBasis.real_adjoint``.
-These are exact, not approximations: the cached adjoint images are Hermitian
-parts, which their diagonal and upper entries determine.  They assemble the
-complex (N, m, m) density only when it is read (``family_density``, a
-converged solve's report), since the moment coordinates and the Jacobian are
-formed from the real entries.
+Fields of m <= 2 are evaluated in real arithmetic, on the real rows
+``RangeBasis.real_adjoint`` of ``X`` and ``X~``, which determine the
+Hermitian images exactly.  The density is assembled only when it is read
+(``family_density``, a converged solve's report).
 
-At m = 1, ``u = 1``, so the field is ``a = lam X``, the density
-``f(a) |phi|^2`` and the Jacobian ``-Y Y^T`` with ``Y = X sqrt(w g) |phi|``.
+At m = 1, ``u = 1``: the field is ``a = lam X``, the moment coordinates
+``X~ (w f(a))`` and the Jacobian ``-Z Y^T`` with ``(Y, Z) = (X, X~) sqrt(w g)``.
 
 At m = 2 each image ``[[p, b], [conj b, q]]`` is the row ``(p, q, Re b, Im b)``.
 The closed form ``calculus._eigh_2x2_entries`` gives the eigenvalues ``mu``
@@ -45,33 +47,33 @@ of the decomposed field and ``u = [[c e, s e], [-s, c]]``; with ``f = f(mu)``
 
     rho_00 = c^2 f_0 + s^2 f_1,   rho_11 = s^2 f_0 + c^2 f_1,   rho_01 = cs (f_1 - f_0) e,
 
-the moment coordinates are ``X (w (rho_00, rho_11, 2 Re rho_01, 2 Im rho_01))``
-and the Jacobian is ``-Y Y^T``.  With ``beta = conj(e) b`` for each image,
-the rows of ``Y`` are the entries of ``u* X u``,
+the moment coordinates are ``X~ (w (rho_00, rho_11, 2 Re rho_01, 2 Im rho_01))``
+and the Jacobian is ``-Z Y^T``.  With ``beta = conj(e) b`` for each image,
+the rows of ``Y`` (of ``Z`` on ``X~``) are the entries of ``u* X u``,
 
     sqrt(w g_00) d_0,  sqrt(w g_11) d_1,  sqrt(2 w g_01) Re o,  sqrt(2 w g_01) Im o,
     d_0 = c^2 p + s^2 q - 2cs Re beta,   d_1 = s^2 p + c^2 q + 2cs Re beta,
     o = cs (p - q) + (c^2 - s^2) Re beta + i Im beta.
 
-The weighted families at m = 2 and every field of m >= 3 take the complex
-path: the nodewise eigendecomposition, then the congruence of every image by
-``u`` (and ``v = phi u``) as one batched product per node.
+Fields of m >= 3 take the complex path: the nodewise eigendecomposition,
+then the congruence of every image by ``u`` as one batched product per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .calculus import (
     _check_positive, _divided_difference_exp, _eigh_2x2_entries, _expm1_quotient, _real_entries,
-    _rebuild, _sampled_field, eigh_hermitian, eigvalsh_hermitian, matrix_log,
+    _rebuild, _sampled_field, eigh_hermitian, eigvalsh_hermitian, hermitian_part, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
-from .operator import _check_dual_floor, MomentOperator, DualVariable, dual_from_coords
+from .operator import _check_dual_floor, MomentOperator, DualVariable, RangeBasis, dual_from_coords
 
 _INVERSE_KINDS = ("rational", "weighted_rational")
 
@@ -91,6 +93,19 @@ class Family:
     phi: np.ndarray | None = None
     sigma: np.ndarray | None = None
     log_sigma: np.ndarray | None = None
+    _moment_bases: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, init=False, repr=False)
+
+    def moment_basis(self, basis: RangeBasis) -> RangeBasis:
+        """``basis`` with the moment-side images ``phi* L*(E_i) phi``, or
+        itself without a weight; built once per basis, kept while it lives."""
+        if self.phi is None:
+            return basis
+        if (moment := self._moment_bases.get(basis)) is None:
+            phi_h = np.conj(self.phi.swapaxes(1, 2))
+            moment = self._moment_bases[basis] = RangeBasis(
+                basis.elements, hermitian_part(phi_h @ basis.adjoint @ self.phi))
+        return moment
 
     @cached_property
     def log_sigma_rows(self) -> np.ndarray:
@@ -107,14 +122,6 @@ class Family:
         if self.sigma is None or self.is_inverse_kind:
             return None
         return matrix_log(self.sigma) if self.log_sigma is None else self.log_sigma
-
-    @cached_property
-    def scalar_phi(self) -> tuple[np.ndarray, np.ndarray]:
-        """``|phi|^2`` and ``|phi|`` of a scalar weight phi (N, 1, 1) as
-        N-vectors, the factors of the m = 1 density and Jacobian; built on
-        first use."""
-        phi = self.phi[:, 0, 0]
-        return phi.real ** 2 + phi.imag ** 2, np.abs(phi)
 
     @property
     def is_inverse_kind(self) -> bool:
@@ -255,35 +262,37 @@ def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float]:
 # shared evaluation machinery (also used by the continuation solver)
 
 class _PointEval(NamedTuple):
-    rho: np.ndarray | Callable[[], np.ndarray]  # the density, or what assembles it
+    core: Callable[[], np.ndarray]  # assembles f(M) (N, m, m)
     h_coords: np.ndarray         # (d,) range coordinates of L(density)
     flow_jacobian: np.ndarray | None  # (d, d) true derivative, when requested
     min_eig: float               # min eigenvalue of L*(lam) over the field
+    family: Family
 
     @property
     def density(self) -> np.ndarray:
-        """The density (N, m, m).  The real m <= 2 evaluations assemble it
-        on each read, since only a converged run and family_density read it."""
-        return self.rho() if callable(self.rho) else self.rho
+        """The density phi f(M) phi* (N, m, m), assembled on each read, since
+        only a converged run and family_density read it."""
+        core, phi = self.core(), self.family.phi
+        return core if phi is None else hermitian_part(phi @ core @ np.conj(phi.swapaxes(1, 2)))
 
 
 def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = False) -> _PointEval:
-    # Both shapes are rho = v f(M) v* with M = u diag(mu) u* and v = phi u:
-    # f(mu) = 1/mu on M = A, or f(mu) = e^mu / e on M = log sigma - A.  The
-    # derivative of f(M) multiplies entrywise by the divided differences of f
-    # in the eigenbasis of M, so the flow Jacobian is
-    #     J_ij = -sum_n w_n Re <v* E_i v, g (u* E_j u)>,
+    # Both shapes are rho = phi f(M) phi* with M = u diag(mu) u*: f(mu) = 1/mu
+    # on M = A, or f(mu) = e^mu / e on M = log sigma - A.  The derivative of
+    # f(M) multiplies entrywise by the divided differences of f in the
+    # eigenbasis of M, so the flow Jacobian is
+    #     J_ij = -sum_n w_n Re <u* X~_i u, g (u* X_j u)>,   X~_i = phi* X_i phi,
     # with g_ab = f_a f_b (minus the divided difference of 1/mu) for the
     # inverse shape and the divided difference of e^mu / e for the exponential.
     # g is held by its square root, which stays in range for any kernel size
     # where g itself (f^2 for the inverse shape) would under- or overflow.
     coords = _dual_coords(op, lam)
+    moment = family.moment_basis(op.basis)
     if op.m == 1:
-        return _evaluate_scalar(op, coords, family, need_jacobian)
-    if op.m == 2 and family.phi is None:
-        return _evaluate_2x2(op, coords, family, need_jacobian)
-    x = op.adjoint_basis
-    flat = _real_rows(x)
+        return _evaluate_scalar(op, coords, family, moment, need_jacobian)
+    if op.m == 2:
+        return _evaluate_2x2(op, coords, family, moment, need_jacobian)
+    x, x_moment = op.adjoint_basis, moment.adjoint
     a_field = _adjoint_field(coords, x)
     if family.is_inverse_kind:
         eigs_a, u = eigh_hermitian(a_field)
@@ -301,29 +310,23 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
         if need_jacobian:
             root_g = np.sqrt(_divided_difference_exp(mu) / np.e)
 
-    v = u if family.phi is None else family.phi @ u
     w = op.grid.weights[:, None, None]
-    density = _rebuild(f, v)
-    h_coords = flat @ (w * density).reshape(-1).view(float)
+    core = _rebuild(f, u)
+    h_coords = _real_rows(x_moment) @ (w * core).reshape(-1).view(float)
 
     jac = None
     if need_jacobian:
-        if family.phi is None:
-            # v = u here, so J = -Y Y^T with Y = sqrt(w g) u* E u, symmetric
-            # by construction
-            y = _real_rows(_basis_congruence(u, x, np.sqrt(w) * root_g))
-            jac = -(y @ y.T)
-        else:
-            z = _real_rows(_basis_congruence(v, x))
-            jac = -(z @ _real_rows(_basis_congruence(u, x, w * root_g ** 2)).T)
-    return _PointEval(density, h_coords, jac, min_eig)
+        scale = np.sqrt(w) * root_g
+        jac = _jacobian(lambda r: _real_rows(_basis_congruence(u, r, scale)), x, x_moment)
+    return _PointEval(lambda: core, h_coords, jac, min_eig, family)
 
 
 def _evaluate_scalar(op: MomentOperator, coords: np.ndarray, family: Family,
-                     need_jacobian: bool) -> _PointEval:
-    # The m = 1 formulas of the module docstring, with h = X (w rho) and
+                     moment: RangeBasis, need_jacobian: bool) -> _PointEval:
+    # The m = 1 formulas of the module docstring, with
     # sqrt(g) = f (inverse shape) or sqrt(f) (exponential shape).
     x = op.basis.real_adjoint[:, 0]
+    x_moment = x if moment is op.basis else moment.real_adjoint[:, 0]
     a = coords @ x
     if family.is_inverse_kind:
         min_eig = _check_dual_floor(a[:, None])
@@ -333,25 +336,20 @@ def _evaluate_scalar(op: MomentOperator, coords: np.ndarray, family: Family,
         min_eig = float(a.min())
         f = np.exp(exponent) / np.e
     w = op.grid.weights
-    phi_sq, phi_abs = (None, None) if family.phi is None else family.scalar_phi
-    density = f if phi_sq is None else f * phi_sq
-    h_coords = x @ (w * density)
+    h_coords = x_moment @ (w * f)
 
     jac = None
     if need_jacobian:
         scale = np.sqrt(w) * (f if family.is_inverse_kind else np.sqrt(f))
-        if phi_abs is not None:
-            scale *= phi_abs
-        y = x * scale
-        jac = -(y @ y.T)
-    return _PointEval(lambda: density.astype(complex)[:, None, None], h_coords, jac, min_eig)
+        jac = _jacobian(lambda r: r * scale, x, x_moment)
+    return _PointEval(lambda: f.astype(complex)[:, None, None], h_coords, jac, min_eig, family)
 
 
 def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
-                  need_jacobian: bool) -> _PointEval:
-    # The m = 2 formulas of the module docstring, for the unweighted families
-    # (v = u), on the real rows (p, q, Re b, Im b) of the adjoint images.
-    x = op.basis.real_adjoint
+                  moment: RangeBasis, need_jacobian: bool) -> _PointEval:
+    # The m = 2 formulas of the module docstring, on the real rows
+    # (p, q, Re b, Im b) of the images X and X~.
+    x, x_moment = op.basis.real_adjoint, moment.real_adjoint
     a = _adjoint_field(coords, x)
     if family.is_inverse_kind:
         mu, c, s, e = _eigh_2x2_rows(a, vectors=True)
@@ -368,9 +366,9 @@ def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
     w = op.grid.weights
     off = cs * (f1 - f0) * e
     rho = np.stack((cc * f0 + ss * f1, ss * f0 + cc * f1, 2.0 * off.real, 2.0 * off.imag))
-    h_coords = _real_rows(x) @ (w * rho).reshape(-1)
+    h_coords = _real_rows(x_moment) @ (w * rho).reshape(-1)
 
-    def density():
+    def core():
         out = np.empty((op.node_count, 2, 2), dtype=complex)
         out[:, 0, 0] = rho[0]
         out[:, 1, 1] = rho[1]
@@ -386,9 +384,9 @@ def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
         else:
             root_g = (root_f[:, 0], root_f[:, 1],
                       root_f[:, 1] * np.sqrt(_expm1_quotient(mu[:, 0] - mu[:, 1])))
-        # Y = T X nodewise: row k of T holds the coefficients of row k of Y
-        # in (p, q, Re b, Im b), with Re beta = Re e Re b + Im e Im b and
-        # Im beta = Re e Im b - Im e Re b
+        # Y = T X and Z = T X~ nodewise: row k of T holds the coefficients
+        # of row k of Y in (p, q, Re b, Im b), with Re beta = Re e Re b +
+        # Im e Im b and Im beta = Re e Im b - Im e Re b
         t = np.zeros((4, 4, op.node_count))
         t[0, 0] = t[1, 1] = cc
         t[0, 1] = t[1, 0] = ss
@@ -403,9 +401,14 @@ def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
         t[0] *= root_w * root_g[0]
         t[1] *= root_w * root_g[1]
         t[2:] *= np.sqrt(2.0 * w) * root_g[2]
-        y = _real_rows(np.einsum("kjn,ijn->ikn", t, x))
-        jac = -(y @ y.T)
-    return _PointEval(density, h_coords, jac, min_eig)
+        jac = _jacobian(lambda r: _real_rows(np.einsum("kjn,ijn->ikn", t, r)), x, x_moment)
+    return _PointEval(core, h_coords, jac, min_eig, family)
+
+
+def _jacobian(rows: Callable, x: np.ndarray, x_moment: np.ndarray) -> np.ndarray:
+    # -Z Y^T with Y = rows(X) and Z = rows(X~), so Z is Y where X~ is X
+    y = rows(x)
+    return -((y if x_moment is x else rows(x_moment)) @ y.T)
 
 
 def _eigh_2x2_rows(rows: np.ndarray, vectors: bool):
@@ -441,7 +444,7 @@ def _adjoint_field(coords: np.ndarray, images: np.ndarray) -> np.ndarray:
     return (coords @ _real_rows(images)).view(images.dtype).reshape(images.shape[1:])
 
 
-def _basis_congruence(v: np.ndarray, x: np.ndarray, scale=1.0) -> np.ndarray:
+def _basis_congruence(v: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """scale * (v[n]* x[i, n] v[n]) entrywise, for every basis element i, as a
     C-contiguous (d, N, m, m) array; ``scale`` broadcasts against (N, m, m)."""
     d, n, m, _ = x.shape

@@ -9,9 +9,9 @@ Three support kinds are handled:
 * ``discrete`` — a finite index set with unit weights, where integrals
   degenerate to plain sums.
 
-Bounds and weights are finite.  Weights are strictly positive and sum to the
-geometric measure of the support (interval length, rectangle area, or point
-count).
+Bounds, nodes and weights are finite.  Weights are strictly positive and sum
+to the geometric measure of the support (interval length, rectangle area, or
+point count).
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class SupportGrid:
             raise ValueError("nodes and weights disagree on node count")
         if not np.all((self.weights > 0.0) & (self.weights < np.inf)):  # NaN fails both
             raise ValueError("quadrature weights must be finite and strictly positive")
+        if not np.isfinite(self.nodes).all():
+            raise ValueError("grid nodes must be finite")
 
     @property
     def node_count(self) -> int:

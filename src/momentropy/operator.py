@@ -329,15 +329,16 @@ def _solve_identity_dual(op: MomentOperator) -> tuple[np.ndarray, np.ndarray]:
     """:attr:`MomentOperator.identity_dual`, computed.
 
     lam_I minimises sum_n w_n ||L*(lam)[n] - I||_F^2: one SVD least-squares
-    solve on the sqrt(w)-weighted real rows of the adjoint images, which never
-    forms their Gram matrix (entries of the kernels' fourth power) and so
-    needs no scaling for any kernel size.
+    solve on the cached real rows of the adjoint images, weighted by sqrt(w)
+    and, as the norm counts each off-diagonal entry twice, by sqrt(2) off the
+    diagonal.  It never forms their Gram matrix (entries of the kernels'
+    fourth power) and so needs no scaling for any kernel size.
     """
     x = op.adjoint_basis
-    root_w = np.sqrt(op.grid.weights)[:, None, None]
-    rows = (root_w * x).reshape(op.d, -1).view(float)
-    target = (root_w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
-    coords = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+    diagonal = np.arange(op.m * op.m)[:, None] < op.m
+    scale = np.sqrt(np.where(diagonal, 1.0, 2.0) * op.grid.weights)
+    rows = (scale * op.basis.real_adjoint).reshape(op.d, -1)
+    coords = np.linalg.lstsq(rows.T, (scale * diagonal).reshape(-1), rcond=None)[0]
     coords.flags.writeable = False
     field = (coords @ x.reshape(op.d, -1).view(float)).view(complex).reshape(x.shape[1:])
     return coords, eigvalsh_hermitian(field)

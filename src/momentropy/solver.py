@@ -452,8 +452,8 @@ def _eval_or_fail(op, coords, family, need_jacobian=True):
 
 
 def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # LU, since the weighted families' Jacobian is not symmetric at m > 1;
-    # Newton needs it invertible, not definite
+    # LU, since -Z Y^T is not symmetric where the moment-side images differ
+    # from L*'s (weighted families, m > 1); Newton needs it invertible, not definite
     try:
         step = np.linalg.solve(flow_jac, rhs)
     except np.linalg.LinAlgError as exc:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import momentropy as mp
+from momentropy import families as families_module
 from momentropy import problems as pr
 from momentropy.calculus import (
     _SERIES_CUTOFF, _divided_difference_exp, eigh_hermitian, hermitian_part,
@@ -308,23 +309,27 @@ def _oracle_cases():
         tilted = mp.dual_from_coords(op, start.coords + 2.0 * rng.standard_normal(op.d))
         assert not mp.is_dual_feasible(op, tilted)[0]
         yield op, mp.rational_family(), None, tilted, rng
-    # m = 2 at points whose fields take the closed form's special branches
+    # m = 2 at points whose fields take the closed form's special branches,
+    # unweighted and with X~ = phi* X phi != X
     branch = _branch_operator(rng)
+    raw = rng.standard_normal((branch.node_count, 2, 2)) \
+        + 1j * rng.standard_normal((branch.node_count, 2, 2))
+    branch_sigma = raw @ np.conj(raw).swapaxes(1, 2) + 0.5 * np.eye(2)
     gaps = np.diff(eigh_hermitian(mp.apply_L_adjoint(branch, np.eye(2)))[0], axis=1)[:, 0]
     assert gaps[0] == 0.0 and 0.0 < gaps[3] < _SERIES_CUTOFF and 0.0 < gaps[4] < _SERIES_CUTOFF
     for diagonal in ([1.0, 1.0], [1.2, 0.9]):
         point = mp.dual_from_coords(branch, np.array(diagonal + [0.0, 0.0]))
         field = mp.apply_L_adjoint(branch, point.matrix)
         assert np.all(field[:4, 0, 1] == 0.0) and np.all(field[4:, 0, 1] != 0.0)
-        for name in ("rational", "exponential"):
-            yield branch, mp.family_from_name(name), point, None, rng
+        for name in ("rational", "exponential", "weighted_rational", "weighted_exponential"):
+            yield branch, mp.family_from_name(name, sigma=branch_sigma), point, None, rng
 
 
 def test_evaluation_matches_its_einsum_formulation():
-    # m = 1 (array), 2 (state covariance and the closed form's branches) and
-    # 4 (partial trace), every family, the dual point given as coordinates, as
-    # a DualVariable and as a matrix; below the inverse families' floor both
-    # give up at the same node
+    # m = 1 (array), 2 (state covariance and the closed form's branches,
+    # weighted too) and 4 (partial trace), every family, the dual point given
+    # as coordinates, as a DualVariable and as a matrix; below the inverse
+    # families' floor both give up at the same node
     for op, family, point, below_floor, rng in _oracle_cases():
         label = "%s m=%d" % (family.kind, op.m)
         if below_floor is not None:
@@ -350,16 +355,46 @@ def test_evaluation_matches_its_einsum_formulation():
 
 
 def test_an_operator_is_freed_after_use():
-    # what the evaluation keeps per operator lives on the operator, so a CLI
-    # process that builds one operator per verdict does not grow
+    # what the evaluation keeps per operator lives on the operator, or with a
+    # weighted family only while the operator's basis lives, so a CLI process
+    # that builds one operator per verdict does not grow
     op = pr.nonequispaced_array_problem()
     moment = mp.apply_L(op, pr.two_bump_demo_density(op.grid))
-    for name in ("rational", "exponential"):
-        assert mp.solve(op, moment, mp.family_from_name(name)).status == "Converged"
+    sigma = pr.bump_mixture_density(op.grid, 1.0, bumps=((1.5, 0.4, 0.6),))
+    families = [mp.family_from_name(name, sigma=sigma) for name in
+                ("rational", "exponential", "weighted_rational", "weighted_exponential")]
+    for family in families:
+        assert mp.solve(op, moment, family).status == "Converged", family.kind
     freed = weakref.ref(op)
     del op
     gc.collect()
     assert freed() is None
+    assert all(len(family._moment_bases) == 0 for family in families)
+
+
+def test_the_moment_side_images_are_built_once_per_basis(monkeypatch):
+    # a weighted family builds X~ = phi* X phi at its first evaluation on an
+    # operator basis and reuses it on the next; another operator gets its own,
+    # and an unweighted family contracts with X itself
+    built = []
+
+    def counted(*args):
+        built.append(RangeBasis(*args))
+        return built[-1]
+
+    op, other = (pr.state_covariance_problem(
+        pr.random_state_model(n=4, m=2, seed=0),
+        mp.build_grid("interval1d", (-np.pi, np.pi), panels=8, order=4)) for _ in range(2))
+    family = mp.weighted_exponential_family(pr.random_smooth_matrix_density(op.grid, 2, seed=9))
+    monkeypatch.setattr(families_module, "RangeBasis", counted)
+    zeros = np.zeros(op.d)
+    for _ in range(2):
+        _evaluate(op, zeros, family, need_jacobian=True)
+    assert len(built) == 1 and family.moment_basis(op.basis) is built[0]
+    _evaluate(other, zeros, family, need_jacobian=True)
+    assert len(built) == 2 and family.moment_basis(other.basis) is built[1]
+    assert mp.exponential_family().moment_basis(op.basis) is op.basis
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

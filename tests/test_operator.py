@@ -58,7 +58,8 @@ def test_grid_parameter_validation():
     with pytest.raises(ValueError):
         mp.build_grid("unknown-kind", (0.0, 1.0))
     # non-finite bounds are refused before any node is computed, with no
-    # RuntimeWarning; so are non-finite weights
+    # RuntimeWarning; so are non-finite weights and nodes of a grid built
+    # directly, which herglotz_interpolant would turn into nan
     for kind, bounds in (("interval1d", (0.0, np.inf)), ("interval1d", (np.nan, 1.0)),
                          ("rectangle2d", ((0.0, 1.0), (-np.inf, 1.0)))):
         with pytest.raises(ValueError, match="grid bounds must be finite"):
@@ -66,6 +67,11 @@ def test_grid_parameter_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="weights must be finite"):
             mp.SupportGrid("discrete", np.zeros((2, 1)), np.array([1.0, bad]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for kind, nodes in (("interval1d", [[0.0], [bad]]),
+                            ("rectangle2d", [[0.0, 1.0], [bad, 0.5]])):
+            with pytest.raises(ValueError, match="grid nodes must be finite"):
+                mp.SupportGrid(kind, np.array(nodes), np.ones(2))
 
 
 def test_kernel_samples_must_be_finite():
@@ -344,6 +350,14 @@ def test_the_identity_dual_is_the_weighted_least_squares_solution(example):
                       np.linalg.norm(field, axis=(1, 2)) + np.sqrt(op.m))
     assert np.all(np.abs(pairing) <= 1e-13 * scale), np.abs(pairing / scale).max()
     assert np.allclose(eigs, np.linalg.eigvalsh(field), rtol=0.0, atol=1e-12)
+    # the solve on the real rows, weighted by sqrt(2) off the diagonal, gives
+    # the least-squares solution over the complex view of the images, which
+    # holds zero imaginary rows at m = 1 and every off-diagonal entry twice
+    root_w = np.sqrt(w)[:, None, None]
+    rows = (root_w * images).reshape(op.d, -1).view(float)
+    target = (root_w * np.eye(op.m)).astype(complex).reshape(-1).view(float)
+    want = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+    assert np.linalg.norm(coords - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------
