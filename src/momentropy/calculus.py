@@ -3,8 +3,8 @@
 All functions operate on complex arrays of shape ``(..., m, m)`` and are
 vectorised over the leading dimensions, so a field of matrices sampled on a
 grid can be processed in one call.  Every spectral function funnels through a
-single eigendecomposition routine (:func:`eigh_hermitian`) which symmetrises
-its input first; this gives the whole package one consistent policy for
+single eigendecomposition dispatch (:func:`_eigh`) which symmetrises its
+input first; this gives the whole package one consistent policy for
 numerical noise.  Fields of 1x1 matrices take a scalar path and fields of
 2x2 matrices a vectorised closed form; only ``m >= 3`` calls LAPACK.  The
 closed form takes the entries ``p, q, b`` of each matrix
@@ -82,30 +82,14 @@ def eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition after symmetrisation; the shared spectral entry point.
 
     Returns ``(w, u)`` with ascending real eigenvalues ``w`` of shape
-    ``(..., m)`` and unitary ``u`` such that ``M = u diag(w) u*``.  Inputs with
-    ``m == 1`` short-circuit to a scalar path and inputs with ``m == 2`` to a
-    closed form (:func:`_eigh_2x2`), which keeps large sampled fields of small
-    matrices cheap; larger ``m`` goes to LAPACK.
+    ``(..., m)`` and unitary ``u`` such that ``M = u diag(w) u*``.
     """
-    a = _square(np.asarray(matrix, dtype=complex))
-    if a.shape[-1] == 1:
-        w = a.real[..., 0]
-        u = np.ones_like(a)
-        return w, u
-    if a.shape[-1] == 2:
-        return _eigh_2x2(a, vectors=True)
-    return np.linalg.eigh(hermitian_part(a))
+    return _eigh(matrix, vectors=True)
 
 
 def eigvalsh_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues alone, under the same policy as :func:`eigh_hermitian`
-    and bit for bit its ``w``."""
-    a = _square(np.asarray(matrix, dtype=complex))
-    if a.shape[-1] == 1:
-        return a.real[..., 0]
-    if a.shape[-1] == 2:
-        return _eigh_2x2(a, vectors=False)
-    return np.linalg.eigvalsh(hermitian_part(a))
+    """Ascending eigenvalues alone, under the same policy as :func:`eigh_hermitian`."""
+    return _eigh(matrix, vectors=False)
 
 
 def matrix_exp(matrix: np.ndarray) -> np.ndarray:
@@ -193,6 +177,21 @@ def _frechet(u: np.ndarray, g: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return hermitian_part(u @ (g * (uh @ np.asarray(delta, dtype=complex) @ u)) @ uh)
 
 
+def _eigh(matrix: np.ndarray, vectors: bool):
+    """:func:`eigh_hermitian`, or its ``w`` alone unless ``vectors``.  m = 1
+    takes a scalar path and m = 2 a closed form (:func:`_eigh_2x2`), which keep
+    large fields of small matrices cheap and give the same ``w`` bit for bit
+    either way; larger m goes to LAPACK, whose two routines may differ in the
+    last bits of ``w``."""
+    a = _square(np.asarray(matrix, dtype=complex))
+    if a.shape[-1] == 1:
+        return (a.real[..., 0], np.ones_like(a)) if vectors else a.real[..., 0]
+    if a.shape[-1] == 2:
+        return _eigh_2x2(a, vectors)
+    a = hermitian_part(a)
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+
+
 def _eigh_2x2(a: np.ndarray, vectors: bool):
     """Closed-form eigendecomposition of the Hermitian part of 2x2 stacks:
     :func:`_eigh_2x2_entries` on its diagonal and on ``b``, the mean of
@@ -202,7 +201,7 @@ def _eigh_2x2(a: np.ndarray, vectors: bool):
     parts = _eigh_2x2_entries(a[..., 0, 0].real, a[..., 1, 1].real, b, vectors)
     if not vectors:
         return parts
-    w, c, s, phase = parts
+    w, (c, s, phase) = parts
     u = np.empty(a.shape, dtype=complex)
     u[..., 0, 0] = c * phase
     u[..., 0, 1] = s * phase
@@ -225,7 +224,7 @@ def _eigh_2x2_entries(p: np.ndarray, q: np.ndarray, b: np.ndarray, vectors: bool
     Where ``b = 0`` the eigenvalues are ``p`` and ``q`` exactly and ``u`` is
     the identity or the swap ``[[0, 1], [-1, 0]]``; coincident eigenvalues
     (``r = 0``) are such a case and get the identity.  Returns ``w`` of shape
-    (..., 2) alone unless ``vectors``, else ``(w, c, s, e)``.
+    (..., 2) alone unless ``vectors``, else ``(w, (c, s, e))``.
     """
     b_abs = np.abs(b)
     half_gap = 0.5 * (q - p)
@@ -240,7 +239,7 @@ def _eigh_2x2_entries(p: np.ndarray, q: np.ndarray, b: np.ndarray, vectors: bool
     c = np.where(diagonal, half_gap >= 0.0, np.cos(angle))
     s = np.where(diagonal, half_gap < 0.0, np.sin(angle))
     phase = np.divide(b, b_abs, out=np.ones_like(b), where=~diagonal)
-    return w, c, s, phase
+    return w, (c, s, phase)
 
 
 def _real_entries(field: np.ndarray) -> np.ndarray:

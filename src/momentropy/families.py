@@ -20,18 +20,21 @@ families extremise a Burg-type entropy and require ``lam`` to stay strictly
 dual-feasible; the exponential families are defined for every ``lam`` and
 extremise von Neumann / relative entropies.
 
-Every family evaluates with one formula, since only the moment side sees the
-weight: the field contracts with the adjoint images ``X_i = L*(E_i)`` of the
-range basis, and the moment coordinates ``sum_n w_n Re tr(X~_i f(M))`` with
-``X~_i = phi* X_i phi`` (``X~ = X`` without a weight; ``Family.moment_basis``).
-``flow_jacobian``, the true Frechet derivative of ``h_map`` in range
-coordinates that the continuation solver inverts, is ``-Z Y^T``, with ``Z``
-built from ``X~`` by the coefficients that build ``Y`` from ``X``.  So it is
-symmetric only where ``X~ = X`` (the unweighted families, where ``Z`` is
-``Y``) or at m = 1 (``X~ = |phi|^2 X``), and there negative definite where
-``g > 0`` at every node, as L* is injective on the range.  The weighted
-families' Jacobian at m > 1 is not symmetric, and its symmetric part can be
-indefinite inside the feasible set.
+An evaluation decides the shape once for every m: ``M = A``, ``-A`` or
+``log sigma - A`` as ``u diag(mu) u*``, ``f(mu) = 1/mu`` or ``e^mu / e``, and
+``min eig A``.  The layout, chosen by m, holds the field, built from the
+adjoint images ``X_i = L*(E_i)`` of the range basis, and the contractions.
+Only the moment side sees the weight: every family's moment coordinates are
+``sum_n w_n Re tr(X~_i f(M))`` with ``X~_i = phi* X_i phi`` (``X~ = X``
+without a weight; ``Family.moment_basis``), and ``flow_jacobian``, the true
+Frechet derivative of ``h_map`` in range coordinates that the continuation
+solver inverts, is ``-Z Y^T``, with ``Z`` built from ``X~`` by the
+coefficients that build ``Y`` from ``X``.  So it is symmetric only where
+``X~ = X`` (the unweighted families, where ``Z`` is ``Y``) or at m = 1
+(``X~ = |phi|^2 X``), and there negative definite where ``g > 0`` at every
+node, as L* is injective on the range.  The weighted families' Jacobian at
+m > 1 is not symmetric, and its symmetric part can be indefinite inside the
+feasible set.
 
 Fields of m <= 2 are evaluated in real arithmetic, on the real rows
 ``RangeBasis.real_adjoint`` of ``X`` and ``X~``, which determine the
@@ -69,8 +72,9 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .calculus import (
-    _check_positive, _divided_difference_exp, _eigh_2x2_entries, _expm1_quotient, _real_entries,
-    _rebuild, _sampled_field, eigh_hermitian, eigvalsh_hermitian, hermitian_part, matrix_log,
+    _check_positive, _divided_difference_exp, _eigh, _eigh_2x2_entries, _expm1_quotient,
+    _real_entries, _rebuild, _sampled_field, eigh_hermitian, eigvalsh_hermitian, hermitian_part,
+    matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
 from .operator import _check_dual_floor, MomentOperator, DualVariable, RangeBasis, dual_from_coords
@@ -108,10 +112,10 @@ class Family:
         return moment
 
     @cached_property
-    def log_sigma_rows(self) -> np.ndarray:
+    def log_sigma_rows(self) -> np.ndarray | None:
         """``log_sigma`` as real rows (m*m, N), the layout of the real m <= 2
         evaluations (:func:`calculus._real_entries`); built on first use."""
-        return _real_entries(self.log_sigma)
+        return None if self.log_sigma is None else _real_entries(self.log_sigma)
 
     @cached_property
     def reference_log(self) -> np.ndarray | None:
@@ -277,90 +281,65 @@ class _PointEval(NamedTuple):
 
 
 def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = False) -> _PointEval:
-    # Both shapes are rho = phi f(M) phi* with M = u diag(mu) u*: f(mu) = 1/mu
-    # on M = A, or f(mu) = e^mu / e on M = log sigma - A.  The derivative of
-    # f(M) multiplies entrywise by the divided differences of f in the
-    # eigenbasis of M, so the flow Jacobian is
+    # rho = phi f(M) phi* with M = u diag(mu) u*.  The derivative of f(M)
+    # multiplies entrywise by the divided differences of f in the eigenbasis
+    # of M, so the flow Jacobian is
     #     J_ij = -sum_n w_n Re <u* X~_i u, g (u* X_j u)>,   X~_i = phi* X_i phi,
     # with g_ab = f_a f_b (minus the divided difference of 1/mu) for the
     # inverse shape and the divided difference of e^mu / e for the exponential.
     # g is held by its square root, which stays in range for any kernel size
     # where g itself (f^2 for the inverse shape) would under- or overflow.
+    # m picks the layout: X, X~, the field A = L*(lam), its decomposer and the
+    # contraction, which gives the density, h and the Jacobian's row map on
+    # request.  The shape is decided once below, the same for every m.
     coords = _dual_coords(op, lam)
     moment = family.moment_basis(op.basis)
     if op.m == 1:
-        return _evaluate_scalar(op, coords, family, moment, need_jacobian)
-    if op.m == 2:
-        return _evaluate_2x2(op, coords, family, moment, need_jacobian)
-    x, x_moment = op.adjoint_basis, moment.adjoint
-    a_field = _adjoint_field(coords, x)
-    if family.is_inverse_kind:
-        eigs_a, u = eigh_hermitian(a_field)
-        min_eig = _check_dual_floor(eigs_a)
-        f = 1.0 / eigs_a
-        if need_jacobian:
-            root_f = np.sqrt(f)
-            root_g = root_f[:, :, None] * root_f[:, None, :]
+        # the one row of X, and of X~ only where it differs, so that Z is Y
+        x = op.basis.real_adjoint[:, 0]
+        x_moment = x if moment is op.basis else moment.real_adjoint[:, 0]
+        a, decompose, contract = (coords @ x)[None], _eigh_rows, _contract_scalar
+    elif op.m == 2:
+        x, x_moment = op.basis.real_adjoint, moment.real_adjoint
+        a, decompose, contract = _adjoint_field(coords, x), _eigh_rows, _contract_2x2
     else:
-        exponent = -a_field if family.log_sigma is None else family.log_sigma - a_field
-        mu, u = eigh_hermitian(exponent)
-        min_eig = float(-mu.max() if family.log_sigma is None
-                        else eigvalsh_hermitian(a_field).min())
-        f = np.exp(mu) / np.e
-        if need_jacobian:
-            root_g = np.sqrt(_divided_difference_exp(mu) / np.e)
-
-    w = op.grid.weights[:, None, None]
-    core = _rebuild(f, u)
-    h_coords = _real_rows(x_moment) @ (w * core).reshape(-1).view(float)
-
-    jac = None
-    if need_jacobian:
-        scale = np.sqrt(w) * root_g
-        jac = _jacobian(lambda r: _real_rows(_basis_congruence(u, r, scale)), x, x_moment)
-    return _PointEval(lambda: core, h_coords, jac, min_eig, family)
-
-
-def _evaluate_scalar(op: MomentOperator, coords: np.ndarray, family: Family,
-                     moment: RangeBasis, need_jacobian: bool) -> _PointEval:
-    # The m = 1 formulas of the module docstring, with
-    # sqrt(g) = f (inverse shape) or sqrt(f) (exponential shape).
-    x = op.basis.real_adjoint[:, 0]
-    x_moment = x if moment is op.basis else moment.real_adjoint[:, 0]
-    a = coords @ x
-    if family.is_inverse_kind:
-        min_eig = _check_dual_floor(a[:, None])
-        f = 1.0 / a
-    else:
-        exponent = -a if family.log_sigma is None else family.log_sigma_rows[0] - a
-        min_eig = float(a.min())
-        f = np.exp(exponent) / np.e
-    w = op.grid.weights
-    h_coords = x_moment @ (w * f)
-
-    jac = None
-    if need_jacobian:
-        scale = np.sqrt(w) * (f if family.is_inverse_kind else np.sqrt(f))
-        jac = _jacobian(lambda r: r * scale, x, x_moment)
-    return _PointEval(lambda: f.astype(complex)[:, None, None], h_coords, jac, min_eig, family)
-
-
-def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
-                  moment: RangeBasis, need_jacobian: bool) -> _PointEval:
-    # The m = 2 formulas of the module docstring, on the real rows
-    # (p, q, Re b, Im b) of the images X and X~.
-    x, x_moment = op.basis.real_adjoint, moment.real_adjoint
-    a = _adjoint_field(coords, x)
-    if family.is_inverse_kind:
-        mu, c, s, e = _eigh_2x2_rows(a, vectors=True)
+        x, x_moment = op.adjoint_basis, moment.adjoint
+        a, decompose, contract = _adjoint_field(coords, x), _eigh, _contract_stack
+    inverse = family.is_inverse_kind
+    if inverse:
+        mu, u = decompose(a, True)
         min_eig = _check_dual_floor(mu)
         f = 1.0 / mu
     else:
-        exponent = -a if family.log_sigma is None else family.log_sigma_rows - a
-        mu, c, s, e = _eigh_2x2_rows(exponent, vectors=True)
-        min_eig = float(-mu.max() if family.log_sigma is None
-                        else _eigh_2x2_rows(a, vectors=False).min())
+        log_sigma = family.log_sigma if op.m > 2 else family.log_sigma_rows
+        mu, u = decompose(-a if log_sigma is None else log_sigma - a, True)
+        min_eig = float(-mu.max() if log_sigma is None else decompose(a, False).min())
         f = np.exp(mu) / np.e
+    core, h_coords, jacobian_rows = contract(op, x_moment, mu, u, f, inverse)
+    jac = None
+    if need_jacobian:
+        # -Z Y^T with Y = rows(X) and Z = rows(X~), so Z is Y where X~ is X
+        rows = jacobian_rows()
+        y = rows(x)
+        jac = -((y if x_moment is x else rows(x_moment)) @ y.T)
+    return _PointEval(core, h_coords, jac, min_eig, family)
+
+
+def _contract_scalar(op, x_moment, mu, u, f, inverse):
+    # The m = 1 formulas of the module docstring, with
+    # sqrt(g) = f (inverse shape) or sqrt(f) (exponential shape).
+    f, w = f[:, 0], op.grid.weights
+
+    def jacobian_rows():
+        scale = np.sqrt(w) * (f if inverse else np.sqrt(f))
+        return lambda r: r * scale
+    return lambda: f.astype(complex)[:, None, None], x_moment @ (w * f), jacobian_rows
+
+
+def _contract_2x2(op, x_moment, mu, u, f, inverse):
+    # The m = 2 formulas of the module docstring, on the real rows
+    # (p, q, Re b, Im b) of the images X and X~.
+    c, s, e = u
     f0, f1 = f[:, 0], f[:, 1]
     cc, ss, cs = c * c, s * s, c * s
     w = op.grid.weights
@@ -376,10 +355,9 @@ def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
         out[:, 1, 0] = np.conj(off)
         return out
 
-    jac = None
-    if need_jacobian:
+    def jacobian_rows():
         root_f = np.sqrt(f)
-        if family.is_inverse_kind:
+        if inverse:
             root_g = (f0, f1, root_f[:, 0] * root_f[:, 1])
         else:
             root_g = (root_f[:, 0], root_f[:, 1],
@@ -401,18 +379,32 @@ def _evaluate_2x2(op: MomentOperator, coords: np.ndarray, family: Family,
         t[0] *= root_w * root_g[0]
         t[1] *= root_w * root_g[1]
         t[2:] *= np.sqrt(2.0 * w) * root_g[2]
-        jac = _jacobian(lambda r: _real_rows(np.einsum("kjn,ijn->ikn", t, r)), x, x_moment)
-    return _PointEval(core, h_coords, jac, min_eig, family)
+        return lambda r: _real_rows(np.einsum("kjn,ijn->ikn", t, r))
+    return core, h_coords, jacobian_rows
 
 
-def _jacobian(rows: Callable, x: np.ndarray, x_moment: np.ndarray) -> np.ndarray:
-    # -Z Y^T with Y = rows(X) and Z = rows(X~), so Z is Y where X~ is X
-    y = rows(x)
-    return -((y if x_moment is x else rows(x_moment)) @ y.T)
+def _contract_stack(op, x_moment, mu, u, f, inverse):
+    # m >= 3: the density and the congruence of every image by u as complex stacks
+    w = op.grid.weights[:, None, None]
+    core = _rebuild(f, u)
+    h_coords = _real_rows(x_moment) @ (w * core).reshape(-1).view(float)
+
+    def jacobian_rows():
+        if inverse:
+            root_f = np.sqrt(f)
+            root_g = root_f[:, :, None] * root_f[:, None, :]
+        else:
+            root_g = np.sqrt(_divided_difference_exp(mu) / np.e)
+        scale = np.sqrt(w) * root_g
+        return lambda r: _real_rows(_basis_congruence(u, r, scale))
+    return lambda: core, h_coords, jacobian_rows
 
 
-def _eigh_2x2_rows(rows: np.ndarray, vectors: bool):
-    # the closed form on a field given as real rows (p, q, Re b, Im b)
+def _eigh_rows(rows: np.ndarray, vectors: bool):
+    # Decomposer of the real rows (m*m, N), m <= 2: eigenvalues (N, m) and u,
+    # None at m = 1, and (c, s, e) of the closed form on (p, q, Re b, Im b) at m = 2
+    if len(rows) == 1:
+        return (rows.T, None) if vectors else rows.T
     b = np.ascontiguousarray(rows[2:].T).view(complex)[:, 0]
     return _eigh_2x2_entries(rows[0], rows[1], b, vectors)
 
@@ -434,7 +426,7 @@ def _dual_coords(op: MomentOperator, lam) -> np.ndarray:
     if lam.ndim != 1:
         # L* vanishes on the orthogonal complement of the range
         lam = op.basis.coords_of(lam)
-    return lam.astype(float)
+    return np.asarray(lam, dtype=float)
 
 
 def _adjoint_field(coords: np.ndarray, images: np.ndarray) -> np.ndarray:

@@ -181,7 +181,7 @@ class LoadedProblem:
 
     operator: MomentOperator
     moment: np.ndarray
-    rho_true_path: str | None = None
+    rho_true_path: Path | None = None
 
 
 def grid_to_obj(grid: SupportGrid) -> dict:

@@ -176,12 +176,10 @@ def dual_from_matrix(op: MomentOperator, matrix: np.ndarray) -> DualVariable:
     relative residual above 1e-10 signals a malformed input rather than
     information worth keeping.
     """
-    coords, residual = project_to_range(op, matrix)
-    scale = max(float(np.linalg.norm(matrix)), 1e-300)
-    if residual > _DUAL_RANGE_RTOL * scale:
-        raise ValueError(
-            "matrix lies outside the range subspace (relative residual %.3e)" % (residual / scale)
-        )
+    coords = op.basis.coords_of(matrix)
+    defect = _range_defect(op, matrix)
+    if not defect <= _DUAL_RANGE_RTOL:
+        raise ValueError("matrix lies outside the range subspace (relative residual %.3e)" % defect)
     return DualVariable(coords, op.basis.assemble(coords))
 
 
@@ -258,6 +256,16 @@ def project_to_range(op: MomentOperator, matrix: np.ndarray) -> tuple[np.ndarray
     recon = op.basis.assemble(coords)
     residual = float(np.linalg.norm(np.asarray(matrix, dtype=complex) - recon))
     return coords, residual
+
+
+def _range_defect(op: MomentOperator, matrix: np.ndarray) -> float:
+    """Relative residual ||M - P M|| / ||M|| of the projection P onto the range
+    (0 at M = 0), after M is scaled by the exact power of two that brings its
+    largest part into [0.5, 1), so that neither norm under- or overflows."""
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
+    peak = np.abs(parts).max(initial=0.0)
+    unit = np.ldexp(parts, -np.frexp(peak)[1]).view(complex)
+    return project_to_range(op, unit)[1] / float(np.linalg.norm(unit)) if peak else 0.0
 
 
 def is_dual_feasible(op: MomentOperator, lam) -> tuple[bool, float]:

@@ -292,12 +292,12 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     if start is not None and not np.isfinite(start.coords).all():
         raise ValueError("start has non-finite coordinates")
 
-    r_coords, residual = project_to_range(op, moment)
-    scale = max(float(np.linalg.norm(moment)), 1e-300)
-    if residual > _RANGE_RESIDUAL_TOL * scale:
+    r_coords, _residual = project_to_range(op, moment)
+    defect = _operator._range_defect(op, moment)
+    if defect > _RANGE_RESIDUAL_TOL:
         return _finalise(op, family, STATUS_NOT_IN_RANGE, np.zeros(op.d), None, float("nan"), [],
                          "moment lies outside the operator range "
-                         "(relative residual %.3e)" % (residual / scale))
+                         "(relative residual %.3e)" % defect)
 
     x = start.coords.copy() if start is not None else default_dual_start(op, family).coords
     # lam_I and a_I = min eig L*(lam_I), the same for every family and start

@@ -207,6 +207,21 @@ def test_a_stalled_run_exits_inconclusive(array_bundle, tmp_path):
     assert r2.stdout == "inconclusive (exponential family, status Inconclusive)\n"
 
 
+def test_a_tiny_moment_outside_the_range_is_an_input_error(array_bundle, tmp_path):
+    # at 1e-300 the squares in the range test's norms would underflow to 0
+    problem = json.loads((array_bundle / "problem.json").read_text())
+    moment = fm.load_problem(array_bundle / "problem.json").moment.copy()
+    moment[0, 1] += 0.5j
+    moment[1, 0] += 0.5j
+    problem["moment"] = fm.matrix_to_obj(1e-300 * moment)
+    problem.pop("rho_true", None)
+    path = tmp_path / "off_range.json"
+    path.write_text(fm.dumps_canonical(problem))
+    r = _run("solve", "--problem", str(path), "--family", "exponential")
+    assert r.returncode == 3, r.stderr
+    assert json.loads(r.stdout)["status"] == "NotInRange"
+
+
 def test_config_file_merging_and_flag_priority(array_bundle, tmp_path):
     # the array target is not a multiple of the default start's moment, so a
     # run takes steps and meets a short horizon first

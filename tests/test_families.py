@@ -276,11 +276,19 @@ def _oracle_cases():
     statecov = pr.state_covariance_problem(
         pr.random_state_model(n=4, m=2, seed=0),
         mp.build_grid("interval1d", (-np.pi, np.pi), panels=8, order=4))
+    # m = 3: the complex path at an odd m, where the inverse families evaluate;
+    # its points come from a generator of its own, which leaves the other
+    # cases' draws alone
+    statecov3 = pr.state_covariance_problem(
+        pr.random_state_model(n=4, m=3, seed=0),
+        mp.build_grid("interval1d", (-np.pi, np.pi), panels=8, order=4))
     ptrace = pr.partial_trace_problem(2, 2)
     raw = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
     ptrace_sigma = raw @ np.conj(raw).swapaxes(1, 2) + 0.5 * np.eye(4)
-    for op, sigma in ((pr.nonequispaced_array_problem(), None), (statecov, None),
-                      (ptrace, ptrace_sigma)):
+    for op, sigma, case_rng in ((pr.nonequispaced_array_problem(), None, rng),
+                                (statecov, None, rng),
+                                (statecov3, None, np.random.default_rng(6)),
+                                (ptrace, ptrace_sigma, rng)):
         if sigma is None:
             sigma = pr.random_smooth_matrix_density(op.grid, op.m, seed=9)
         for name in mp.FAMILY_KINDS:
@@ -289,7 +297,7 @@ def _oracle_cases():
             # lam, so an inverse family gives up there
             below_floor = mp.dual_from_matrix(op, np.eye(2, dtype=complex)) \
                 if family.is_inverse_kind and op.m == 4 else None
-            yield op, family, None, below_floor, rng
+            yield op, family, None, below_floor, case_rng
     # an outer factor that is not Hermitian: rho = phi A^-1 phi*, which differs
     # from the sigma^(1/2) weighting of the same sigma = phi phi* at m > 1
     noise = rng.standard_normal((statecov.node_count, 2, 2)) \
@@ -327,9 +335,9 @@ def _oracle_cases():
 
 def test_evaluation_matches_its_einsum_formulation():
     # m = 1 (array), 2 (state covariance and the closed form's branches,
-    # weighted too) and 4 (partial trace), every family, the dual point given
-    # as coordinates, as a DualVariable and as a matrix; below the inverse
-    # families' floor both give up at the same node
+    # weighted too), 3 (state covariance) and 4 (partial trace), every
+    # family, the dual point given as coordinates, as a DualVariable and as a
+    # matrix; below the inverse families' floor both give up at the same node
     for op, family, point, below_floor, rng in _oracle_cases():
         label = "%s m=%d" % (family.kind, op.m)
         if below_floor is not None:

@@ -298,10 +298,15 @@ def test_dual_from_matrix_requires_range_membership(array_problem, rng):
     y = raw + raw.conj().T
     coords, resid = mp.project_to_range(op, y)
     assert resid > 1e-6  # generic Hermitian matrices are not in the range
-    with pytest.raises(ValueError):
-        mp.dual_from_matrix(op, y)
-    lam = mp.dual_from_matrix(op, op.basis.assemble(coords))
-    assert np.allclose(lam.coords, coords, rtol=0, atol=1e-12)
+    inside = op.basis.assemble(coords)
+    # also where the squares in the Frobenius norms underflow
+    for size in (1.0, 1e-170, 1e-300):
+        with pytest.raises(ValueError, match="outside the range"):
+            mp.dual_from_matrix(op, size * y)
+        lam = mp.dual_from_matrix(op, size * inside)
+        assert np.allclose(lam.coords, size * coords, rtol=0, atol=1e-12 * size)
+    with pytest.raises(ValueError, match="outside the range"):
+        mp.dual_from_matrix(op, np.full_like(y, np.nan))
 
 
 def test_moment_functional_matches_trace_pairing(array_problem, rng):

@@ -70,6 +70,22 @@ def test_moment_outside_the_range_is_rejected(array_problem, rng):
                 report.fitted_V_slope) == (None,) * 6
 
 
+@pytest.mark.parametrize("size", [1.0, 1e-170, 1e-200, 1e-300])
+def test_a_moment_outside_the_range_is_rejected_at_any_size(size):
+    # the array example's target with 0.5i added at (0, 1) and (1, 0), which
+    # is not Hermitian; below about 1e-162 the squares in both Frobenius norms
+    # of the relative residual underflow to 0, so R is scaled to order 1 first
+    op, _kernels, moment, _rho = fm.example_problem("nonequispaced-array")
+    bad = moment.copy()
+    bad[0, 1] += 0.5j
+    bad[1, 0] += 0.5j
+    for name in ("rational", "exponential"):
+        for solver in (mp.solve, mp.solve_tau):
+            report = solver(op, size * bad, mp.family_from_name(name))
+            assert report.status == STATUS_NOT_IN_RANGE, (name, solver.__name__, report.message)
+            assert report.message.endswith("(relative residual 1.272e-01)"), report.message
+
+
 def test_inverse_families_need_override_on_two_dimensional_support():
     op2 = pr.grid2d_problem(1, mp.build_grid(
         "rectangle2d", ((0.0, np.pi), (0.0, np.pi)), panels=6, order=3))
