@@ -13,7 +13,8 @@ given as real rows through the same formula, without a complex stack.  Every
 positive-definiteness test in the package compares eigenvalues with its
 floor through :func:`_check_positive`, which names the node of a field that
 fails, and every density, sigma or phi that enters it passes
-:func:`_sampled_field`.
+:func:`_sampled_field`.  Every matrix norm outside a solver run is
+:func:`_norm`, which scales by a power of two first and so holds at any size.
 
 The two central operations are the order-scrambled product
 
@@ -64,13 +65,12 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
 def as_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate that ``matrix`` is Hermitian and symmetrise it.
 
-    The defect ||M - M*||_F must not exceed ``1e-12 * ||M||_F`` (per batch
-    entry); otherwise the input is rejected rather than silently repaired.
+    The defect ||M - M*||_F must not exceed ``1e-12 * ||M||_F`` per batch
+    entry, at any size of M; otherwise it is rejected, not silently repaired.
     """
     a = _square(np.asarray(matrix, dtype=complex))
-    defect = np.sqrt(np.sum(np.abs(a - np.conj(np.swapaxes(a, -1, -2))) ** 2, axis=(-2, -1)))
-    scale = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
-    if np.any(defect > _HERMITIAN_RTOL * np.maximum(scale, 1e-300)):
+    defect = _norm(a - np.conj(np.swapaxes(a, -1, -2)), (-2, -1))
+    if np.any(defect > _HERMITIAN_RTOL * _norm(a, (-2, -1))):
         raise ValueError(
             "matrix is not Hermitian: defect %.3e exceeds %.1e relative"
             % (float(np.max(defect)), _HERMITIAN_RTOL)
@@ -253,6 +253,32 @@ def _real_entries(field: np.ndarray) -> np.ndarray:
     rows = np.concatenate((np.diagonal(field, axis1=-2, axis2=-1).real, upper.real, upper.imag),
                           axis=-1)
     return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+
+
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    # A C-contiguous stack of d arrays as d flat real rows.  A complex stack
+    # (d, N, m, m) has its real and imaginary parts interleaved, so that
+    # Re tr(X* Y) is the dot product of two rows over the flattened
+    # (node, a, b) axis; for Hermitian X it is Re tr(X Y).
+    return a.reshape(a.shape[0], -1).view(float)
+
+
+def _adjoint_field(coords: np.ndarray, images: np.ndarray) -> np.ndarray:
+    # L* is linear and its images of the range basis are cached on the
+    # operator, as the complex stack (d, N, m, m) or the real rows
+    # (d, m*m, N); the field comes in the same layout
+    return (coords @ _real_rows(images)).view(images.dtype).reshape(images.shape[1:])
+
+
+def _norm(a: np.ndarray, axes: tuple[int, ...] | None = None):
+    """Frobenius norm of ``a``, or of each batch entry over ``axes``, taken
+    on ``a`` scaled by the exact power of two that brings its largest real or
+    imaginary part into [0.5, 1): no square under- or overflows at any size."""
+    # the float view doubles the last axis only, so ``axes`` still picks the entries
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    exp = np.frexp(np.abs(parts).max(axis=axes, keepdims=True, initial=0.0))[1]
+    unit = np.ldexp(parts, -exp)
+    return np.ldexp(np.sqrt(np.sum(unit * unit, axis=axes)), np.squeeze(exp, axis=axes))
 
 
 def _square(a: np.ndarray) -> np.ndarray:

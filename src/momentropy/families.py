@@ -72,9 +72,9 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .calculus import (
-    _check_positive, _divided_difference_exp, _eigh, _eigh_2x2_entries, _expm1_quotient,
-    _real_entries, _rebuild, _sampled_field, eigh_hermitian, eigvalsh_hermitian, hermitian_part,
-    matrix_log,
+    _adjoint_field, _check_positive, _divided_difference_exp, _eigh, _eigh_2x2_entries,
+    _expm1_quotient, _real_entries, _real_rows, _rebuild, _sampled_field, eigh_hermitian,
+    eigvalsh_hermitian, hermitian_part, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
 from .operator import _check_dual_floor, MomentOperator, DualVariable, RangeBasis, dual_from_coords
@@ -409,14 +409,6 @@ def _eigh_rows(rows: np.ndarray, vectors: bool):
     return _eigh_2x2_entries(rows[0], rows[1], b, vectors)
 
 
-def _real_rows(a: np.ndarray) -> np.ndarray:
-    # A C-contiguous stack of d arrays as d flat real rows.  A complex stack
-    # (d, N, m, m) has its real and imaginary parts interleaved, so that
-    # Re tr(X* Y) is the dot product of two rows over the flattened
-    # (node, a, b) axis; for Hermitian X it is Re tr(X Y).
-    return a.reshape(a.shape[0], -1).view(float)
-
-
 def _dual_coords(op: MomentOperator, lam) -> np.ndarray:
     """Range coordinates of a dual point given as coordinates, a
     :class:`DualVariable` or a matrix."""
@@ -427,13 +419,6 @@ def _dual_coords(op: MomentOperator, lam) -> np.ndarray:
         # L* vanishes on the orthogonal complement of the range
         lam = op.basis.coords_of(lam)
     return np.asarray(lam, dtype=float)
-
-
-def _adjoint_field(coords: np.ndarray, images: np.ndarray) -> np.ndarray:
-    # L* is linear and its images of the range basis are cached on the
-    # operator, as the complex stack (d, N, m, m) or the real rows
-    # (d, m*m, N); the field comes in the same layout
-    return (coords @ _real_rows(images)).view(images.dtype).reshape(images.shape[1:])
 
 
 def _basis_congruence(v: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:

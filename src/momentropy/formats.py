@@ -29,6 +29,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +106,21 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in obj["data"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # overflow: a 400-digit int
         raise ValueError("malformed matrix object: needs rows/cols and [re, im] data") from exc
+    _refuse_booleans([obj["data"]])
     rows, cols = _value(obj, "rows", "an integer"), _value(obj, "cols", "an integer")
     if flat.size != rows * cols:
         raise ValueError("matrix data length %d does not match %d x %d" % (flat.size, rows, cols))
     if not np.all(np.isfinite(flat)):
         raise ValueError("matrix data holds non-finite entries")
     return flat.reshape(rows, cols)
+
+
+def _refuse_booleans(datas: list) -> None:
+    """ValueError if the [re, im] pairs of any matrix data in ``datas`` hold
+    JSON true or false, which complex() and numpy would read as 1 and 0; one
+    pass over the entries, as numpy's dtype cannot tell [true, 0] from [1, 0]."""
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(datas)))):
+        raise ValueError("matrix data must be numbers, not true or false")
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +318,11 @@ def _matrix_stack(objs: list) -> np.ndarray:
     """Matrix objects of one shape as an (N, rows, cols) array, from one array
     conversion of all their data.  Anything else (a malformed object, data
     that are not all numbers, mixed shapes, non-finite entries) is read
-    matrix by matrix with :func:`matrix_from_obj`, whose error it gives."""
+    matrix by matrix with :func:`matrix_from_obj`, whose error it gives;
+    true and false get the same error on both paths."""
     try:
-        data = np.array([o["data"] for o in objs])
+        datas = [o["data"] for o in objs]
+        data = np.array(datas)
         # with their types, as 2 and 2.0 are one element of a set
         shapes = {(o["rows"], o["cols"], type(o["rows"]), type(o["cols"])) for o in objs}
     except (KeyError, TypeError, ValueError):
@@ -321,6 +333,7 @@ def _matrix_stack(objs: list) -> np.ndarray:
         (rows, cols, *types), = shapes
         if (types == [int, int] and rows > 0 and rows * cols == data.shape[1]
                 and np.isfinite(data).all()):
+            _refuse_booleans(datas)
             return data.astype(float).view(complex).reshape(len(objs), rows, cols)
     return np.stack([matrix_from_obj(o) for o in objs])
 

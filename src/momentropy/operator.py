@@ -32,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import (
-    _check_positive, _real_entries, _sampled_field, eigvalsh_hermitian, hermitian_part, matrix_log,
-    trace_inner,
+    _adjoint_field, _check_positive, _norm, _real_entries, _sampled_field, eigvalsh_hermitian,
+    hermitian_part, matrix_log, trace_inner,
 )
 from .errors import PositivityError
 from .grid import SupportGrid
@@ -176,8 +176,9 @@ def dual_from_matrix(op: MomentOperator, matrix: np.ndarray) -> DualVariable:
     relative residual above 1e-10 signals a malformed input rather than
     information worth keeping.
     """
-    coords = op.basis.coords_of(matrix)
-    defect = _range_defect(op, matrix)
+    coords, residual = project_to_range(op, matrix)
+    size = _norm(matrix)
+    defect = residual / size if size else 0.0
     if not defect <= _DUAL_RANGE_RTOL:
         raise ValueError("matrix lies outside the range subspace (relative residual %.3e)" % defect)
     return DualVariable(coords, op.basis.assemble(coords))
@@ -251,21 +252,11 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def project_to_range(op: MomentOperator, matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coordinates of the projection onto the range basis and the residual norm."""
+    """Coordinates of the projection onto the range basis and the residual's
+    Frobenius norm, which holds at any size (:func:`calculus._norm`)."""
     coords = op.basis.coords_of(matrix)
-    recon = op.basis.assemble(coords)
-    residual = float(np.linalg.norm(np.asarray(matrix, dtype=complex) - recon))
+    residual = float(_norm(np.asarray(matrix, dtype=complex) - op.basis.assemble(coords)))
     return coords, residual
-
-
-def _range_defect(op: MomentOperator, matrix: np.ndarray) -> float:
-    """Relative residual ||M - P M|| / ||M|| of the projection P onto the range
-    (0 at M = 0), after M is scaled by the exact power of two that brings its
-    largest part into [0.5, 1), so that neither norm under- or overflows."""
-    parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
-    peak = np.abs(parts).max(initial=0.0)
-    unit = np.ldexp(parts, -np.frexp(peak)[1]).view(complex)
-    return project_to_range(op, unit)[1] / float(np.linalg.norm(unit)) if peak else 0.0
 
 
 def is_dual_feasible(op: MomentOperator, lam) -> tuple[bool, float]:
@@ -342,14 +333,12 @@ def _solve_identity_dual(op: MomentOperator) -> tuple[np.ndarray, np.ndarray]:
     diagonal.  It never forms their Gram matrix (entries of the kernels'
     fourth power) and so needs no scaling for any kernel size.
     """
-    x = op.adjoint_basis
     diagonal = np.arange(op.m * op.m)[:, None] < op.m
     scale = np.sqrt(np.where(diagonal, 1.0, 2.0) * op.grid.weights)
     rows = (scale * op.basis.real_adjoint).reshape(op.d, -1)
     coords = np.linalg.lstsq(rows.T, (scale * diagonal).reshape(-1), rcond=None)[0]
     coords.flags.writeable = False
-    field = (coords @ x.reshape(op.d, -1).view(float)).view(complex).reshape(x.shape[1:])
-    return coords, eigvalsh_hermitian(field)
+    return coords, eigvalsh_hermitian(_adjoint_field(coords, op.adjoint_basis))
 
 
 def _adjoint_of_stack(kernels: KernelSamples, elements: np.ndarray) -> np.ndarray:

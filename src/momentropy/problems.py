@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _check_positive, _sampled_field, eigvalsh_hermitian, hermitian_part
+from .calculus import _check_positive, _norm, _sampled_field, eigvalsh_hermitian, hermitian_part
 from .grid import SupportGrid, build_grid, discrete_grid
 from .operator import MomentOperator, build_operator, kernel_samples
 
@@ -264,7 +264,7 @@ class StateCovarianceCheck:
     ``block_rank`` is the numerical rank of [[R - A R A*, B], [B*, 0]]; the
     rank condition holds when it equals 2 m.  ``h_factor`` is the least-squares
     solution H of the displacement equation R - A R A* = B H + H* B*, and
-    ``displacement_residual`` that equation's absolute residual.
+    ``displacement_residual`` the Frobenius norm of that equation's residual.
     """
 
     block_rank: int
@@ -287,7 +287,7 @@ def validate_state_covariance(moment: np.ndarray, model: StateSpaceModel) -> Sta
     rank = _numerical_rank(block)
 
     h = _solve_displacement(s, model.b)
-    residual = float(np.linalg.norm(model.b @ h + np.conj(h.T) @ np.conj(model.b.T) - s))
+    residual = float(_norm(model.b @ h + np.conj(h.T) @ np.conj(model.b.T) - s))
     return StateCovarianceCheck(rank, rank == 2 * m, h, residual)
 
 
@@ -362,9 +362,7 @@ def feedback_spectral_factor(model: StateSpaceModel, grid: SupportGrid,
                     "lam not dual-feasible: closed-loop adjoint field singular")
     lhs = phi @ np.linalg.inv(adj) @ np.conj(phi).swapaxes(1, 2)
     rhs = np.linalg.inv(adj_o)
-    num = np.linalg.norm(lhs - rhs, axis=(1, 2))
-    den = np.linalg.norm(rhs, axis=(1, 2))
-    return g_o, float(np.max(num / den))
+    return g_o, float(np.max(_norm(lhs - rhs, (1, 2)) / _norm(rhs, (1, 2))))
 
 
 def random_state_model(n: int = 4, m: int = 2, seed: int = 0) -> StateSpaceModel:

@@ -68,15 +68,15 @@ iterate costs one evaluation, at most four per step.  A step is rejected when
 an evaluation fails (an inverse-type adjoint field at the positivity floor,
 non-finite values), when the Jacobian is singular, or when the corrector
 stops contracting or misses the path; it then halves, and a step met within
-three iterations doubles up to the clock's cap.  numpy's error state is set
-once per trial step, so a far-off iterate's overflow is silent and the
-finiteness checks reject it.  A collapsed step's verdict message carries the
-reason for the last rejection.  Both clocks end on R itself: tau lands on 1,
-and the flow clock reads s = 0 at the time its V would reach
-``tol * ||R||^2``, so each run's last step is a corrector step onto R, and a
-run converges only by meeting it.  A start already within that threshold is
-the end of its path on both clocks, and the run converges there without a
-step.
+three iterations doubles up to the clock's cap.  numpy's error state is held
+for the whole run, so a far-off iterate's overflow is silent and the
+finiteness checks reject it, and no size of R makes a run warn.  A collapsed
+step's verdict message carries the reason for the last rejection.  Both
+clocks end on R itself: tau lands on 1, and the flow clock reads s = 0 at
+the time its V would reach ``tol * ||R||^2``, so each run's last step is a
+corrector step onto R, and a run converges only by meeting it.  A start
+already within that threshold is the end of its path on both clocks, and the
+run converges there without a step.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -89,9 +89,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _sampled_field, eigvalsh_hermitian
+from .calculus import _adjoint_field, _norm, _sampled_field, eigvalsh_hermitian
 from .errors import PositivityError
-from .families import Family, _adjoint_field, _evaluate, _identity_dual, default_dual_start
+from .families import Family, _evaluate, _identity_dual, default_dual_start
 from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
 from . import operator as _operator
 
@@ -125,8 +125,8 @@ _CERTIFICATE_RTOL = 1e-9
 _PSD_RTOL = 1e-12
 # Relative residual above which R is rejected as lying outside the range.
 _RANGE_RESIDUAL_TOL = 1e-8
-# numpy's error state around a run's evaluations: a far-off point's field,
-# density and norms may overflow, and the finiteness checks reject it.
+# numpy's error state over a run: a far-off point's field, density and norms
+# may overflow, and the finiteness checks reject it.
 _QUIET = dict(invalid="ignore", over="ignore", under="ignore")
 
 
@@ -268,6 +268,7 @@ def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
 # ---------------------------------------------------------------------------
 # internals
 
+@np.errstate(**_QUIET)  # held for the whole run: its evaluations, solves and norms
 def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: SolveConfig,
                start: DualVariable | None, is_flow: bool) -> SolveReport:
     """Path following on the flow clock s = e^{-t} or the interval clock s = 1 - tau."""
@@ -292,8 +293,9 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     if start is not None and not np.isfinite(start.coords).all():
         raise ValueError("start has non-finite coordinates")
 
-    r_coords, _residual = project_to_range(op, moment)
-    defect = _operator._range_defect(op, moment)
+    r_coords, residual = project_to_range(op, moment)
+    r_size = _norm(moment)
+    defect = residual / r_size if r_size else 0.0
     if defect > _RANGE_RESIDUAL_TOL:
         return _finalise(op, family, STATUS_NOT_IN_RANGE, np.zeros(op.d), None, float("nan"), [],
                          "moment lies outside the operator range "
@@ -314,20 +316,19 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     # L*(lam_I) > 0, so lam_I separates R when <lam_I, R> < 0, start or no start
     certificate = _certificate(op, lam_i, r_unit, 0) if p_i < 0.0 else None
     try:
-        with np.errstate(**_QUIET):
-            if start is None and lam_i is not None:
-                # scale the default start to R, with c the least-squares fit of h(lam)
-                # to R: h(lam/c) = c h(lam) (inverse), and h(lam - ln(c) lam_I) = c h(lam)
-                # (exponential) when L*(lam_I) = I, and nearly so when it is near I
-                ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
-                # h is divided by its largest entry first, so ||h||^2 stays in range
-                peak, c = float(np.abs(ev0.h_coords).max()), 0.0
-                if peak > 0.0:
-                    unit = ev0.h_coords / peak
-                    c = float(r_coords @ unit) / float(unit @ unit) / peak
-                if c > 0.0 and math.isfinite(c):
-                    x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
-            ev = _eval_or_fail(op, x, family)
+        if start is None and lam_i is not None:
+            # scale the default start to R, with c the least-squares fit of h(lam)
+            # to R: h(lam/c) = c h(lam) (inverse), and h(lam - ln(c) lam_I) = c h(lam)
+            # (exponential) when L*(lam_I) = I, and nearly so when it is near I
+            ev0 = _eval_or_fail(op, x, family, need_jacobian=False)
+            # h is divided by its largest entry first, so ||h||^2 stays in range
+            peak, c = float(np.abs(ev0.h_coords).max()), 0.0
+            if peak > 0.0:
+                unit = ev0.h_coords / peak
+                c = float(r_coords @ unit) / float(unit @ unit) / peak
+            if c > 0.0 and math.isfinite(c):
+                x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
+        ev = _eval_or_fail(op, x, family)
     except _REJECTIONS as exc:
         status, message = ((STATUS_INCONCLUSIVE, "start evaluation failed: %s" % exc)
                            if certificate is None else
@@ -463,7 +464,7 @@ def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
-@np.errstate(**_QUIET)  # entered once per trial step: its evaluations, solves and norms
+@np.errstate(**_QUIET)  # its run holds it too; this serves a corrector called alone
 def _corrector(op, family, x, step, target, on_path_tol):
     """Newton on h(lam) = target from ``x`` whose first step is ``step``.
 

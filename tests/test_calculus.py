@@ -324,6 +324,18 @@ def test_as_hermitian_rejects_large_defects():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         mp.as_hermitian(bad)
+    # at any size: the squares in both norms underflow below about 1e-162
+    # and overflow above about 1e154, so each matrix is scaled to order 1 first
+    skew = np.array([[1.0, 0.5j], [0.5j, 2.0]])
+    herm = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    for size in (1.0, 1e-170, 1e-300, 1e300):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            mp.as_hermitian(size * skew)
+        assert np.array_equal(mp.as_hermitian(size * herm), size * herm)
+    # each entry of a batch against its own size: a tiny defect passes a
+    # test scaled to the batch's largest entry
+    with pytest.raises(ValueError, match="not Hermitian"):
+        mp.as_hermitian(np.stack((1e-170 * skew, 1e10 * herm)))
 
 
 def test_assert_positive_definite_reports_minimum_eigenvalue():

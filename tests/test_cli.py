@@ -336,6 +336,17 @@ def test_weighted_family_requires_sigma(array_bundle, tmp_path):
     assert "error: sigma has shape (160, 2, 2); this operator needs (160, 1, 1)" in r2.stderr
 
 
+def test_a_tiny_sigma_that_is_not_hermitian_is_an_input_error(array_bundle, tmp_path, capsys):
+    # below about 1e-162 the squares in the Hermitian test's norms underflow
+    grid = fm.load_problem(array_bundle / "problem.json").operator.grid
+    sigma = tmp_path / "sigma.csv"
+    fm.write_density_csv(sigma, np.full((grid.node_count, 1, 1), 1e-170 * (1.0 + 0.5j)), grid)
+    code = cli.main(["solve", "--problem", str(array_bundle / "problem.json"),
+                     "--family", "prior-exponential", "--sigma", str(sigma)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: matrix is not Hermitian")
+
+
 @pytest.mark.parametrize("section, key, value", [("grid", "bounds", [0.0, float("inf")]),
                                                 ("kernels", "positions", [0.0, float("nan")]),
                                                 ("kernels", "wavenumber", float("nan")),

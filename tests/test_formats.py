@@ -294,11 +294,42 @@ def test_samples_kernels_read_as_one_array_match_the_per_matrix_reader(tmp_path,
         assert got.tobytes() == want.tobytes()
     assert np.signbit(kernels.left[2, 1, 0].real)
     # well-formed objects never reach the per-matrix reader, and JSON
-    # integers and booleans read as numbers, as complex() reads them
-    objs[0]["data"] = [[1, 0], [False, 0], [0, 0], [True, 0.0]]
+    # integers read as numbers, as complex() reads them
+    objs[0]["data"] = [[1, 0], [0, 0], [0, 0], [1, 0.0]]
     want = np.stack([fm.matrix_from_obj(o) for o in objs])
     monkeypatch.setattr(fm, "matrix_from_obj", None)
     assert fm._matrix_stack(objs).tobytes() == want.tobytes()
+
+
+def _true_in_moment(obj):
+    obj["moment"]["data"][0][0] = True
+
+
+def _false_in_right(obj):
+    obj["kernels"]["right"][2]["data"][3][1] = False
+
+
+def _true_in_left_read_matrix_by_matrix(obj):
+    # rows 2.0 at node 2 sends the left side to the per-matrix reader,
+    # which meets the true at node 0 first
+    obj["kernels"]["left"][0]["data"][0][0] = True
+    obj["kernels"]["left"][2]["rows"] = 2.0
+
+
+@pytest.mark.parametrize("edit", [_true_in_moment, _false_in_right,
+                                  _true_in_left_read_matrix_by_matrix])
+def test_true_or_false_in_matrix_data_is_an_input_error(tmp_path, capsys, edit):
+    # complex() and numpy read JSON true and false as 1 and 0
+    from momentropy import cli
+    path, _objs = _samples_problem(tmp_path)
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    message = "matrix data must be numbers, not true or false"
+    with pytest.raises(ValueError, match=message):
+        fm.load_problem(path)
+    assert cli.main(["solve", "--problem", str(path)]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def _drop(key):

@@ -272,7 +272,7 @@ def test_projection_is_idempotent_with_orthogonal_residual(array_problem, rng):
     op, _rho, _R = array_problem
     raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y = raw + raw.conj().T
-    coords, _resid = mp.project_to_range(op, y)
+    coords, resid = mp.project_to_range(op, y)
     recon = op.basis.assemble(coords)
     coords2, resid2 = mp.project_to_range(op, recon)
     assert np.allclose(coords2, coords, rtol=0, atol=1e-12)
@@ -280,6 +280,10 @@ def test_projection_is_idempotent_with_orthogonal_residual(array_problem, rng):
     # the residual has no component along the basis
     tail = y - recon
     assert np.linalg.norm(op.basis.coords_of(tail)) <= 1e-12 * np.linalg.norm(y)
+    # its norm holds where the squares of the entries under- or overflow
+    for size in (1e-170, 1e-300, 1e300):
+        _coords, resid_c = mp.project_to_range(op, size * y)
+        assert resid_c / size == pytest.approx(resid, rel=1e-12)
 
 
 def test_forward_images_have_zero_range_residual(array_problem, rng):
@@ -307,6 +311,25 @@ def test_dual_from_matrix_requires_range_membership(array_problem, rng):
         assert np.allclose(lam.coords, size * coords, rtol=0, atol=1e-12 * size)
     with pytest.raises(ValueError, match="outside the range"):
         mp.dual_from_matrix(op, np.full_like(y, np.nan))
+
+
+def test_each_range_test_projects_once(array_problem, monkeypatch):
+    # the solver's range test and dual_from_matrix take the coordinates and
+    # the residual from one projection
+    op, _rho, moment = array_problem
+    coords_of, calls = mp.RangeBasis.coords_of, []
+
+    def counted(basis, matrix):
+        calls.append(matrix)
+        return coords_of(basis, matrix)
+    monkeypatch.setattr(mp.RangeBasis, "coords_of", counted)
+    mp.dual_from_matrix(op, moment)
+    assert len(calls) == 1
+    calls.clear()
+    off_range = moment.copy()
+    off_range[0, 1] += 0.5j
+    report = mp.solve(op, off_range, mp.rational_family())
+    assert report.status == "NotInRange" and len(calls) == 1
 
 
 def test_moment_functional_matches_trace_pairing(array_problem, rng):

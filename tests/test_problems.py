@@ -176,6 +176,13 @@ def test_feedback_spectral_factor_identity():
             op, op.basis.coords_of(np.eye(4, dtype=complex)))
         _samples, residual = pr.feedback_spectral_factor(model, grid, lam.matrix)
         assert residual <= 1e-10
+    # the identity is scale-free in lam, and so is its relative residual,
+    # where the squares of the densities' entries would over- or underflow
+    model = pr.random_state_model(n=4, m=2, seed=0)
+    grid = mp.build_grid("interval1d", (-np.pi, np.pi), panels=8, order=4)
+    for size in (1e-170, 1e170):
+        _samples, residual = pr.feedback_spectral_factor(model, grid, size * np.eye(4))
+        assert np.isfinite(residual) and residual < 1e-12
 
 
 def test_random_state_model_is_deterministic_and_stable():
