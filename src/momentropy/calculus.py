@@ -66,9 +66,12 @@ def as_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate that ``matrix`` is Hermitian and symmetrise it.
 
     The defect ||M - M*||_F must not exceed ``1e-12 * ||M||_F`` per batch
-    entry, at any size of M; otherwise it is rejected, not silently repaired.
+    entry, at any size of M; otherwise it is rejected, not silently repaired,
+    as is a matrix with a non-finite entry.
     """
     a = _square(np.asarray(matrix, dtype=complex))
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     defect = _norm(a - np.conj(np.swapaxes(a, -1, -2)), (-2, -1))
     if np.any(defect > _HERMITIAN_RTOL * _norm(a, (-2, -1))):
         raise ValueError(

@@ -319,7 +319,7 @@ def herglotz_interpolant(density: np.ndarray, grid: SupportGrid, z) -> np.ndarra
         raise ValueError("the interpolant is defined over circle densities (1-D grid)")
     rho = _sampled_field(density, "density", grid.node_count)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(np.abs(z_arr) > 1.0 - 1e-6):
+    if not np.all(np.abs(z_arr) <= 1.0 - 1e-6):  # NaN fails this test too
         raise ValueError("evaluation points must satisfy |z| <= 1 - 1e-6")
     phase = np.exp(-1j * grid.nodes[:, 0])
     zp = z_arr[:, None] * phase[None, :]

@@ -76,7 +76,9 @@ clocks end on R itself: tau lands on 1, and the flow clock reads s = 0 at
 the time its V would reach ``tol * ||R||^2``, so each run's last step is a
 corrector step onto R, and a run converges only by meeting it.  A start
 already within that threshold is the end of its path on both clocks, and the
-run converges there without a step.
+run converges there without a step.  Each size of R's order that a run reads
+is scaled by one power of two, at R's largest range coordinate, so none under-
+or overflows, and the trace reports V in R's own units.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -334,13 +336,16 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                            if certificate is None else
                            (STATUS_DIVERGED_CERTIFIED, _certified_message(certificate, 0.0)))
         return _finalise(op, family, status, x, None, float("nan"), [], message, certificate)
+    # the run's unit, 2^1023 for subnormal R; np.ldexp scales V back (math.ldexp would raise)
+    exp = max(int(np.frexp(np.abs(r_coords).max(initial=0.0))[1]), -1023)
+    unit = 2.0 ** -exp
     span = ev.h_coords - r_coords
-    on_path_tol = _ON_PATH_RTOL * max(float(np.linalg.norm(span)), float(np.linalg.norm(r_coords)))
+    on_path_tol = _ON_PATH_RTOL * math.sqrt(max(_squared(span, unit), _squared(r_coords, unit)))
     t = 0.0
-    v = _mismatch(r_coords, ev.h_coords)
+    v = _squared(r_coords - ev.h_coords, unit)
     # both clocks read s = 0 on R, at t_land, and the step that reaches it
     # lands on R; a start within tol ||R||^2 of R lands at once
-    v_land = config.tol * float(np.sum(r_coords ** 2))
+    v_land = config.tol * _squared(r_coords, unit)
     if is_flow:
         # V = e^{-2t} V(0) on the path, so V meets tol ||R||^2 at t_land
         t_land = 0.5 * math.log(max(v / v_land, 1.0)) if v_land > 0.0 else math.inf
@@ -395,7 +400,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             s_new = clock(t_new)
             try:
                 x_new, ev_new, used = trial_step(op, family, x, held @ (s_new - s, 1.0),
-                                                 r_coords + s_new * span, on_path_tol)
+                                                 r_coords + s_new * span, on_path_tol, unit)
                 break
             except _REJECTIONS as exc:
                 reason = str(exc)
@@ -407,13 +412,14 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
 
         dt = t_new - t
         x, ev, t = x_new, ev_new, t_new
-        v = _mismatch(r_coords, ev.h_coords)
+        v = _squared(r_coords - ev.h_coords, unit)
         lam_norm = math.hypot(*x.tolist())
         trace.append((t, v, ev.min_eig, lam_norm))
         if used <= _DOUBLING_ITERATIONS:
             dt = min(2.0 * dt, dt_cap)
 
-    return _finalise(op, family, status, x, ev, v, trace, message, certificate, is_flow)
+    trace = [(t, float(np.ldexp(v, 2 * exp)), *rest) for (t, v, *rest) in trace]
+    return _finalise(op, family, status, x, ev, trace[-1][1], trace, message, certificate, is_flow)
 
 
 def _certificate(op, y, r_unit, step) -> Certificate | None:
@@ -437,8 +443,9 @@ def _certified_message(cert: Certificate, t: float) -> str:
             "L*(y) >= 0 least at node %d" % (cert.step, t, cert.margin, cert.node))
 
 
-def _mismatch(r_coords: np.ndarray, h_coords: np.ndarray) -> float:
-    return float(np.sum((r_coords - h_coords) ** 2))
+def _squared(v: np.ndarray, unit: float) -> float:
+    v = v * unit  # a power of two: the scaling is exact
+    return float(v @ v)
 
 
 def _eval_or_fail(op, coords, family, need_jacobian=True):
@@ -465,18 +472,18 @@ def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(**_QUIET)  # its run holds it too; this serves a corrector called alone
-def _corrector(op, family, x, step, target, on_path_tol):
+def _corrector(op, family, x, step, target, on_path_tol, unit):
     """Newton on h(lam) = target from ``x`` whose first step is ``step``.
 
-    Returns the point met within ``on_path_tol``, its evaluation and the
-    iteration count; raises one of ``_REJECTIONS`` when the iteration fails.
+    Returns the point met within ``on_path_tol``, a distance in the run's
+    ``unit``, with its evaluation and the iteration count; raises one of
+    ``_REJECTIONS`` when the iteration fails.
     """
-    # the norms are sqrt(v @ v), np.linalg.norm's bits on 1-D float64
     for used in range(1, _CORRECTOR_ITERATIONS + 1):
         x = x + step
         ev = _eval_or_fail(op, x, family)
         defect = target - ev.h_coords
-        if math.sqrt(defect @ defect) <= on_path_tol:
+        if math.sqrt(_squared(defect, unit)) <= on_path_tol:
             return x, ev, used
         if used < _CORRECTOR_ITERATIONS:
             next_step = _solve_flow_system(ev.flow_jacobian, defect)

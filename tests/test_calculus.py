@@ -6,6 +6,7 @@ defining integral  M_C(D) = integral over s in [0,1] of C^(1-s) D C^s,
 then frozen here at full precision.
 """
 import decimal
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,14 @@ def test_as_hermitian_rejects_large_defects():
     # test scaled to the batch's largest entry
     with pytest.raises(ValueError, match="not Hermitian"):
         mp.as_hermitian(np.stack((1e-170 * skew, 1e10 * herm)))
+    # inf - inf in M - M* would warn, and inf > 1e-12 inf is False, so a
+    # non-finite entry is refused before the defect is taken
+    for matrix in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                   [[1.0, np.inf], [0.0, 1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                mp.as_hermitian(np.array(matrix))
 
 
 def test_assert_positive_definite_reports_minimum_eigenvalue():

@@ -222,6 +222,23 @@ def test_a_tiny_moment_outside_the_range_is_an_input_error(array_bundle, tmp_pat
     assert json.loads(r.stdout)["status"] == "NotInRange"
 
 
+def test_a_tiny_attainable_moment_converges_with_its_trace(array_bundle, tmp_path):
+    # at 1e-200 the squares of R's size underflow; the run reads them in R's
+    # unit and lands on R, and the trace's V, in R's own units, stays finite
+    problem = json.loads((array_bundle / "problem.json").read_text())
+    moment = fm.load_problem(array_bundle / "problem.json").moment
+    problem["moment"] = fm.matrix_to_obj(1e-200 * moment)
+    problem.pop("rho_true", None)
+    path, trace = tmp_path / "tiny.json", tmp_path / "trace.csv"
+    path.write_text(fm.dumps_canonical(problem))
+    r = _run("solve", "--problem", str(path), "--family", "exponential",
+             "--trace-out", str(trace))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["status"] == "Converged"
+    rows = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) > 1 and np.all(np.isfinite(rows))
+
+
 def test_config_file_merging_and_flag_priority(array_bundle, tmp_path):
     # the array target is not a multiple of the default start's moment, so a
     # run takes steps and meets a short horizon first

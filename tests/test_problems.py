@@ -1,4 +1,6 @@
 """Problem library: array geometry, 2-D grids, partial traces, covariances."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,12 @@ def test_herglotz_interpolant_rejects_boundary_points():
     rho = pr.constant_density(grid, 1, 1.0)
     with pytest.raises(ValueError):
         pr.herglotz_interpolant(rho, grid, np.array([1.0 + 0.0j]))
+    # a NaN point is no point of the disk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (np.nan, np.array([0.5, complex(np.nan, 0.0)])):
+            with pytest.raises(ValueError, match="evaluation points must satisfy"):
+                pr.herglotz_interpolant(rho, grid, z)
 
 
 # ---------------------------------------------------------------------------

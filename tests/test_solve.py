@@ -86,17 +86,43 @@ def test_a_moment_outside_the_range_is_rejected_at_any_size(size):
             assert report.message.endswith("(relative residual 1.272e-01)"), report.message
 
 
-@pytest.mark.parametrize("size", [1e160, 1e200, 1e300, 1e-300])
+@pytest.mark.parametrize("size", [1e160, 1e200, 1e300, 1e-160, 1e-200, 1e-300])
 def test_a_target_of_any_size_gets_a_report_without_a_warning(size):
     # the squares of R's entries over- or underflow at these sizes, and the
-    # suite turns a RuntimeWarning into an error; most of these runs end
-    # Inconclusive, so only the report is asserted
+    # suite turns a RuntimeWarning into an error; many of these runs end
+    # Inconclusive, but none converges without reproducing R
     for name in ("nonequispaced-array", "scalar-demo", "statecov"):
         op, _kernels, moment, _rho = fm.example_problem(name)
         for family in ("rational", "exponential"):
             for solver in (mp.solve, mp.solve_tau):
                 report = solver(op, size * moment, mp.family_from_name(family))
                 assert isinstance(report, mp.SolveReport), (name, family, solver.__name__)
+                if report.status == STATUS_CONVERGED:
+                    resid = np.linalg.norm(mp.apply_L(op, report.density) / size - moment)
+                    assert resid <= 1e-6 * np.linalg.norm(moment), (name, family,
+                                                                     solver.__name__)
+
+
+@pytest.mark.parametrize("size", [1e-310, 5e-324])
+def test_a_subnormal_target_gets_a_report_without_a_warning(size):
+    # the run's unit 2^-e, e R's largest binary exponent, is no finite double
+    # here, so it stops at 2^1023; R keeps few of its bits, and a converged
+    # density is checked against R as rounded, both scaled by 2^1000 first.
+    # Statecov is left out: its exponential runs take over 12000 steps here
+    for name in ("nonequispaced-array", "scalar-demo"):
+        op, _kernels, moment, _rho = fm.example_problem(name)
+        target = size * moment
+        for family in ("rational", "exponential"):
+            for solver in (mp.solve, mp.solve_tau):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = solver(op, target, mp.family_from_name(family))
+                assert isinstance(report, mp.SolveReport), (name, family, solver.__name__)
+                if report.status == STATUS_CONVERGED:
+                    scaled = 2.0 ** 1000 * target
+                    resid = np.linalg.norm(mp.apply_L(op, 2.0 ** 1000 * report.density) - scaled)
+                    assert resid <= 1e-6 * np.linalg.norm(scaled), (name, family,
+                                                                     solver.__name__)
 
 
 def test_inverse_families_need_override_on_two_dimensional_support():
@@ -263,19 +289,24 @@ def test_an_overflowing_iterate_is_rejected_without_a_warning(array_problem):
     op, _rho, moment = array_problem
     lam_i = mp.default_dual_start(op, mp.rational_family()).coords
     r_coords = op.basis.coords_of(moment)
+
+    def unit(target):
+        # a run's unit: the power of two at its target's largest coordinate
+        return 2.0 ** -np.frexp(np.abs(target).max())[1]
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # exp(1e200) overflows the density: the first iterate is rejected
         with pytest.raises(solver_module._StepFailure,
                            match="^non-finite values in evaluation$"):
             solver_module._corrector(op, mp.exponential_family(), np.zeros(op.d),
-                                     -1e200 * lam_i, r_coords, 1e-10)
-        # a target near 1e200 overflows the defect's and the Newton step's
-        # squared norms, which leaves the step no shorter than the zero step
+                                     -1e200 * lam_i, r_coords, 1e-10, unit(r_coords))
+        # a target near 1e200 overflows the Newton step's squared norm, which
+        # leaves the step no shorter than the zero step
         with pytest.raises(solver_module._StepFailure,
                            match="^corrector stopped contracting$"):
             solver_module._corrector(op, mp.rational_family(), lam_i, np.zeros(op.d),
-                                     1e200 * r_coords, 1e-10)
+                                     1e200 * r_coords, 1e-10, unit(1e200 * r_coords))
 
 
 @pytest.mark.parametrize("solver, h_min", [(mp.solve, "1e-12"), (mp.solve_tau, "1e-06")])
@@ -778,6 +809,7 @@ def test_stalled_runs_on_attainable_targets_are_inconclusive(array_problem, scal
 # the default start is scaled to the target
 
 _SIZES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+_EXTREME_SIZES = (1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300)
 
 
 @pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
@@ -788,11 +820,15 @@ def test_verdicts_and_step_counts_do_not_depend_on_the_size_of_the_target(exampl
                                                                           solver):
     # h(lam / c) = c h(lam) for the inverse families, and h(lam - ln(c) lam_I)
     # = c h(lam) for the exponential ones where L*(lam_I) = I, so a run on c R
-    # follows the path of the run on R moved along that symmetry
+    # follows the path of the run on R moved along that symmetry; a run reads
+    # its sizes in R's unit, so the exponential runs keep that path over the
+    # whole double range, while the inverse families' Jacobian, which scales
+    # as c^2, leaves it
     op, _kernels, moment, _rho = fm.example_problem(example)
     family = mp.family_from_name(name)
-    runs = [solver(op, size * moment, family) for size in _SIZES]
-    assert [report.status for report in runs] == [STATUS_CONVERGED] * len(_SIZES)
+    sizes = _SIZES + (_EXTREME_SIZES if name == "exponential" else ())
+    runs = [solver(op, size * moment, family) for size in sizes]
+    assert [report.status for report in runs] == [STATUS_CONVERGED] * len(sizes)
     assert len({len(report.trace) for report in runs}) == 1, [len(r.trace) for r in runs]
     if example == "scalar-demo":
         # every scalar target is a multiple of the start's moment: both clocks land at once
