@@ -67,9 +67,21 @@ fails, no smaller step can succeed and the run ends at once); each further
 iterate costs one evaluation, at most four per step.  A step is rejected when
 an evaluation fails (an inverse-type adjoint field at the positivity floor,
 non-finite values), when the Jacobian is singular, or when the corrector
-stops contracting or misses the path; it then halves, and a step met within
-three iterations doubles up to the clock's cap.  numpy's error state is held
-for the whole run, so a far-off iterate's overflow is silent and the
+stops contracting or misses the path; it then halves.  The inverse families
+size their steps by the Newton decrement of the dual functional
+Psi_R(lam) = <lam, R> - sum_n w_n log det L*(lam)_n, which is self-concordant
+with Hessian -J: moving the target by ds from an accepted point costs ds nu,
+with nu^2 = -(R0 - R) . J^{-1} (R0 - R) read from the held solve in the run's
+unit, and invariant under R -> c R.  So the next step moves s by theta / nu
+(on the flow clock dt = -log(1 - theta / (nu s)), or the cap once theta / nu
+reaches s), within the clock's floor and cap.  theta starts at 0.5, halves
+with every rejected trial and doubles back toward 0.5 after a step met within
+three iterations.  Where nu^2 is not positive and finite (the weighted
+rational family's J need not be symmetric at m > 1) the step falls back to
+the exponential families' rule.  Their Psi is not self-concordant, and their
+nu is large wherever the start misses R, so their step doubles, up to the
+clock's cap, after a step met within three iterations.  numpy's error state
+is held for the whole run, so a far-off iterate's overflow is silent and the
 finiteness checks reject it, and no size of R makes a run warn.  A collapsed
 step's verdict message carries the reason for the last rejection.  Both
 clocks end on R itself: tau lands on 1, and the flow clock reads s = 0 at
@@ -106,17 +118,23 @@ _SLOPE_V_FLOOR = 1e-13
 _SLOPE_MIN_POINTS = 10
 _SLOPE_CONVERGED_V = 1e-8
 
-# Step schedule of each clock: the first step, the largest, and the smallest
-# before the run counts as collapsed.  tau lives on [0, 1], where a step
-# forced below 1e-6 can only mean the path is pinned at the cone boundary.
+# Step schedule of each clock: the first step (an inverse family's comes
+# from theta instead), the largest, and the smallest before the run counts
+# as collapsed.  tau lives on [0, 1], so its floor of 1e-6 cannot resolve a
+# path whose last part lies at s < 1e-6, as where the start misses R badly:
+# such a run collapses at tau = 0.999999 even when R is attainable.
 _FLOW_STEPS = (0.1, 1.0, 1e-12)
 _TAU_STEPS = (0.01, 0.25, 1e-6)
 # Corrector: iterations per trial step, the largest iteration count after
-# which the step still doubles, and the distance from the path, relative to
+# which the step (the exponential families') or theta (the inverse
+# families') still doubles, and the distance from the path, relative to
 # max(||R0 - R||, ||R||), at which a point counts as on it.
 _CORRECTOR_ITERATIONS = 4
 _DOUBLING_ITERATIONS = 3
 _ON_PATH_RTOL = 1e-10
+# The largest Newton decrement an inverse family's step may spend, and
+# theta's start.
+_THETA = 0.5
 # A run stops as inconclusive once its dual norm passes this times
 # max(1, ||x_0||), x_0 its start.
 _LAMBDA_MAX = 1e8
@@ -355,6 +373,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         t_land = 0.0 if 0.0 < v_land and v <= v_land else 1.0
         t_end, (dt, dt_cap, dt_min) = t_land, _TAU_STEPS
         decay, trial_step = (lambda t: 1.0 - t), _rk4_step_tau
+    theta = _THETA
 
     def clock(t):
         return 0.0 if t == t_land else decay(t)
@@ -394,6 +413,17 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         except _REJECTIONS as exc:
             # every halving would fail the same way, so collapse at once
             reason, dt = str(exc), 0.0
+        else:
+            if family.is_inverse_kind:
+                # Newton decrement: moving the target by ds costs ds nu, with
+                # nu^2 = -(R0 - R) . J^{-1} (R0 - R) read in the run's unit;
+                # where J is not negative definite it need not be positive,
+                # and the doubled dt stands
+                nu2 = -float((span * unit) @ (held[:, 0] / unit))
+                if 0.0 < nu2 < math.inf:
+                    ds = theta / math.sqrt(nu2)
+                    step = (-math.log1p(-ds / s) if ds < s else dt_cap) if is_flow else ds
+                    dt = min(max(step, dt_min), dt_cap)
         while dt >= dt_min:
             # land on the end rather than short of it by round-off
             t_new = t + dt if t_end - (t + dt) >= dt_min else t_end
@@ -404,7 +434,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 break
             except _REJECTIONS as exc:
                 reason = str(exc)
-                dt *= 0.5
+                dt, theta = 0.5 * dt, 0.5 * theta
         else:
             status = STATUS_INCONCLUSIVE
             message = "step collapsed below %g at t=%.6f: %s" % (dt_min, t, reason)
@@ -416,7 +446,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         lam_norm = math.hypot(*x.tolist())
         trace.append((t, v, ev.min_eig, lam_norm))
         if used <= _DOUBLING_ITERATIONS:
-            dt = min(2.0 * dt, dt_cap)
+            dt, theta = min(2.0 * dt, dt_cap), min(2.0 * theta, _THETA)
 
     trace = [(t, float(np.ldexp(v, 2 * exp)), *rest) for (t, v, *rest) in trace]
     return _finalise(op, family, status, x, ev, trace[-1][1], trace, message, certificate, is_flow)

@@ -960,6 +960,24 @@ def test_exponential_families_on_statecov_converge_at_every_size(statecov, solve
     assert report.status == STATUS_CONVERGED, report.message
 
 
+@pytest.mark.parametrize("name, solver, most_steps", [
+    ("rational", mp.solve, 16), ("rational", mp.solve_tau, 9),
+    ("weighted_rational", mp.solve, 12), ("weighted_rational", mp.solve_tau, 6)])
+def test_inverse_families_on_statecov_step_by_the_newton_decrement(statecov, name, solver,
+                                                                   most_steps):
+    # the Newton decrement is invariant under R -> c R for the inverse shape,
+    # so every size takes the same steps; the weighted rational family keeps
+    # the rule at m = 2, where its J is not symmetric
+    op, moment, rho_true = statecov
+    family = mp.family_from_name(name, sigma=(rho_true + np.eye(op.m)) / 2)
+    steps = set()
+    for size in (1e-20, 1.0, 1e20):
+        report = solver(op, size * moment, family)
+        assert report.status == STATUS_CONVERGED, report.message
+        steps.add(len(report.trace) - 1)
+    assert len(steps) == 1 and steps.pop() <= most_steps
+
+
 @pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
 @pytest.mark.parametrize("name", ["rational", "exponential"])
 def test_an_infeasible_statecov_target_is_certified_at_every_size(statecov, assert_certified,
