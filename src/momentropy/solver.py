@@ -27,7 +27,7 @@ positive density of any family has moment ``R`` (for positive rho,
 <y, L(rho)> = sum_n w_n tr(L*(y)_n rho_n) >= 0).  ``NotInRange``: ``R`` lies
 outside the operator's range.  ``Inconclusive``: the run stopped without
 either, because its start could not be evaluated, its step collapsed, its
-dual norm passed 1e8 max(1, ||x_0||) (x_0 the run's start) or the flow
+dual norm passed 1e8 max(1, ||x_0||) (x_0 the run's start) or the run
 reached its horizon.
 
 Without an explicit start, the run starts at ``default_dual_start`` scaled
@@ -59,38 +59,40 @@ delta cannot certify; a y that fails the check is dropped and the run goes
 on.  Where L*(lam_I) is not strictly positive, only points with
 min_eig >= 0 are tested, with y = x.
 
-Both clocks share one path follower, so every accepted point lies on the
-path.  A trial step from t to t + dt is Newton's method on
-h(lam) = R + s(t + dt) (R0 - R).  Its first iterate uses the Jacobian held at
-the accepted point, solved once and reused by every retry (when that solve
+Both clocks share one path follower, so every accepted point lies on the path,
+and one step schedule in the flow's time t = -ln s, which ``solve_tau``
+reports as tau = 1 - e^{-t}.  A trial step from t to t + dt is Newton's method
+on h(lam) = R + s(t + dt) (R0 - R).  Its first iterate uses the Jacobian held
+at the accepted point, solved once and reused by every retry (when that solve
 fails, no smaller step can succeed and the run ends at once); each further
 iterate costs one evaluation, at most four per step.  A step is rejected when
 an evaluation fails (an inverse-type adjoint field at the positivity floor,
-non-finite values), when the Jacobian is singular, or when the corrector
-stops contracting or misses the path; it then halves.  The inverse families
-size their steps by the Newton decrement of the dual functional
-Psi_R(lam) = <lam, R> - sum_n w_n log det L*(lam)_n, which is self-concordant
-with Hessian -J: moving the target by ds from an accepted point costs ds nu,
-with nu^2 = -(R0 - R) . J^{-1} (R0 - R) read from the held solve in the run's
-unit, and invariant under R -> c R.  So the next step moves s by theta / nu
-(on the flow clock dt = -log(1 - theta / (nu s)), or the cap once theta / nu
-reaches s), within the clock's floor and cap.  theta starts at 0.5, halves
-with every rejected trial and doubles back toward 0.5 after a step met within
-three iterations.  Where nu^2 is not positive and finite (the weighted
-rational family's J need not be symmetric at m > 1) the step falls back to
-the exponential families' rule.  Their Psi is not self-concordant, and their
-nu is large wherever the start misses R, so their step doubles, up to the
-clock's cap, after a step met within three iterations.  numpy's error state
-is held for the whole run, so a far-off iterate's overflow is silent and the
-finiteness checks reject it, and no size of R makes a run warn.  A collapsed
-step's verdict message carries the reason for the last rejection.  Both
-clocks end on R itself: tau lands on 1, and the flow clock reads s = 0 at
-the time its V would reach ``tol * ||R||^2``, so each run's last step is a
-corrector step onto R, and a run converges only by meeting it.  A start
-already within that threshold is the end of its path on both clocks, and the
-run converges there without a step.  Each size of R's order that a run reads
-is scaled by one power of two, at R's largest range coordinate, so none under-
-or overflows, and the trace reports V in R's own units.
+non-finite values), when the Jacobian is singular, or when the corrector stops
+contracting or misses the path; it then halves, and below 1e-12 the run
+collapses.  The inverse families size their steps by the Newton decrement of
+the dual functional Psi_R(lam) = <lam, R> - sum_n w_n log det L*(lam)_n, which
+is self-concordant with Hessian -J: moving the target by ds from an accepted
+point costs ds nu, with nu^2 = -(R0 - R) . J^{-1} (R0 - R) read from the held
+solve in the run's unit, and invariant under R -> c R.  So the next step moves
+s by theta / nu (dt = -log(1 - theta / (nu s)), or the cap once theta / nu
+reaches s).  theta starts at 0.5, halves with every rejected trial and doubles
+back toward 0.5 after a step met within three iterations.  Where nu^2 is not
+positive and finite (the weighted rational family's J need not be symmetric at
+m > 1) the step falls back to the exponential families' rule.  Their Psi is
+not self-concordant, and their nu is large wherever the start misses R, so
+their step starts at 0.1 and doubles after a step met within three iterations,
+up to the cap: 1 on the flow clock, whose trace feeds the slope fit, and 8 on
+the interval clock.  numpy's error state is held for the whole run, so a
+far-off iterate's overflow is silent and the finiteness checks reject it, and
+no size of R makes a run warn.  A collapsed step's verdict message carries the
+reason for the last rejection.  Both clocks end on R itself: s reads 0, and
+tau 1, at the time t_land where V would reach ``tol * ||R||^2`` on the path,
+so each run's last step is a corrector step onto R, and a run converges only
+by meeting it before the horizon ``t_max``.  A start already within that
+threshold is the end of its path, and the run converges there without a step.
+Each size of R's order that a run reads is scaled by one power of two, at R's
+largest range coordinate, so none under- or overflows, and the trace reports V
+in R's own units.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -118,13 +120,11 @@ _SLOPE_V_FLOOR = 1e-13
 _SLOPE_MIN_POINTS = 10
 _SLOPE_CONVERGED_V = 1e-8
 
-# Step schedule of each clock: the first step (an inverse family's comes
-# from theta instead), the largest, and the smallest before the run counts
-# as collapsed.  tau lives on [0, 1], so its floor of 1e-6 cannot resolve a
-# path whose last part lies at s < 1e-6, as where the start misses R badly:
-# such a run collapses at tau = 0.999999 even when R is attainable.
-_FLOW_STEPS = (0.1, 1.0, 1e-12)
-_TAU_STEPS = (0.01, 0.25, 1e-6)
+# Step schedule in the flow's time t = -ln s: the first step (an inverse
+# family's comes from theta), the floor, and each clock's cap; the flow's
+# trace feeds the slope fit, which needs _SLOPE_MIN_POINTS points.
+_STEPS = (0.1, 1e-12)
+_FLOW_CAP, _TAU_CAP = 1.0, 8.0
 # Corrector: iterations per trial step, the largest iteration count after
 # which the step (the exponential families') or theta (the inverse
 # families') still doubles, and the distance from the path, relative to
@@ -156,8 +156,8 @@ class SolveConfig:
 
     tol                 relative convergence threshold: the flow lands on R
                         once V = ||R - h(lam)||^2 would fall to tol * ||R||^2
-    t_max               horizon of the feedback flow (``solve_tau`` runs over
-                        tau in [0, 1] instead)
+    t_max               horizon of either clock in the flow's time
+                        t = -ln s (``solve_tau`` reports tau = 1 - e^{-t})
     torus_override      allow inverse-type families on 2-D supports (the
                         flow is then heuristic: feasibility of the limit is
                         not guaranteed by the 1-D theory)
@@ -255,7 +255,8 @@ def solve_tau(op: MomentOperator, moment: np.ndarray, family: Family,
     Every accepted point meets the line h(lam) = R0 + tau (R - R0) within
     the corrector tolerance, so a successful run certifies its own path; on
     infeasible targets the run stops at its first separating certificate.
-    Agrees with :func:`solve` at the fixed point.
+    It steps in t = -ln(1 - tau) as :func:`solve` does, with a larger cap
+    (it fits no slope), and agrees with :func:`solve` at the fixed point.
     """
     return _integrate(op, moment, family, config or SolveConfig(), start, is_flow=False)
 
@@ -291,7 +292,7 @@ def lyapunov_slope(trace: list[tuple[float, float, float, float]]) -> float:
 @np.errstate(**_QUIET)  # held for the whole run: its evaluations, solves and norms
 def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: SolveConfig,
                start: DualVariable | None, is_flow: bool) -> SolveReport:
-    """Path following on the flow clock s = e^{-t} or the interval clock s = 1 - tau."""
+    """Path following in s = e^{-t}, reported as t (flow) or tau = 1 - s (interval)."""
     # the range projection sums in memory order: one layout makes equal
     # moments give equal bits, whether computed or read from a file
     moment = np.ascontiguousarray(moment, dtype=complex)
@@ -361,22 +362,20 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     on_path_tol = _ON_PATH_RTOL * math.sqrt(max(_squared(span, unit), _squared(r_coords, unit)))
     t = 0.0
     v = _squared(r_coords - ev.h_coords, unit)
-    # both clocks read s = 0 on R, at t_land, and the step that reaches it
-    # lands on R; a start within tol ||R||^2 of R lands at once
+    # both clocks step in t = -ln s.  V = e^{-2t} V(0) on the path, so V meets
+    # tol ||R||^2 at t_land, where s reads 0 and the step that reaches it lands
+    # on R; a start within tol ||R||^2 of R lands at once
     v_land = config.tol * _squared(r_coords, unit)
-    if is_flow:
-        # V = e^{-2t} V(0) on the path, so V meets tol ||R||^2 at t_land
-        t_land = 0.5 * math.log(max(v / v_land, 1.0)) if v_land > 0.0 else math.inf
-        t_end, (dt, dt_cap, dt_min) = min(t_land, config.t_max), _FLOW_STEPS
-        decay, trial_step = (lambda t: math.exp(-t)), _rk4_step
-    else:
-        t_land = 0.0 if 0.0 < v_land and v <= v_land else 1.0
-        t_end, (dt, dt_cap, dt_min) = t_land, _TAU_STEPS
-        decay, trial_step = (lambda t: 1.0 - t), _rk4_step_tau
+    t_land = 0.5 * math.log(max(v / v_land, 1.0)) if v_land > 0.0 else math.inf
+    t_end, (dt, dt_min) = min(t_land, config.t_max), _STEPS
+    dt_cap, trial_step = (_FLOW_CAP, _rk4_step) if is_flow else (_TAU_CAP, _rk4_step_tau)
     theta = _THETA
 
     def clock(t):
-        return 0.0 if t == t_land else decay(t)
+        return 0.0 if t == t_land else math.exp(-t)
+
+    def reported(t):  # solve_tau reports tau = 1 - s, exactly 1 on R
+        return t if is_flow else 1.0 if t == t_land else -math.expm1(-t)
 
     # scaled inside, so a far-off point's norm stays finite; Python floats
     # reach math.hypot faster than numpy scalars
@@ -393,16 +392,17 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 certificate = _certificate(op, x + delta * lam_i if delta else x, r_unit,
                                            len(trace) - 1)
         if certificate is not None:
-            status, message = STATUS_DIVERGED_CERTIFIED, _certified_message(certificate, t)
+            status = STATUS_DIVERGED_CERTIFIED
+            message = _certified_message(certificate, reported(t))
             break
         s = clock(t)
-        if t == t_end:  # both clocks read s = 0 on R; only the flow can stop short, at t_max
+        if t == t_end:  # s reads 0 on R; a run stops short of it only at t_max
             status = STATUS_CONVERGED if s == 0.0 else STATUS_INCONCLUSIVE
             message = "" if s == 0.0 else "horizon t=%g reached before landing on R" % t_end
             break
         if lam_norm > lam_max:
             status = STATUS_INCONCLUSIVE
-            message = "dual norm %.3e exceeded %.3e at t=%.6f" % (lam_norm, lam_max, t)
+            message = "dual norm %.3e exceeded %.3e at t=%.6f" % (lam_norm, lam_max, reported(t))
             break
 
         try:
@@ -422,8 +422,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 nu2 = -float((span * unit) @ (held[:, 0] / unit))
                 if 0.0 < nu2 < math.inf:
                     ds = theta / math.sqrt(nu2)
-                    step = (-math.log1p(-ds / s) if ds < s else dt_cap) if is_flow else ds
-                    dt = min(max(step, dt_min), dt_cap)
+                    dt = min(max(-math.log1p(-ds / s) if ds < s else dt_cap, dt_min), dt_cap)
         while dt >= dt_min:
             # land on the end rather than short of it by round-off
             t_new = t + dt if t_end - (t + dt) >= dt_min else t_end
@@ -437,7 +436,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 dt, theta = 0.5 * dt, 0.5 * theta
         else:
             status = STATUS_INCONCLUSIVE
-            message = "step collapsed below %g at t=%.6f: %s" % (dt_min, t, reason)
+            message = "step collapsed below %g at t=%.6f: %s" % (dt_min, reported(t), reason)
             break
 
         dt = t_new - t
@@ -448,7 +447,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
         if used <= _DOUBLING_ITERATIONS:
             dt, theta = min(2.0 * dt, dt_cap), min(2.0 * theta, _THETA)
 
-    trace = [(t, float(np.ldexp(v, 2 * exp)), *rest) for (t, v, *rest) in trace]
+    trace = [(reported(t), float(np.ldexp(v, 2 * exp)), *rest) for (t, v, *rest) in trace]
     return _finalise(op, family, status, x, ev, trace[-1][1], trace, message, certificate, is_flow)
 
 
