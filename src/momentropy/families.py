@@ -36,6 +36,9 @@ node, as L* is injective on the range.  The weighted families' Jacobian at
 m > 1 is not symmetric, and its symmetric part can be indefinite inside the
 feasible set.
 
+The public evaluations read their dual point through ``operator._dual_coords``;
+the evaluation they share with the solver takes range coordinates only.
+
 Fields of m <= 2 are evaluated in real arithmetic, on the real rows
 ``RangeBasis.real_adjoint`` of ``X`` and ``X~``, which determine the
 Hermitian images exactly.  The density is assembled only when it is read
@@ -77,7 +80,8 @@ from .calculus import (
     eigvalsh_hermitian, hermitian_part, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
-from .operator import _check_dual_floor, MomentOperator, DualVariable, RangeBasis, dual_from_coords
+from .operator import (_check_dual_floor, _dual_coords, MomentOperator, DualVariable, RangeBasis,
+                       dual_from_coords)
 
 _INVERSE_KINDS = ("rational", "weighted_rational")
 
@@ -214,20 +218,20 @@ def family_density(op: MomentOperator, lam, family: Family) -> np.ndarray:
     eigenvalue at or below 1e-10 times the field's mean eigenvalue) raises
     :class:`PositivityError` naming the offending node.
     """
-    return _evaluate(op, lam, family).density
+    return _evaluate(op, _dual_coords(op, lam), family).density
 
 
 @np.errstate(over="ignore", under="ignore")
 def h_map(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """Moment image h(lam) = L(rho_lam), an n_left x n_right matrix assembled
     from the evaluation's range coordinates: the moment the solver matches."""
-    return op.basis.assemble(_evaluate(op, lam, family).h_coords)
+    return op.basis.assemble(_evaluate(op, _dual_coords(op, lam), family).h_coords)
 
 
 @np.errstate(over="ignore", under="ignore")
 def flow_jacobian(op: MomentOperator, lam, family: Family) -> np.ndarray:
     """True Frechet derivative of h_map at ``lam``, in range coordinates."""
-    return _evaluate(op, lam, family, need_jacobian=True).flow_jacobian
+    return _evaluate(op, _dual_coords(op, lam), family, need_jacobian=True).flow_jacobian
 
 
 def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
@@ -243,23 +247,15 @@ def default_dual_start(op: MomentOperator, family: Family) -> DualVariable:
     """
     if not family.is_inverse_kind:
         return dual_from_coords(op, np.zeros(op.d))
+    coords, eigs = op.identity_dual
     try:
-        coords, _min_eig = _identity_dual(op)
+        _check_dual_floor(eigs)
     except PositivityError as exc:
         raise DualStartNotFound(
             "least-squares identity start is not strictly dual-feasible "
             "(min eigenvalue %.3e); supply an explicit start" % exc.min_eig
         ) from exc
     return dual_from_coords(op, coords)
-
-
-def _identity_dual(op: MomentOperator) -> tuple[np.ndarray, float]:
-    """Range coordinates of the least-squares solution lam_I of L*(lam) = I
-    and the smallest nodewise eigenvalue of L*(lam_I), both kept with the
-    operator (:attr:`MomentOperator.identity_dual`); PositivityError unless
-    that eigenvalue clears the inverse families' dual floor."""
-    coords, eigs = op.identity_dual
-    return coords, _check_dual_floor(eigs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ class _PointEval(NamedTuple):
         return core if phi is None else hermitian_part(phi @ core @ np.conj(phi.swapaxes(1, 2)))
 
 
-def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = False) -> _PointEval:
+def _evaluate(op: MomentOperator, coords, family: Family, need_jacobian: bool = False) -> _PointEval:
     # rho = phi f(M) phi* with M = u diag(mu) u*.  The derivative of f(M)
     # multiplies entrywise by the divided differences of f in the eigenbasis
     # of M, so the flow Jacobian is
@@ -292,7 +288,6 @@ def _evaluate(op: MomentOperator, lam, family: Family, need_jacobian: bool = Fal
     # m picks the layout: X, X~, the field A = L*(lam), its decomposer and the
     # contraction, which gives the density, h and the Jacobian's row map on
     # request.  The shape is decided once below, the same for every m.
-    coords = _dual_coords(op, lam)
     moment = family.moment_basis(op.basis)
     if op.m == 1:
         # the one row of X, and of X~ only where it differs, so that Z is Y
@@ -407,18 +402,6 @@ def _eigh_rows(rows: np.ndarray, vectors: bool):
         return (rows.T, None) if vectors else rows.T
     b = np.ascontiguousarray(rows[2:].T).view(complex)[:, 0]
     return _eigh_2x2_entries(rows[0], rows[1], b, vectors)
-
-
-def _dual_coords(op: MomentOperator, lam) -> np.ndarray:
-    """Range coordinates of a dual point given as coordinates, a
-    :class:`DualVariable` or a matrix."""
-    if isinstance(lam, DualVariable):
-        lam = lam.coords
-    lam = np.asarray(lam)
-    if lam.ndim != 1:
-        # L* vanishes on the orthogonal complement of the range
-        lam = op.basis.coords_of(lam)
-    return np.asarray(lam, dtype=float)
 
 
 def _basis_congruence(v: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:

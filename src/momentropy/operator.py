@@ -22,6 +22,10 @@ also gives the cached L* images of the basis.  All coordinates used by the
 continuation solver live in that basis.  The identity dual lam_I, which
 minimises sum_n w_n ||L*(lam)[n] - I||_F^2 over the range, is one
 least-squares solve on those images, kept with the operator.
+
+Every dual point, given as coordinates, a :class:`DualVariable` or a matrix,
+is read by one reader, ``_dual_coords``, where it enters: the public
+evaluations and pairings, ``dual_from_coords`` and the solver's start.
 """
 
 from __future__ import annotations
@@ -164,8 +168,9 @@ class DualVariable:
     matrix: np.ndarray
 
 
-def dual_from_coords(op: MomentOperator, coords: np.ndarray) -> DualVariable:
-    coords = np.asarray(coords, dtype=float).copy()
+def dual_from_coords(op: MomentOperator, coords) -> DualVariable:
+    """The dual point ``coords``, read as every dual point is (:func:`_dual_coords`)."""
+    coords = _dual_coords(op, coords, "coords")
     return DualVariable(coords, op.basis.assemble(coords))
 
 
@@ -261,7 +266,7 @@ def project_to_range(op: MomentOperator, matrix: np.ndarray) -> tuple[np.ndarray
 
 def is_dual_feasible(op: MomentOperator, lam) -> tuple[bool, float]:
     """Whether L*(lam) clears the inverse families' floor at every node; returns min eigenvalue."""
-    a_field = apply_L_adjoint(op, _as_matrix(op, lam))
+    a_field = _adjoint_field(_dual_coords(op, lam), op.adjoint_basis)
     try:
         return True, _check_dual_floor(eigvalsh_hermitian(a_field))
     except PositivityError as exc:
@@ -275,7 +280,7 @@ def moment_functional(op: MomentOperator, moment: np.ndarray, lam) -> float:
     solver's verdicts operationalise that test, this function just evaluates
     the pairing.
     """
-    return inner(_as_matrix(op, lam), np.asarray(moment, dtype=complex))
+    return inner(op.basis.assemble(_dual_coords(op, lam)), np.asarray(moment, dtype=complex))
 
 
 def entropy(density: np.ndarray, grid: SupportGrid, kind: str, sigma: np.ndarray | None = None) -> float:
@@ -350,10 +355,19 @@ def _adjoint_of_stack(kernels: KernelSamples, elements: np.ndarray) -> np.ndarra
     return hermitian_part(out)
 
 
-def _as_matrix(op: MomentOperator, lam) -> np.ndarray:
-    if isinstance(lam, DualVariable):
-        return lam.matrix
-    lam = np.asarray(lam)
-    if lam.ndim == 1:
-        return op.basis.assemble(lam.astype(float))
-    return lam.astype(complex)
+def _dual_coords(op: MomentOperator, lam, name: str = "lam") -> np.ndarray:
+    """Range coordinates, a new float (d,) array, of a dual point ``lam``
+    given as coordinates, a :class:`DualVariable` or an (n_left, n_right)
+    matrix, which is projected onto the range, since L* vanishes off it.
+    ValueError naming ``name`` unless they are d real, finite numbers."""
+    lam = np.asarray(lam.coords if isinstance(lam, DualVariable) else lam)
+    if lam.shape == (op.n_left, op.n_right):
+        lam = op.basis.coords_of(lam)
+    if lam.shape != (op.d,):
+        raise ValueError("%s has shape %s; this operator needs %s" % (name, lam.shape, (op.d,)))
+    if np.iscomplexobj(lam):
+        raise ValueError("%s has complex coordinates" % name)
+    lam = lam.astype(float)
+    if not np.isfinite(lam).all():
+        raise ValueError("%s has non-finite coordinates" % name)
+    return lam

@@ -37,8 +37,9 @@ the least-squares scale of its moment, the start is lam_0 / c for the inverse
 families, where h(lam / c) = c h(lam), and lam_0 - ln(c) lam_I for the
 exponential ones, where h(lam - ln(c) lam_I) = c h(lam) when L*(lam_I) = I
 and nearly so when L*(lam_I) is close to it.  It stays lam_0 when c is not
-positive and finite, and on operators with no strictly positive L*(lam_I).
-An explicit start is never rescaled.
+positive and finite, when the scaled start is not finite (lam_0 / c for a
+subnormal c), and on operators with no strictly positive L*(lam_I).  An
+explicit start is never rescaled.
 
 Every accepted point x, the start included, is tested for a certificate at
 the cost of one dot product.  Once per operator the least-squares identity
@@ -107,7 +108,7 @@ import numpy as np
 
 from .calculus import _adjoint_field, _norm, _sampled_field, eigvalsh_hermitian
 from .errors import PositivityError
-from .families import Family, _evaluate, _identity_dual, default_dual_start
+from .families import Family, _evaluate, default_dual_start
 from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
 from . import operator as _operator
 
@@ -215,9 +216,10 @@ class SolveReport:
     whose start could not be evaluated has that start as ``lambda_hat``, a
     NaN ``V_final``, an empty trace and, when lam_I separates R, lam_I as its
     certificate at step 0.  Malformed input gets no report: a non-finite
-    moment, a start of the wrong shape or with a non-finite coordinate, and a
-    family's sigma (phi for the weighted rational family) that is not a
-    finite (N, m, m) field of this operator raise ValueError.
+    moment, a start that is not d real, finite coordinates (it is read as
+    every dual point is, by ``operator._dual_coords``), and a family's sigma
+    (phi for the weighted rational family) that is not a finite (N, m, m)
+    field of this operator raise ValueError.
     """
 
     status: str
@@ -308,11 +310,7 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     name = "phi" if family.kind == "weighted_rational" else "sigma"
     if getattr(family, name) is not None:
         _sampled_field(getattr(family, name), name, op.node_count, op.m)
-    if start is not None and np.shape(start.coords) != (op.d,):
-        raise ValueError("start has shape %s; this operator needs %s"
-                         % (np.shape(start.coords), (op.d,)))
-    if start is not None and not np.isfinite(start.coords).all():
-        raise ValueError("start has non-finite coordinates")
+    start = start if start is None else _operator._dual_coords(op, start, "start")
 
     r_coords, residual = project_to_range(op, moment)
     r_size = _norm(moment)
@@ -322,10 +320,11 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                          "moment lies outside the operator range "
                          "(relative residual %.3e)" % defect)
 
-    x = start.coords.copy() if start is not None else default_dual_start(op, family).coords
+    x = start if start is not None else default_dual_start(op, family).coords
     # lam_I and a_I = min eig L*(lam_I), the same for every family and start
+    lam_i, eigs_i = op.identity_dual
     try:
-        lam_i, a_i = _identity_dual(op)
+        a_i = _operator._check_dual_floor(eigs_i)
     except PositivityError:
         # no strictly positive L*(lam_I): only points with L*(x) >= 0 can certify
         lam_i, a_i = None, math.inf
@@ -348,7 +347,9 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 unit = ev0.h_coords / peak
                 c = float(r_coords @ unit) / float(unit @ unit) / peak
             if c > 0.0 and math.isfinite(c):
-                x = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
+                scaled = x / c if family.is_inverse_kind else x - math.log(c) * lam_i
+                if np.isfinite(scaled).all():
+                    x = scaled
         ev = _eval_or_fail(op, x, family)
     except _REJECTIONS as exc:
         status, message = ((STATUS_INCONCLUSIVE, "start evaluation failed: %s" % exc)

@@ -239,6 +239,43 @@ def test_a_tiny_attainable_moment_converges_with_its_trace(array_bundle, tmp_pat
     assert len(rows) > 1 and np.all(np.isfinite(rows))
 
 
+def test_a_subnormal_moment_gets_a_finite_report(array_bundle, tmp_path):
+    # at 1e-310 the rational start scaled to R, lam_0 / c, would overflow, so
+    # the run keeps lam_0 and stops inconclusive with a finite dual point,
+    # never as an input error
+    problem = json.loads((array_bundle / "problem.json").read_text())
+    moment = fm.load_problem(array_bundle / "problem.json").moment
+    problem["moment"] = fm.matrix_to_obj(1e-310 * moment)
+    problem.pop("rho_true", None)
+    path = tmp_path / "subnormal.json"
+    path.write_text(fm.dumps_canonical(problem))
+    r = _run("solve", "--problem", str(path), "--family", "rational")
+    assert r.returncode == 4, r.stderr
+    report = json.loads(r.stdout)
+    assert report["status"] == "Inconclusive" and report["certificate"] is None
+    assert r.stderr == "Inconclusive: %s\n" % report["message"]
+    assert report["V_final"] is None and np.all(np.isfinite(report["lambda"]["data"]))
+
+
+@pytest.mark.xfail(strict=True, reason="V overflows to inf on this path and the trace writer "
+                   "refuses it; ROADMAP item 4 decides how V is reported")
+def test_a_huge_moment_writes_its_trace(array_bundle, tmp_path):
+    # at 1e160 the exponential run converges, but V, in R's own units,
+    # overflows in its trace
+    problem = json.loads((array_bundle / "problem.json").read_text())
+    moment = fm.load_problem(array_bundle / "problem.json").moment
+    problem["moment"] = fm.matrix_to_obj(1e160 * moment)
+    problem.pop("rho_true", None)
+    path, trace = tmp_path / "huge.json", tmp_path / "trace.csv"
+    path.write_text(fm.dumps_canonical(problem))
+    r = _run("solve", "--problem", str(path), "--family", "exponential",
+             "--trace-out", str(trace))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["status"] == "Converged"
+    rows = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) > 1 and np.all(np.isfinite(rows))
+
+
 def test_config_file_merging_and_flag_priority(array_bundle, tmp_path):
     # the array target is not a multiple of the default start's moment, so a
     # run takes steps and meets a short horizon first

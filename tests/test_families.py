@@ -13,8 +13,8 @@ from momentropy.calculus import (
     _SERIES_CUTOFF, _divided_difference_exp, eigh_hermitian, hermitian_part,
 )
 from momentropy.errors import DualStartNotFound, PositivityError
-from momentropy.families import _evaluate, _identity_dual
-from momentropy.operator import RangeBasis, _adjoint_of_stack
+from momentropy.families import _evaluate
+from momentropy.operator import RangeBasis, _adjoint_of_stack, _dual_coords
 
 
 def _single_node_op(m):
@@ -188,8 +188,8 @@ def test_the_identity_dual_does_not_depend_on_the_kernel_size(size):
     grid = mp.build_grid("interval1d", (0.0, 1.0), panels=8, order=4)
     kernels = np.full((grid.node_count, 1, 1), size, dtype=complex)
     op = mp.build_operator(grid, mp.kernel_samples(kernels, kernels))
-    coords, min_eig = _identity_dual(op)
-    assert min_eig == pytest.approx(1.0, rel=1e-12)
+    coords, eigs = op.identity_dual
+    assert eigs.min() == pytest.approx(1.0, rel=1e-12)
     field = mp.apply_L_adjoint(op, mp.dual_from_coords(op, coords).matrix)
     assert np.max(np.abs(field - 1.0)) <= 1e-12
     start = mp.default_dual_start(op, mp.rational_family())
@@ -336,15 +336,16 @@ def _oracle_cases():
 def test_evaluation_matches_its_einsum_formulation():
     # m = 1 (array), 2 (state covariance and the closed form's branches,
     # weighted too), 3 (state covariance) and 4 (partial trace), every
-    # family, the dual point given as coordinates, as a DualVariable and as a
-    # matrix; below the inverse families' floor both give up at the same node
+    # family, the dual point given to the public evaluations as coordinates,
+    # as a DualVariable and as a matrix; below the inverse families' floor
+    # both give up at the same node
     for op, family, point, below_floor, rng in _oracle_cases():
         label = "%s m=%d" % (family.kind, op.m)
         if below_floor is not None:
             with pytest.raises(PositivityError) as ref:
                 _reference_evaluate(op, below_floor, family)
             with pytest.raises(PositivityError) as got:
-                _evaluate(op, below_floor, family, need_jacobian=True)
+                mp.flow_jacobian(op, below_floor, family)
             assert got.value.node == ref.value.node, label
             continue
         lam = point or _feasible_perturbed_start(op, family, rng, scale=0.3)
@@ -355,8 +356,9 @@ def test_evaluation_matches_its_einsum_formulation():
         off_range *= np.linalg.norm(lam.matrix) / np.linalg.norm(off_range)
         for given in (lam.coords, lam, lam.matrix, lam.matrix + off_range):
             want = _reference_evaluate(op, given, family)
-            got = _evaluate(op, given, family, need_jacobian=True)
-            assert np.array_equal(_evaluate(op, given, family).density, got.density)
+            got = _evaluate(op, _dual_coords(op, given), family, need_jacobian=True)
+            assert np.array_equal(mp.family_density(op, given, family), got.density)
+            assert np.array_equal(mp.flow_jacobian(op, given, family), got.flow_jacobian)
             for field, ref in zip(("density", "h_coords", "flow_jacobian", "min_eig"), want):
                 err = np.linalg.norm(np.asarray(getattr(got, field)) - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref), (label, field, type(given))

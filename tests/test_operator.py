@@ -362,6 +362,43 @@ def test_dual_feasibility_uses_the_inverse_family_floor():
         mp.family_density(op, lam, mp.rational_family())
 
 
+def _malformed_dual_point(op, kind):
+    coords = np.ones(op.d)
+    if kind == "complex":
+        return coords.astype(complex) + 1e-3j * (np.arange(op.d) == 2)
+    if kind == "foreign":
+        return mp.default_dual_start(fm.example_problem("scalar-demo")[0], mp.exponential_family())
+    if kind == "short":
+        return coords[1:]
+    coords[2] = float(kind)
+    return coords
+
+
+@pytest.mark.parametrize("kind", ["short", "complex", "nan", "inf", "-inf", "foreign"])
+@pytest.mark.parametrize("entry", ["family_density", "h_map", "flow_jacobian", "is_dual_feasible",
+                                   "moment_functional", "dual_from_coords", "solve", "solve_tau"])
+def test_every_entry_refuses_a_malformed_dual_point_by_name(array_problem, entry, kind):
+    # one reader turns every dual point into range coordinates, so each entry
+    # refuses the same points with the same words, naming its own argument
+    op, _rho, moment = array_problem
+    family = mp.exponential_family()
+    name, read = {
+        "family_density": ("lam", lambda lam: mp.family_density(op, lam, family)),
+        "h_map": ("lam", lambda lam: mp.h_map(op, lam, family)),
+        "flow_jacobian": ("lam", lambda lam: mp.flow_jacobian(op, lam, family)),
+        "is_dual_feasible": ("lam", lambda lam: mp.is_dual_feasible(op, lam)),
+        "moment_functional": ("lam", lambda lam: mp.moment_functional(op, moment, lam)),
+        "dual_from_coords": ("coords", lambda lam: mp.dual_from_coords(op, lam)),
+        "solve": ("start", lambda lam: mp.solve(op, moment, family, start=lam)),
+        "solve_tau": ("start", lambda lam: mp.solve_tau(op, moment, family, start=lam)),
+    }[entry]
+    words = {"short": r"has shape \(6,\); this operator needs \(7,\)",
+             "foreign": r"has shape \(1,\); this operator needs \(7,\)",
+             "complex": "has complex coordinates"}.get(kind, "has non-finite coordinates")
+    with pytest.raises(ValueError, match="^%s %s$" % (name, words)):
+        read(_malformed_dual_point(op, kind))
+
+
 @pytest.mark.parametrize("example", sorted(fm.EXAMPLES))
 def test_the_identity_dual_is_the_weighted_least_squares_solution(example):
     # lam_I minimises sum_n w_n ||L*(lam)[n] - I||^2 over the range, so the

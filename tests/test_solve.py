@@ -120,6 +120,9 @@ def test_a_subnormal_target_gets_a_report_without_a_warning(size):
                     warnings.simplefilter("error")
                     report = solver(op, target, mp.family_from_name(family))
                 assert isinstance(report, mp.SolveReport), (name, family, solver.__name__)
+                # a rational start scaled by 1 / c, c near |R|, would overflow: it stays unscaled
+                assert np.isfinite(report.lambda_hat.coords).all(), (name, family,
+                                                                      solver.__name__)
                 if report.status == STATUS_CONVERGED:
                     scaled = 2.0 ** 1000 * target
                     resid = np.linalg.norm(mp.apply_L(op, 2.0 ** 1000 * report.density) - scaled)
@@ -476,7 +479,7 @@ def test_finalise_decomposes_the_density_once(array_problem, monkeypatch):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
     for family, sigma_logs in families:
         lam = mp.default_dual_start(op, family)
-        ev = solver_module._evaluate(op, lam, family)
+        ev = solver_module._evaluate(op, lam.coords, family)
         calls.clear()
         for _ in range(2):
             report = solver_module._finalise(op, family, STATUS_CONVERGED, lam.coords, ev, 0.0,
