@@ -320,6 +320,16 @@ def _evaluate(op: MomentOperator, coords, family: Family, need_jacobian: bool = 
     return _PointEval(core, h_coords, jac, min_eig, family)
 
 
+def _field_radius(op: MomentOperator, coords: np.ndarray) -> float:
+    # the largest |eigenvalue| of L*(coords) over the nodes, on _evaluate's
+    # layout: the real rows and the closed form at m <= 2
+    if op.m > 2:
+        mu = eigvalsh_hermitian(_adjoint_field(coords, op.adjoint_basis))
+    else:
+        mu = _eigh_rows(_adjoint_field(coords, op.basis.real_adjoint), False)
+    return float(np.abs(mu).max())
+
+
 def _contract_scalar(op, x_moment, mu, u, f, inverse):
     # The m = 1 formulas of the module docstring, with
     # sqrt(g) = f (inverse shape) or sqrt(f) (exponential shape).

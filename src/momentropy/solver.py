@@ -69,27 +69,31 @@ fails, no smaller step can succeed and the run ends at once); each further
 iterate costs one evaluation, at most four per step.  A step is rejected when
 an evaluation fails (an inverse-type adjoint field at the positivity floor,
 non-finite values), when the Jacobian is singular, or when the corrector stops
-contracting or misses the path; it then halves, and below 1e-12 the run
-collapses.  The inverse families size their steps by the Newton decrement of
-the dual functional Psi_R(lam) = <lam, R> - sum_n w_n log det L*(lam)_n, which
-is self-concordant with Hessian -J: moving the target by ds from an accepted
-point costs ds nu, with nu^2 = -(R0 - R) . J^{-1} (R0 - R) read from the held
-solve in the run's unit, and invariant under R -> c R.  So the next step moves
-s by theta / nu (dt = -log(1 - theta / (nu s)), or the cap once theta / nu
-reaches s).  theta starts at 0.5, halves with every rejected trial and doubles
-back toward 0.5 after a step met within three iterations.  Where nu^2 is not
-positive and finite (the weighted rational family's J need not be symmetric at
-m > 1) the step falls back to the exponential families' rule.  Their Psi is
-not self-concordant, and their nu is large wherever the start misses R, so
-their step starts at 0.1 and doubles after a step met within three iterations,
-up to the cap: 1 on the flow clock, whose trace feeds the slope fit, and 8 on
-the interval clock.  numpy's error state is held for the whole run, so a
-far-off iterate's overflow is silent and the finiteness checks reject it, and
-no size of R makes a run warn.  A collapsed step's verdict message carries the
-reason for the last rejection.  Both clocks end on R itself: s reads 0, and
-tau 1, at the time t_land where V would reach ``tol * ||R||^2`` on the path,
-so each run's last step is a corrector step onto R, and a run converges only
-by meeting it before the horizon ``t_max``.  A start already within that
+contracting (from the second iterate on, a defect ||target - h|| above half
+the last, in the run's unit) or misses the path; it then halves, and below
+1e-12 the run collapses.  The inverse families size their steps by the Newton
+decrement of the dual functional Psi_R(lam) = <lam, R> - sum_n w_n log det
+L*(lam)_n, which is self-concordant with Hessian -J: moving the target by ds
+from an accepted point costs ds nu, with nu^2 = -(R0 - R) . J^{-1} (R0 - R)
+read from the held solve in the run's unit, and invariant under R -> c R.  So
+the next step moves s by theta / nu (dt = -log(1 - theta / (nu s)), or the cap
+once theta / nu reaches s).  theta starts at 0.5, halves with every rejected
+trial and doubles back toward 0.5 after a step met within three iterations.
+Where nu^2 is not positive and finite (the weighted rational family's J need
+not be symmetric at m > 1) the step falls back to doubling.  The exponential
+families' Psi is not self-concordant, and their nu is large wherever the start
+misses R, so their step starts at 0.1 and doubles after a step met within
+three iterations, up to the cap: 1 on the flow clock, whose trace feeds the
+slope fit, and 8 on the interval clock.  There the step that moves the
+exponent by theta is taken where longer: s moves by theta / kappa, kappa the
+largest |eigenvalue| over the nodes of L*(lam'), lam' = J^{-1} (R0 - R) the
+tangent the held solve gives.  numpy's error state is held for the whole run,
+so a far-off iterate's overflow is silent and the finiteness checks reject it,
+and no size of R makes a run warn.  A collapsed step's verdict message carries
+the reason for the last rejection.  Both clocks end on R itself: s reads 0,
+and tau 1, at the time t_land where V would reach ``tol * ||R||^2`` on the
+path, so each run's last step is a corrector step onto R, and a run converges
+only by meeting it before the horizon ``t_max``.  A start already within that
 threshold is the end of its path, and the run converges there without a step.
 Each size of R's order that a run reads is scaled by one power of two, at R's
 largest range coordinate, so none under- or overflows, and the trace reports V
@@ -108,7 +112,7 @@ import numpy as np
 
 from .calculus import _adjoint_field, _norm, _sampled_field, eigvalsh_hermitian
 from .errors import PositivityError
-from .families import Family, _evaluate, default_dual_start
+from .families import Family, _evaluate, _field_radius, default_dual_start
 from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
 from . import operator as _operator
 
@@ -121,20 +125,19 @@ _SLOPE_V_FLOOR = 1e-13
 _SLOPE_MIN_POINTS = 10
 _SLOPE_CONVERGED_V = 1e-8
 
-# Step schedule in the flow's time t = -ln s: the first step (an inverse
-# family's comes from theta), the floor, and each clock's cap; the flow's
-# trace feeds the slope fit, which needs _SLOPE_MIN_POINTS points.
+# Step schedule in the flow's time t = -ln s: the first step (unless theta
+# sets it), the floor, and each clock's cap; the flow's trace feeds the slope
+# fit, which needs _SLOPE_MIN_POINTS points.
 _STEPS = (0.1, 1e-12)
 _FLOW_CAP, _TAU_CAP = 1.0, 8.0
 # Corrector: iterations per trial step, the largest iteration count after
-# which the step (the exponential families') or theta (the inverse
-# families') still doubles, and the distance from the path, relative to
-# max(||R0 - R||, ||R||), at which a point counts as on it.
+# which the step and theta still double, and the distance from the path,
+# relative to max(||R0 - R||, ||R||), at which a point counts as on it.
 _CORRECTOR_ITERATIONS = 4
 _DOUBLING_ITERATIONS = 3
 _ON_PATH_RTOL = 1e-10
-# The largest Newton decrement an inverse family's step may spend, and
-# theta's start.
+# theta's start: the largest Newton decrement (inverse families) or move of
+# the exponent (exponential ones, interval clock) a step may spend.
 _THETA = 0.5
 # A run stops as inconclusive once its dual norm passes this times
 # max(1, ||x_0||), x_0 its start.
@@ -375,6 +378,9 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     def clock(t):
         return 0.0 if t == t_land else math.exp(-t)
 
+    def step_for(ds, s):  # the dt that moves s by ds, up to the cap
+        return min(-math.log1p(-ds / s), dt_cap) if ds < s else dt_cap
+
     def reported(t):  # solve_tau reports tau = 1 - s, exactly 1 on R
         return t if is_flow else 1.0 if t == t_land else -math.expm1(-t)
 
@@ -422,8 +428,14 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 # and the doubled dt stands
                 nu2 = -float((span * unit) @ (held[:, 0] / unit))
                 if 0.0 < nu2 < math.inf:
-                    ds = theta / math.sqrt(nu2)
-                    dt = min(max(-math.log1p(-ds / s) if ds < s else dt_cap, dt_min), dt_cap)
+                    dt = max(step_for(theta / math.sqrt(nu2), s), dt_min)
+            elif not is_flow:
+                # moving the target by ds moves the exponent by ds L*(lam'),
+                # lam' the tangent: by at most theta, unless the doubled dt
+                # is longer
+                kappa = _field_radius(op, held[:, 0])
+                if 0.0 < kappa < math.inf:
+                    dt = max(step_for(theta / kappa, s), dt)
         while dt >= dt_min:
             # land on the end rather than short of it by round-off
             t_new = t + dt if t_end - (t + dt) >= dt_min else t_end
@@ -509,17 +521,20 @@ def _corrector(op, family, x, step, target, on_path_tol, unit):
     ``unit``, with its evaluation and the iteration count; raises one of
     ``_REJECTIONS`` when the iteration fails.
     """
+    last = math.inf
     for used in range(1, _CORRECTOR_ITERATIONS + 1):
         x = x + step
         ev = _eval_or_fail(op, x, family)
         defect = target - ev.h_coords
-        if math.sqrt(_squared(defect, unit)) <= on_path_tol:
+        size = math.sqrt(_squared(defect, unit))
+        if size <= on_path_tol:
             return x, ev, used
+        # from the second iterate on, each defect is at most half the last
+        if size > 0.5 * last:
+            raise _StepFailure("corrector stopped contracting")
         if used < _CORRECTOR_ITERATIONS:
-            next_step = _solve_flow_system(ev.flow_jacobian, defect)
-            if math.sqrt(next_step @ next_step) > 0.5 * math.sqrt(step @ step):
-                raise _StepFailure("corrector stopped contracting")
-            step = next_step
+            step = _solve_flow_system(ev.flow_jacobian, defect)
+        last = size
     raise _StepFailure("corrector missed the path after %d iterations" % _CORRECTOR_ITERATIONS)
 
 

@@ -86,7 +86,7 @@ def test_a_moment_outside_the_range_is_rejected_at_any_size(size):
             assert report.message.endswith("(relative residual 1.272e-01)"), report.message
 
 
-@pytest.mark.parametrize("size", [1e160, 1e200, 1e300, 1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("size", [1e160, 1e200, 1e300, 1e-160, 1e-200, 1e-300, 1e-304])
 def test_a_target_of_any_size_gets_a_report_without_a_warning(size):
     # the squares of R's entries over- or underflow at these sizes, and the
     # suite turns a RuntimeWarning into an error; many of these runs end
@@ -109,9 +109,9 @@ def test_a_target_of_any_size_gets_a_report_without_a_warning(size):
 def test_a_subnormal_target_gets_a_report_without_a_warning(size):
     # the run's unit 2^-e, e R's largest binary exponent, is no finite double
     # here, so it stops at 2^1023; R keeps few of its bits, and a converged
-    # density is checked against R as rounded, both scaled by 2^1000 first.
-    # Statecov is left out: its exponential runs take over 12000 steps here
-    for name in ("nonequispaced-array", "scalar-demo"):
+    # density is checked against R as rounded, both scaled by 2^1000 first;
+    # as at any size, no run takes more than 200 steps
+    for name in ("nonequispaced-array", "scalar-demo", "statecov"):
         op, _kernels, moment, _rho = fm.example_problem(name)
         target = size * moment
         for family in ("rational", "exponential"):
@@ -120,6 +120,7 @@ def test_a_subnormal_target_gets_a_report_without_a_warning(size):
                     warnings.simplefilter("error")
                     report = solver(op, target, mp.family_from_name(family))
                 assert isinstance(report, mp.SolveReport), (name, family, solver.__name__)
+                assert len(report.trace) <= 201, (name, family, solver.__name__)
                 # a rational start scaled by 1 / c, c near |R|, would overflow: it stays unscaled
                 assert np.isfinite(report.lambda_hat.coords).all(), (name, family,
                                                                       solver.__name__)
@@ -305,10 +306,9 @@ def test_an_overflowing_iterate_is_rejected_without_a_warning(array_problem):
                            match="^non-finite values in evaluation$"):
             solver_module._corrector(op, mp.exponential_family(), np.zeros(op.d),
                                      -1e200 * lam_i, r_coords, 1e-10, unit(r_coords))
-        # a target near 1e200 overflows the Newton step's squared norm, which
-        # leaves the step no shorter than the zero step
-        with pytest.raises(solver_module._StepFailure,
-                           match="^corrector stopped contracting$"):
+        # a target near 1e200 sends the first Newton step out of the feasible
+        # set by about 1e200: the next evaluation rejects it
+        with pytest.raises(PositivityError, match=r"\(min eig -1\.389e\+200, "):
             solver_module._corrector(op, mp.rational_family(), lam_i, np.zeros(op.d),
                                      1e200 * r_coords, 1e-10, unit(1e200 * r_coords))
 
@@ -985,6 +985,23 @@ def test_inverse_families_on_statecov_step_by_the_newton_decrement(statecov, nam
         assert report.status == STATUS_CONVERGED, report.message
         steps.add(len(report.trace) - 1)
     assert len(steps) == 1 and steps.pop() <= most_steps
+
+
+def test_the_exponential_interval_steps_follow_the_exponent_spread(statecov):
+    # moving s by ds moves the exponent by ds L*(lam'), lam' the path's
+    # tangent, and solve_tau steps it by theta where that outruns the doubled
+    # step; the steps 0.1, 0.2, 0.4 ... alone take 8 on the array and 13 on
+    # statecov
+    family = mp.exponential_family()
+    op, _kernels, moment, _rho = fm.example_problem("nonequispaced-array")
+    for size in _SIZES:
+        report = mp.solve_tau(op, size * moment, family)
+        assert report.status == STATUS_CONVERGED, report.message
+        assert len(report.trace) - 1 <= 3, (size, len(report.trace) - 1)
+    op, moment, _rho = statecov
+    report = mp.solve_tau(op, moment, family)
+    assert report.status == STATUS_CONVERGED, report.message
+    assert len(report.trace) - 1 <= 6, len(report.trace) - 1
 
 
 @pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
