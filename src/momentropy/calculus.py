@@ -8,8 +8,9 @@ input first; this gives the whole package one consistent policy for
 numerical noise.  Fields of 1x1 matrices take a scalar path and fields of
 2x2 matrices a vectorised closed form; only ``m >= 3`` calls LAPACK.  The
 closed form takes the entries ``p, q, b`` of each matrix
-(:func:`_eigh_2x2_entries`), so the density families evaluate 2x2 fields
-given as real rows through the same formula, without a complex stack.  Every
+(:func:`_eigh_2x2_entries`), so an adjoint field L*(lam), laid out by m in
+:func:`_field_layout` as real rows at m <= 2, is decomposed without a complex
+stack by :func:`_eigh_field`, the source of every eigenvalue of L*.  Every
 positive-definiteness test in the package compares eigenvalues with its
 floor through :func:`_check_positive`, which names the node of a field that
 fails, and every density, sigma or phi that enters it passes
@@ -217,8 +218,8 @@ def _eigh_2x2(a: np.ndarray, vectors: bool):
 def _eigh_2x2_entries(p: np.ndarray, q: np.ndarray, b: np.ndarray, vectors: bool):
     """Closed-form eigendecomposition of the Hermitian matrices
     ``[[p, b], [conj(b), q]]`` from their entries, real ``p, q`` and complex
-    ``b``: the one 2x2 formula, shared by :func:`_eigh_2x2` and the families'
-    real m = 2 evaluation.
+    ``b``: the one 2x2 formula, shared by :func:`_eigh_2x2` and
+    :func:`_eigh_field`'s real rows.
 
     The eigenvalues are ``(p+q)/2 -+ r`` with ``r = hypot((q-p)/2, |b|)``,
     ascending.  The eigenvectors are the columns of ``u = [[c e, s e], [-s, c]]``
@@ -258,6 +259,28 @@ def _real_entries(field: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
 
+def _field_layout(stack: np.ndarray) -> np.ndarray:
+    """Hermitian (..., N, m, m) stacks in the one layout of an adjoint field:
+    a real row (..., N) at m = 1, the rows (..., 4, N) of (p, q, Re b, Im b)
+    at m = 2 (:func:`_real_entries`) and the complex stack itself at m >= 3."""
+    if stack.shape[-1] > 2:
+        return stack
+    rows = _real_entries(stack)
+    return rows[..., 0, :] if stack.shape[-1] == 1 else rows
+
+
+def _eigh_field(field: np.ndarray, vectors: bool):
+    """Nodewise eigenvalues (N, m) of a field in :func:`_field_layout` and,
+    when ``vectors``, its eigenvectors: None at m = 1, ``(c, s, e)`` of
+    :func:`_eigh_2x2_entries` at m = 2 and ``u`` at m >= 3."""
+    if field.ndim == 1:
+        return (field[:, None], None) if vectors else field[:, None]
+    if field.ndim == 2:
+        b = np.ascontiguousarray(field[2:].T).view(complex)[:, 0]
+        return _eigh_2x2_entries(field[0], field[1], b, vectors)
+    return _eigh(field, vectors)
+
+
 def _real_rows(a: np.ndarray) -> np.ndarray:
     # A C-contiguous stack of d arrays as d flat real rows.  A complex stack
     # (d, N, m, m) has its real and imaginary parts interleaved, so that
@@ -268,8 +291,9 @@ def _real_rows(a: np.ndarray) -> np.ndarray:
 
 def _adjoint_field(coords: np.ndarray, images: np.ndarray) -> np.ndarray:
     # L* is linear and its images of the range basis are cached on the
-    # operator, as the complex stack (d, N, m, m) or the real rows
-    # (d, m*m, N); the field comes in the same layout
+    # operator in the field layout (d, ...); the field comes in that layout
+    if images.ndim == 2:  # m = 1: one real row per node
+        return coords @ images
     return (coords @ _real_rows(images)).view(images.dtype).reshape(images.shape[1:])
 
 

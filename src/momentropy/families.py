@@ -21,9 +21,10 @@ dual-feasible; the exponential families are defined for every ``lam`` and
 extremise von Neumann / relative entropies.
 
 An evaluation decides the shape once for every m: ``M = A``, ``-A`` or
-``log sigma - A`` as ``u diag(mu) u*``, ``f(mu) = 1/mu`` or ``e^mu / e``, and
-``min eig A``.  The layout, chosen by m, holds the field, built from the
-adjoint images ``X_i = L*(E_i)`` of the range basis, and the contractions.
+``log sigma - A`` as ``u diag(mu) u*`` (``calculus._eigh_field``),
+``f(mu) = 1/mu`` or ``e^mu / e``, and ``min eig A``.  The adjoint images
+``X_i = L*(E_i)`` of the range basis and the field come in the one layout
+that m decides (``calculus._field_layout``); m picks only the contraction.
 Only the moment side sees the weight: every family's moment coordinates are
 ``sum_n w_n Re tr(X~_i f(M))`` with ``X~_i = phi* X_i phi`` (``X~ = X``
 without a weight; ``Family.moment_basis``), and ``flow_jacobian``, the true
@@ -39,10 +40,9 @@ feasible set.
 The public evaluations read their dual point through ``operator._dual_coords``;
 the evaluation they share with the solver takes range coordinates only.
 
-Fields of m <= 2 are evaluated in real arithmetic, on the real rows
-``RangeBasis.real_adjoint`` of ``X`` and ``X~``, which determine the
-Hermitian images exactly.  The density is assembled only when it is read
-(``family_density``, a converged solve's report).
+So fields of m <= 2 are evaluated in real arithmetic, on real rows that
+determine the Hermitian images exactly.  The density is assembled only when
+it is read (``family_density``, a converged solve's report).
 
 At m = 1, ``u = 1``: the field is ``a = lam X``, the moment coordinates
 ``X~ (w f(a))`` and the Jacobian ``-Z Y^T`` with ``(Y, Z) = (X, X~) sqrt(w g)``.
@@ -75,9 +75,9 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .calculus import (
-    _adjoint_field, _check_positive, _divided_difference_exp, _eigh, _eigh_2x2_entries,
-    _expm1_quotient, _real_entries, _real_rows, _rebuild, _sampled_field, eigh_hermitian,
-    eigvalsh_hermitian, hermitian_part, matrix_log,
+    _adjoint_field, _check_positive, _divided_difference_exp, _eigh_field, _expm1_quotient,
+    _field_layout, _real_rows, _rebuild, _sampled_field, eigh_hermitian, eigvalsh_hermitian,
+    hermitian_part, matrix_log,
 )
 from .errors import DualStartNotFound, PositivityError
 from .operator import (_check_dual_floor, _dual_coords, MomentOperator, DualVariable, RangeBasis,
@@ -116,10 +116,9 @@ class Family:
         return moment
 
     @cached_property
-    def log_sigma_rows(self) -> np.ndarray | None:
-        """``log_sigma`` as real rows (m*m, N), the layout of the real m <= 2
-        evaluations (:func:`calculus._real_entries`); built on first use."""
-        return None if self.log_sigma is None else _real_entries(self.log_sigma)
+    def log_sigma_field(self) -> np.ndarray | None:
+        """``log_sigma`` in the field layout (:func:`calculus._field_layout`)."""
+        return None if self.log_sigma is None else _field_layout(self.log_sigma)
 
     @cached_property
     def reference_log(self) -> np.ndarray | None:
@@ -285,30 +284,20 @@ def _evaluate(op: MomentOperator, coords, family: Family, need_jacobian: bool = 
     # inverse shape and the divided difference of e^mu / e for the exponential.
     # g is held by its square root, which stays in range for any kernel size
     # where g itself (f^2 for the inverse shape) would under- or overflow.
-    # m picks the layout: X, X~, the field A = L*(lam), its decomposer and the
-    # contraction, which gives the density, h and the Jacobian's row map on
-    # request.  The shape is decided once below, the same for every m.
-    moment = family.moment_basis(op.basis)
-    if op.m == 1:
-        # the one row of X, and of X~ only where it differs, so that Z is Y
-        x = op.basis.real_adjoint[:, 0]
-        x_moment = x if moment is op.basis else moment.real_adjoint[:, 0]
-        a, decompose, contract = (coords @ x)[None], _eigh_rows, _contract_scalar
-    elif op.m == 2:
-        x, x_moment = op.basis.real_adjoint, moment.real_adjoint
-        a, decompose, contract = _adjoint_field(coords, x), _eigh_rows, _contract_2x2
-    else:
-        x, x_moment = op.adjoint_basis, moment.adjoint
-        a, decompose, contract = _adjoint_field(coords, x), _eigh, _contract_stack
+    # X, X~ and A = L*(lam) come in the field layout (X~ is X without a weight,
+    # so Z is Y); m picks only the contraction.  The shape is decided once below.
+    x, x_moment = op.basis.images, family.moment_basis(op.basis).images
+    a = _adjoint_field(coords, x)
+    contract = _contract_scalar if op.m == 1 else _contract_2x2 if op.m == 2 else _contract_stack
     inverse = family.is_inverse_kind
     if inverse:
-        mu, u = decompose(a, True)
+        mu, u = _eigh_field(a, True)
         min_eig = _check_dual_floor(mu)
         f = 1.0 / mu
     else:
-        log_sigma = family.log_sigma if op.m > 2 else family.log_sigma_rows
-        mu, u = decompose(-a if log_sigma is None else log_sigma - a, True)
-        min_eig = float(-mu.max() if log_sigma is None else decompose(a, False).min())
+        log_sigma = family.log_sigma_field
+        mu, u = _eigh_field(-a if log_sigma is None else log_sigma - a, True)
+        min_eig = float(-mu.max() if log_sigma is None else _eigh_field(a, False).min())
         f = np.exp(mu) / np.e
     core, h_coords, jacobian_rows = contract(op, x_moment, mu, u, f, inverse)
     jac = None
@@ -318,16 +307,6 @@ def _evaluate(op: MomentOperator, coords, family: Family, need_jacobian: bool = 
         y = rows(x)
         jac = -((y if x_moment is x else rows(x_moment)) @ y.T)
     return _PointEval(core, h_coords, jac, min_eig, family)
-
-
-def _field_radius(op: MomentOperator, coords: np.ndarray) -> float:
-    # the largest |eigenvalue| of L*(coords) over the nodes, on _evaluate's
-    # layout: the real rows and the closed form at m <= 2
-    if op.m > 2:
-        mu = eigvalsh_hermitian(_adjoint_field(coords, op.adjoint_basis))
-    else:
-        mu = _eigh_rows(_adjoint_field(coords, op.basis.real_adjoint), False)
-    return float(np.abs(mu).max())
 
 
 def _contract_scalar(op, x_moment, mu, u, f, inverse):
@@ -403,15 +382,6 @@ def _contract_stack(op, x_moment, mu, u, f, inverse):
         scale = np.sqrt(w) * root_g
         return lambda r: _real_rows(_basis_congruence(u, r, scale))
     return lambda: core, h_coords, jacobian_rows
-
-
-def _eigh_rows(rows: np.ndarray, vectors: bool):
-    # Decomposer of the real rows (m*m, N), m <= 2: eigenvalues (N, m) and u,
-    # None at m = 1, and (c, s, e) of the closed form on (p, q, Re b, Im b) at m = 2
-    if len(rows) == 1:
-        return (rows.T, None) if vectors else rows.T
-    b = np.ascontiguousarray(rows[2:].T).view(complex)[:, 0]
-    return _eigh_2x2_entries(rows[0], rows[1], b, vectors)
 
 
 def _basis_congruence(v: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:

@@ -25,7 +25,9 @@ least-squares solve on those images, kept with the operator.
 
 Every dual point, given as coordinates, a :class:`DualVariable` or a matrix,
 is read by one reader, ``_dual_coords``, where it enters: the public
-evaluations and pairings, ``dual_from_coords`` and the solver's start.
+evaluations and pairings, ``dual_from_coords`` and the solver's start.  The
+spectrum of L*(lam) has one reader, ``_field_eigs``, for the feasibility test,
+lam_I, and the solver's certificates and exponential step lengths.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import (
-    _adjoint_field, _check_positive, _norm, _real_entries, _sampled_field, eigvalsh_hermitian,
-    hermitian_part, matrix_log, trace_inner,
+    _adjoint_field, _check_positive, _eigh_field, _field_layout, _norm, _real_entries,
+    _sampled_field, eigvalsh_hermitian, hermitian_part, matrix_log, trace_inner,
 )
 from .errors import PositivityError
 from .grid import SupportGrid
@@ -94,12 +96,10 @@ class RangeBasis:
         return self.elements.shape[0]
 
     @cached_property
-    def real_adjoint(self) -> np.ndarray:
-        """The adjoint images as real rows, shape (d, m*m, N), C-contiguous,
-        built on first use and kept with the basis: (X_00) at m = 1 and
-        (X_00, X_11, Re X_01, Im X_01) at m = 2 (:func:`calculus._real_entries`).
-        The images are Hermitian parts, so these rows determine them exactly."""
-        return _real_entries(self.adjoint)
+    def images(self) -> np.ndarray:
+        """The adjoint images in the field layout (:func:`calculus._field_layout`),
+        C-contiguous, built on first use: every field L*(lam) is read from them."""
+        return _field_layout(self.adjoint)
 
     def assemble(self, coords: np.ndarray) -> np.ndarray:
         """Matrix with the given real coordinates: sum_i coords[i] E_i."""
@@ -126,8 +126,8 @@ class MomentOperator:
 
     @property
     def adjoint_basis(self) -> np.ndarray:
-        """The range basis's cached adjoint images L*(E_i), shape (d, N, m, m);
-        the adjoint field and the solver's Jacobians contract against them."""
+        """The range basis's cached adjoint images L*(E_i), shape (d, N, m, m),
+        from which lam_I and the field layout's images are built."""
         return self.basis.adjoint
 
     @property
@@ -266,9 +266,8 @@ def project_to_range(op: MomentOperator, matrix: np.ndarray) -> tuple[np.ndarray
 
 def is_dual_feasible(op: MomentOperator, lam) -> tuple[bool, float]:
     """Whether L*(lam) clears the inverse families' floor at every node; returns min eigenvalue."""
-    a_field = _adjoint_field(_dual_coords(op, lam), op.adjoint_basis)
     try:
-        return True, _check_dual_floor(eigvalsh_hermitian(a_field))
+        return True, _check_dual_floor(_field_eigs(op, _dual_coords(op, lam)))
     except PositivityError as exc:
         return False, exc.min_eig
 
@@ -333,17 +332,22 @@ def _solve_identity_dual(op: MomentOperator) -> tuple[np.ndarray, np.ndarray]:
     """:attr:`MomentOperator.identity_dual`, computed.
 
     lam_I minimises sum_n w_n ||L*(lam)[n] - I||_F^2: one SVD least-squares
-    solve on the cached real rows of the adjoint images, weighted by sqrt(w)
+    solve on the real rows of the adjoint images, weighted by sqrt(w)
     and, as the norm counts each off-diagonal entry twice, by sqrt(2) off the
     diagonal.  It never forms their Gram matrix (entries of the kernels'
     fourth power) and so needs no scaling for any kernel size.
     """
     diagonal = np.arange(op.m * op.m)[:, None] < op.m
     scale = np.sqrt(np.where(diagonal, 1.0, 2.0) * op.grid.weights)
-    rows = (scale * op.basis.real_adjoint).reshape(op.d, -1)
+    rows = (scale * _real_entries(op.adjoint_basis)).reshape(op.d, -1)
     coords = np.linalg.lstsq(rows.T, (scale * diagonal).reshape(-1), rcond=None)[0]
     coords.flags.writeable = False
-    return coords, eigvalsh_hermitian(_adjoint_field(coords, op.adjoint_basis))
+    return coords, _field_eigs(op, coords)
+
+
+def _field_eigs(op: MomentOperator, coords: np.ndarray) -> np.ndarray:
+    """Nodewise eigenvalues (N, m) of L*(coords): the one reader of its spectrum."""
+    return _eigh_field(_adjoint_field(coords, op.basis.images), False)
 
 
 def _adjoint_of_stack(kernels: KernelSamples, elements: np.ndarray) -> np.ndarray:

@@ -110,9 +110,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _adjoint_field, _norm, _sampled_field, eigvalsh_hermitian
+from .calculus import _norm, _sampled_field
 from .errors import PositivityError
-from .families import Family, _evaluate, _field_radius, default_dual_start
+from .families import Family, _evaluate, default_dual_start
 from .operator import DualVariable, MomentOperator, dual_from_coords, project_to_range
 from . import operator as _operator
 
@@ -213,7 +213,10 @@ class SolveReport:
     <lam, R> at the matched solution; only for ``rational`` does it equal
     m * measure(support), since tr(A A^{-1}) = m at every node) are
     diagnostics, set on ``Converged`` runs only.  ``fitted_V_slope`` is the
-    fitted log-V decay rate, None when the trace has no converged tail.
+    fitted log-V decay rate of a ``solve`` run; it is None on ``solve_tau``
+    runs and where :func:`lyapunov_slope` refuses the trace: fewer than 10
+    points with V above 1e-13 of its largest, as on a short run, or no
+    converged tail.
     ``certificate`` is set on ``DivergedCertified`` runs only.  A
     ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace; a run
     whose start could not be evaluated has that start as ``lambda_hat``, a
@@ -430,10 +433,9 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
                 if 0.0 < nu2 < math.inf:
                     dt = max(step_for(theta / math.sqrt(nu2), s), dt_min)
             elif not is_flow:
-                # moving the target by ds moves the exponent by ds L*(lam'),
-                # lam' the tangent: by at most theta, unless the doubled dt
-                # is longer
-                kappa = _field_radius(op, held[:, 0])
+                # moving the target by ds moves the exponent by ds L*(lam'), lam'
+                # the tangent: by at most theta, unless the doubled dt is longer
+                kappa = float(np.abs(_operator._field_eigs(op, held[:, 0])).max())
                 if 0.0 < kappa < math.inf:
                     dt = max(step_for(theta / kappa, s), dt)
         while dt >= dt_min:
@@ -472,8 +474,7 @@ def _certificate(op, y, r_unit, step) -> Certificate | None:
     margin = float(r_unit @ y) / y_norm if y_norm > 0.0 else 0.0
     if not margin < -_CERTIFICATE_RTOL:
         return None
-    # L*(y) from the operator's cached images of the range basis
-    eigs = eigvalsh_hermitian(_adjoint_field(y, op.adjoint_basis))
+    eigs = _operator._field_eigs(op, y)
     if eigs.min() < -_PSD_RTOL * eigs.max():
         return None
     return Certificate(dual=dual_from_coords(op, y), margin=margin,

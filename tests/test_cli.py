@@ -239,6 +239,25 @@ def test_a_tiny_attainable_moment_converges_with_its_trace(array_bundle, tmp_pat
     assert len(rows) > 1 and np.all(np.isfinite(rows))
 
 
+@pytest.mark.xfail(strict=True, reason="the unscaled start's V, read in the run's unit 2^1023, "
+                   "overflows to inf and the trace writer refuses it; ROADMAP item 4 "
+                   "decides how V is reported")
+def test_a_subnormal_moment_writes_its_trace(array_bundle, tmp_path):
+    # at 1e-310 the rational run keeps its unscaled start and stops
+    # inconclusive, as without a trace file, but every V in its trace is inf
+    problem = json.loads((array_bundle / "problem.json").read_text())
+    moment = fm.load_problem(array_bundle / "problem.json").moment
+    problem["moment"] = fm.matrix_to_obj(1e-310 * moment)
+    problem.pop("rho_true", None)
+    path, trace = tmp_path / "subnormal.json", tmp_path / "trace.csv"
+    path.write_text(fm.dumps_canonical(problem))
+    r = _run("solve", "--problem", str(path), "--family", "rational",
+             "--trace-out", str(trace))
+    assert r.returncode == 4, r.stderr
+    rows = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) > 1 and np.all(np.isfinite(rows))
+
+
 def test_a_subnormal_moment_gets_a_finite_report(array_bundle, tmp_path):
     # at 1e-310 the rational start scaled to R, lam_0 / c, would overflow, so
     # the run keeps lam_0 and stops inconclusive with a finite dual point,

@@ -12,7 +12,9 @@ import pytest
 import momentropy as mp
 from momentropy import formats as fm
 from momentropy import problems as pr
+from momentropy.calculus import _adjoint_field, eigvalsh_hermitian
 from momentropy.errors import PositivityError
+from momentropy.operator import _field_eigs
 
 _PI_J0 = {
     0.0: np.pi,
@@ -132,9 +134,9 @@ def test_adjoint_pairing_identity_scalar_and_matrix(rng):
 
 
 def test_adjoint_basis_is_c_contiguous(tmp_path):
-    # the evaluation reads it through flat real views, which need no copy; at
-    # m <= 2 it reads real rows of the diagonal and upper entries, which
-    # determine an image only when it is exactly Hermitian
+    # the evaluation reads the images through flat real views, which need no
+    # copy; at m <= 2 they are real rows of the diagonal and upper entries,
+    # which determine an image only when it is exactly Hermitian
     interval = mp.build_grid("interval1d", (0.0, 1.0), panels=2, order=2)
     ones = np.ones((interval.node_count, 1, 1), dtype=complex)
     ptrace = pr.partial_trace_problem(2, 2)
@@ -158,13 +160,33 @@ def test_adjoint_basis_is_c_contiguous(tmp_path):
     assert [op.m for op in ops] == [1, 1, 1, 4, 2, 4, 1]
     for op in ops:
         assert op.adjoint_basis.flags.c_contiguous, op.kernels.left.shape
+        assert op.basis.images.flags.c_contiguous, op.kernels.left.shape
         if op.m <= 2:
             x = op.adjoint_basis
             assert np.array_equal(x, np.conj(x.swapaxes(2, 3))), op.kernels.left.shape
-            entries = [x[:, :, 0, 0].real] if op.m == 1 else [
-                x[:, :, 0, 0].real, x[:, :, 1, 1].real, x[:, :, 0, 1].real, x[:, :, 0, 1].imag]
-            assert np.array_equal(op.basis.real_adjoint, np.stack(entries, axis=1))
-            assert op.basis.real_adjoint.flags.c_contiguous
+            entries = x[:, :, 0, 0].real if op.m == 1 else np.stack([
+                x[:, :, 0, 0].real, x[:, :, 1, 1].real, x[:, :, 0, 1].real, x[:, :, 0, 1].imag],
+                axis=1)
+            assert np.array_equal(op.basis.images, entries)
+        else:
+            assert op.basis.images is op.adjoint_basis
+
+
+@pytest.mark.parametrize("example", list(fm.EXAMPLES))
+def test_every_adjoint_field_spectrum_has_one_reader(example):
+    # _field_eigs reads L*(x) in the field layout (real rows at m <= 2) and
+    # must give the complex stack's eigenvalues bit for bit, at lam_I, at 0
+    # and at coordinates of every size
+    op = fm.example_problem(example)[0]
+    rng = np.random.default_rng(7)
+    points = [op.identity_dual[0], np.zeros(op.d)] + [
+        size * rng.standard_normal(op.d) for size in 10.0 ** np.arange(-200, 201, 25)
+        for _ in range(3)]
+    for x in points:
+        eigs = _field_eigs(op, x)
+        assert eigs.shape == (op.node_count, op.m)
+        assert np.array_equal(eigs, eigvalsh_hermitian(_adjoint_field(x, op.adjoint_basis)))
+    assert np.array_equal(op.identity_dual[1], _field_eigs(op, op.identity_dual[0]))
 
 
 def test_range_dimensions_match_counting_arguments():

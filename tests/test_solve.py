@@ -957,7 +957,11 @@ def statecov():
     for name in ("exponential", "prior_exponential", "weighted_exponential")
     for size in _ALL_SIZES for solver in (mp.solve, mp.solve_tau)] + [
     (name, size, mp.solve_tau) for name in ("exponential", "prior_exponential")
-    for size in (1e-40, 1e-30, 1e-20, 1e20, 1e30, 1e40)])
+    for size in (1e-40, 1e-30, 1e-20, 1e20, 1e30, 1e40)] + [
+    pytest.param("weighted_exponential", 1e-20, solver, marks=pytest.mark.xfail(
+        strict=True, reason="the step collapses after 12-13 steps: the corrector stops "
+                            "contracting on the weighted exponential path from 1e-16 down"))
+    for solver in (mp.solve, mp.solve_tau)])
 def test_exponential_families_on_statecov_converge_at_every_size(statecov, solver, name,
                                                                  size):
     # L*(lam_I) has eigenvalues 0.58 to 1.38 here, so the start
@@ -990,8 +994,8 @@ def test_inverse_families_on_statecov_step_by_the_newton_decrement(statecov, nam
 def test_the_exponential_interval_steps_follow_the_exponent_spread(statecov):
     # moving s by ds moves the exponent by ds L*(lam'), lam' the path's
     # tangent, and solve_tau steps it by theta where that outruns the doubled
-    # step; the steps 0.1, 0.2, 0.4 ... alone take 8 on the array and 13 on
-    # statecov
+    # step; the steps 0.1, 0.2, 0.4 ... alone take 8 on the array, 13 on
+    # statecov and 8 on bell, where L*(lam') is a complex 4x4 field
     family = mp.exponential_family()
     op, _kernels, moment, _rho = fm.example_problem("nonequispaced-array")
     for size in _SIZES:
@@ -1002,6 +1006,10 @@ def test_the_exponential_interval_steps_follow_the_exponent_spread(statecov):
     report = mp.solve_tau(op, moment, family)
     assert report.status == STATUS_CONVERGED, report.message
     assert len(report.trace) - 1 <= 6, len(report.trace) - 1
+    op, _kernels, moment, _rho = fm.example_problem("bell")
+    report = mp.solve_tau(op, moment, family)
+    assert report.status == STATUS_CONVERGED, report.message
+    assert len(report.trace) - 1 <= 2, len(report.trace) - 1
 
 
 @pytest.mark.parametrize("solver", [mp.solve, mp.solve_tau])
