@@ -60,44 +60,57 @@ delta cannot certify; a y that fails the check is dropped and the run goes
 on.  Where L*(lam_I) is not strictly positive, only points with
 min_eig >= 0 are tested, with y = x.
 
-Both clocks share one path follower, so every accepted point lies on the path,
-and one step schedule in the flow's time t = -ln s, which ``solve_tau``
-reports as tau = 1 - e^{-t}.  A trial step from t to t + dt is Newton's method
-on h(lam) = R + s(t + dt) (R0 - R).  Its first iterate uses the Jacobian held
-at the accepted point, solved once and reused by every retry (when that solve
-fails, no smaller step can succeed and the run ends at once); each further
-iterate costs one evaluation, at most four per step.  A step is rejected when
-an evaluation fails (an inverse-type adjoint field at the positivity floor,
-non-finite values), when the Jacobian is singular, or when the corrector stops
-contracting (from the second iterate on, a defect ||target - h|| above half
-the last, in the run's unit) or misses the path; it then halves, and below
-1e-12 the run collapses.  The inverse families size their steps by the Newton
-decrement of the dual functional Psi_R(lam) = <lam, R> - sum_n w_n log det
-L*(lam)_n, which is self-concordant with Hessian -J: moving the target by ds
-from an accepted point costs ds nu, with nu^2 = -(R0 - R) . J^{-1} (R0 - R)
-read from the held solve in the run's unit, and invariant under R -> c R.  So
-the next step moves s by theta / nu (dt = -log(1 - theta / (nu s)), or the cap
-once theta / nu reaches s).  theta starts at 0.5, halves with every rejected
-trial and doubles back toward 0.5 after a step met within three iterations.
-Where nu^2 is not positive and finite (the weighted rational family's J need
-not be symmetric at m > 1) the step falls back to doubling.  The exponential
-families' Psi is not self-concordant, and their nu is large wherever the start
-misses R, so their step starts at 0.1 and doubles after a step met within
-three iterations, up to the cap: 1 on the flow clock, whose trace feeds the
-slope fit, and 8 on the interval clock.  There the step that moves the
-exponent by theta is taken where longer: s moves by theta / kappa, kappa the
-largest |eigenvalue| over the nodes of L*(lam'), lam' = J^{-1} (R0 - R) the
-tangent the held solve gives.  numpy's error state is held for the whole run,
-so a far-off iterate's overflow is silent and the finiteness checks reject it,
-and no size of R makes a run warn.  A collapsed step's verdict message carries
-the reason for the last rejection.  Both clocks end on R itself: s reads 0,
-and tau 1, at the time t_land where V would reach ``tol * ||R||^2`` on the
-path, so each run's last step is a corrector step onto R, and a run converges
-only by meeting it before the horizon ``t_max``.  A start already within that
-threshold is the end of its path, and the run converges there without a step.
-Each size of R's order that a run reads is scaled by one power of two, at R's
-largest range coordinate, so none under- or overflows, and the trace reports V
-in R's own units.
+Both clocks share one path follower, so every accepted point lies on the path
+within the corrector's tolerance, and one step schedule in the flow's time
+t = -ln s, which ``solve_tau`` reports as tau = 1 - e^{-t}.  A trial step from
+t to t + dt is Newton's method on h(lam) = R + s(t + dt) (R0 - R).  Its first
+iterate uses the Jacobian held at the accepted point, solved once and reused
+by every retry (when that solve fails, no smaller step can succeed and the run
+ends at once); each further iterate costs one evaluation, at most four per
+step.  A step is rejected when an evaluation fails (an inverse-type adjoint
+field at the positivity floor, non-finite values), when the Jacobian is
+singular, or when the corrector stops contracting (from the second iterate
+on, a defect ||target - h|| above half the last, in the run's unit) or misses
+the path; it then halves, and below 1e-12 the run collapses.  Only the landing
+on R is the answer, so a point short of it is met within the larger of
+1e-10 max(||R0 - R||, ||R||) and eta |ds| ||R0 - R||, eta = 1e-4 and ds the
+step's move of s (Allgower & Georg 1990, ch. 6, size the corrector tolerance
+by the step): the defect it keeps is the second column of its held solve, so
+the next step corrects it.  The landing is met within the smaller of
+1e-10 max(||R0 - R||, ||R||) and sqrt(tol) ||R||, so a converged run has
+V <= tol ||R||^2 however far its start missed R.
+
+The inverse families size their steps by the Newton decrement of the dual
+functional Psi_R(lam) = <lam, R> - sum_n w_n log det L*(lam)_n, which is
+self-concordant with Hessian -J: moving the target by ds from an accepted
+point costs ds nu, with nu^2 = -(R0 - R) . J^{-1} (R0 - R) read from the held
+solve in the run's unit, and invariant under R -> c R.  So the next step moves
+s by theta / nu (dt = -log(1 - theta / (nu s)), or the cap once theta / nu
+reaches s).  theta starts at 0.5, halves with every rejected trial and doubles
+back toward 0.5 after a step met within three iterations.  Where nu^2 is not
+positive and finite (the weighted rational family's J need not be symmetric at
+m > 1) the step falls back to doubling.  The exponential families' Psi is not
+self-concordant, and their nu is large wherever the start misses R, so their
+step starts at 0.1 and doubles after a step met within three iterations, up to
+the cap; on the interval clock the step that moves the exponent by theta is
+taken where longer: s moves by theta / kappa, kappa the largest |eigenvalue|
+over the nodes of L*(lam'), lam' = J^{-1} (R0 - R) the tangent the held solve
+gives.  The cap is 8 on the interval clock.  On the flow clock, whose trace
+feeds the slope fit, it is min(1, t_end / 10), t_end the run's end, but not
+below the floor, and it bounds the first step too, so a flow run takes at
+least ten steps to its end unless that end is within ten floors of its start.
+
+numpy's error state is held for the whole run, so a far-off iterate's overflow
+is silent and the finiteness checks reject it, and no size of R makes a run
+warn.  A collapsed step's verdict message carries the reason for the last
+rejection.  Both clocks end on R itself: s reads 0, and tau 1, at the time
+t_land where V would reach ``tol * ||R||^2`` on the path, so each run's last
+step is a corrector step onto R, and a run converges only by meeting it before
+the horizon ``t_max``.  A start already within that threshold is the end of
+its path, and the run converges there without a step.  Each size of R's order
+that a run reads is scaled by one power of two, at R's largest range
+coordinate, so none under- or overflows, and the trace reports V in R's own
+units.
 
 All reductions are evaluated in fixed node order, so results are reproducible
 bit for bit on a given platform.
@@ -127,15 +140,20 @@ _SLOPE_CONVERGED_V = 1e-8
 
 # Step schedule in the flow's time t = -ln s: the first step (unless theta
 # sets it), the floor, and each clock's cap; the flow's trace feeds the slope
-# fit, which needs _SLOPE_MIN_POINTS points.
+# fit, which needs _SLOPE_MIN_POINTS points, so its cap is also at most
+# 1 / _SLOPE_MIN_POINTS of the run's end, but not below the floor.
 _STEPS = (0.1, 1e-12)
 _FLOW_CAP, _TAU_CAP = 1.0, 8.0
 # Corrector: iterations per trial step, the largest iteration count after
-# which the step and theta still double, and the distance from the path,
-# relative to max(||R0 - R||, ||R||), at which a point counts as on it.
+# which the step and theta still double, the distance from the path,
+# relative to max(||R0 - R||, ||R||), at which a point counts as on it, and
+# the distance, relative to the step's move of the target |ds| ||R0 - R||,
+# that a point short of R may keep instead when larger (from 1.7e-4 on, the
+# statecov certificate of R - L(I) at 1e-12 is lost on the interval clock).
 _CORRECTOR_ITERATIONS = 4
 _DOUBLING_ITERATIONS = 3
 _ON_PATH_RTOL = 1e-10
+_ETA = 1e-4
 # theta's start: the largest Newton decrement (inverse families) or move of
 # the exponent (exponential ones, interval clock) a step may spend.
 _THETA = 0.5
@@ -215,8 +233,10 @@ class SolveReport:
     diagnostics, set on ``Converged`` runs only.  ``fitted_V_slope`` is the
     fitted log-V decay rate of a ``solve`` run; it is None on ``solve_tau``
     runs and where :func:`lyapunov_slope` refuses the trace: fewer than 10
-    points with V above 1e-13 of its largest, as on a short run, or no
-    converged tail.
+    points with V above 1e-13 of its largest, or no converged tail.  A flow
+    run steps at most a tenth of the way to its end, so it has its ten points
+    unless it ends early (a certificate, a collapsed step, the dual-norm
+    bound) or its start already meets the landing threshold.
     ``certificate`` is set on ``DivergedCertified`` runs only.  A
     ``NotInRange`` report has a zero ``lambda_hat`` and an empty trace; a run
     whose start could not be evaluated has that start as ``lambda_hat``, a
@@ -366,7 +386,8 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     exp = max(int(np.frexp(np.abs(r_coords).max(initial=0.0))[1]), -1023)
     unit = 2.0 ** -exp
     span = ev.h_coords - r_coords
-    on_path_tol = _ON_PATH_RTOL * math.sqrt(max(_squared(span, unit), _squared(r_coords, unit)))
+    span_norm = math.sqrt(_squared(span, unit))
+    on_path_tol = _ON_PATH_RTOL * max(span_norm, math.sqrt(_squared(r_coords, unit)))
     t = 0.0
     v = _squared(r_coords - ev.h_coords, unit)
     # both clocks step in t = -ln s.  V = e^{-2t} V(0) on the path, so V meets
@@ -374,8 +395,12 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
     # on R; a start within tol ||R||^2 of R lands at once
     v_land = config.tol * _squared(r_coords, unit)
     t_land = 0.5 * math.log(max(v / v_land, 1.0)) if v_land > 0.0 else math.inf
+    # the landing meets R within the contract V <= tol ||R||^2
+    land_tol = min(on_path_tol, math.sqrt(v_land))
     t_end, (dt, dt_min) = min(t_land, config.t_max), _STEPS
-    dt_cap, trial_step = (_FLOW_CAP, _rk4_step) if is_flow else (_TAU_CAP, _rk4_step_tau)
+    dt_cap, trial_step = ((min(_FLOW_CAP, max(t_end / _SLOPE_MIN_POINTS, dt_min)), _rk4_step)
+                          if is_flow else (_TAU_CAP, _rk4_step_tau))
+    dt = min(dt, dt_cap)
     theta = _THETA
 
     def clock(t):
@@ -442,9 +467,12 @@ def _integrate(op: MomentOperator, moment: np.ndarray, family: Family, config: S
             # land on the end rather than short of it by round-off
             t_new = t + dt if t_end - (t + dt) >= dt_min else t_end
             s_new = clock(t_new)
+            # a point on the way is met as closely as its step moves the target
+            trial_tol = (max(on_path_tol, _ETA * (s - s_new) * span_norm) if s_new > 0.0
+                         else land_tol)
             try:
                 x_new, ev_new, used = trial_step(op, family, x, held @ (s_new - s, 1.0),
-                                                 r_coords + s_new * span, on_path_tol, unit)
+                                                 r_coords + s_new * span, trial_tol, unit)
                 break
             except _REJECTIONS as exc:
                 reason = str(exc)
@@ -515,10 +543,10 @@ def _solve_flow_system(flow_jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(**_QUIET)  # its run holds it too; this serves a corrector called alone
-def _corrector(op, family, x, step, target, on_path_tol, unit):
+def _corrector(op, family, x, step, target, tol, unit):
     """Newton on h(lam) = target from ``x`` whose first step is ``step``.
 
-    Returns the point met within ``on_path_tol``, a distance in the run's
+    Returns the point met within ``tol``, a distance in the run's
     ``unit``, with its evaluation and the iteration count; raises one of
     ``_REJECTIONS`` when the iteration fails.
     """
@@ -528,7 +556,7 @@ def _corrector(op, family, x, step, target, on_path_tol, unit):
         ev = _eval_or_fail(op, x, family)
         defect = target - ev.h_coords
         size = math.sqrt(_squared(defect, unit))
-        if size <= on_path_tol:
+        if size <= tol:
             return x, ev, used
         # from the second iterate on, each defect is at most half the last
         if size > 0.5 * last:

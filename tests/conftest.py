@@ -78,6 +78,31 @@ def assert_certified():
     return check
 
 
+@pytest.fixture(scope="session")
+def assert_converged():
+    """Independent check of a convergence: V_final <= tol ||R||^2, the
+    density reproduces R within sqrt(tol) ||R|| (applied with ``mp.apply_L``)
+    and is positive at every node: scipy's eigvalsh finds no eigenvalue
+    below -1e-12 of the largest, the rounding of an exponential density
+    whose small eigenvalues underflow.  The residual and the eigenvalues are
+    read in the unit of R's largest entry, so they hold at any size of R;
+    V_final and ||R||^2 are compared as floats, which both overflow for R
+    near 1e154 and above."""
+    def check(op, moment, report, tol=mp.SolveConfig().tol):
+        assert report.status == "Converged", report.message
+        moment = np.asarray(moment, dtype=complex)
+        with np.errstate(over="ignore", under="ignore"):
+            bound = tol * float(np.sum(np.abs(moment) ** 2))
+        assert report.V_final <= bound, (report.V_final, bound)
+        scale = np.abs(moment).max()
+        density, target = report.density / scale, moment / scale
+        residual = np.linalg.norm(mp.apply_L(op, density) - target) / np.linalg.norm(target)
+        assert residual <= np.sqrt(tol), residual
+        eigs = np.concatenate([sla.eigvalsh(node) for node in density])
+        assert eigs.min() >= -1e-12 * eigs.max(), (eigs.min(), eigs.max())
+    return check
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260823)
